@@ -46,14 +46,6 @@ from .chains import (
     WalkTranspositionChain,
     make_rng,
     run,
-    step_asep,
-    step_inv,
-    step_nn,
-    step_oned,
-    step_tree,
-    step_walk,
-    step_walk_transposition,
-    transition_distribution,
 )
 from .perms import (
     all_permutations,

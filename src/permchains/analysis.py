@@ -255,12 +255,10 @@ def slowmix_cut_report(n: int, comparison_p=Fraction(3, 4), compute_comparison: 
 
     states = walks.all_walks(n)
     idx = state_index(states)
-    weights = [spec.gamma**f * spec.xi**s for f, s in map(walks.tile_counts, states)]
-    z = sum(weights)
-    pi = np.array([float(w / z) for w in weights])
+    chain = WalkChain.fluctuating(spec)
+    pi = stationary_exact(chain, states)
     s1_ids = [idx[w] for w in states if walks.cut_class(w) == 1]
 
-    chain = WalkChain.fluctuating(spec)
     matrix = transition_matrix(chain, states)
     phi = conductance_of_cut(matrix, pi, s1_ids)
 

@@ -1,15 +1,21 @@
 """
 Single-step kernels for the sampling chains, plus a seeded run loop.
 
-Every kernel exposes two views of the same transition law:
+Every kernel writes its transition law once, as a list of selection slots
+``_slots`` of (slot, exact selection mass) and a rule ``_law(state, slot)``
+returning ``(p, yes, no)``: with probability p the chain goes to ``yes``,
+otherwise to ``no``.  The base class derives both views from it:
 
 * ``step(state, rng)`` draws one transition.  The random draws come in a
-  frozen order (selection, then direction bit where the kernel has one, then
-  acceptance), one uniform per role, so trajectories are reproducible from
-  (kernel, start, steps, seed) alone.
+  frozen order: the selection (``_draw``; one uniform, plus a fair direction
+  bit for the inversion kernel, none for the one-dimensional walk), then one
+  acceptance uniform u, going to ``yes`` when u < p.  A blocked slot has the
+  law ``(1, state, state)``, so it still spends its acceptance draw, and
+  trajectories are reproducible from (kernel, start, steps, seed) alone.
 * ``transition_distribution(state)`` returns the exact one-step distribution
   as a dict of successor -> Fraction, which the analysis code turns into
-  matrices.  Probabilities sum to exactly 1.
+  matrices.  Self-loops are folded into one hold entry, inserted last.
+  Probabilities sum to exactly 1.
 
 Kernels:
 
@@ -32,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable
 
 import numpy as np
@@ -47,8 +54,6 @@ HALF = Fraction(1, 2)
 class StepOutcome:
     state: object
     moved: bool
-    chosen: tuple        # kernel-specific selection record
-    accept_prob: float   # probability with which the realized arrangement was kept
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -61,7 +66,42 @@ def _pick_uniform(u: float, count: int) -> int:
     return min(k, count - 1)  # guard u == 1.0 edge
 
 
-class NearestNeighborChain:
+class Kernel:
+    """A transition law given by ``_slots`` and ``_law``; see the module docstring."""
+
+    _slots: list  # (slot, exact selection mass)
+
+    def _law(self, state, slot) -> tuple:
+        raise NotImplementedError
+
+    def _draw(self, rng):
+        return self._slots[_pick_uniform(rng.random(), len(self._slots))][0]
+
+    def step(self, state, rng) -> StepOutcome:
+        p, yes, no = self._law(state, self._draw(rng))
+        new = yes if rng.random() < p else no
+        return StepOutcome(new, new != state)
+
+    def transition_distribution(self, state) -> dict:
+        out: dict = {}
+        hold = Fraction(0)
+        for slot, mass in self._slots:
+            p, yes, no = self._law(state, slot)
+            for target, prob in ((yes, p), (no, 1 - p)):
+                if not prob:
+                    continue
+                w = mass if prob == 1 else mass * prob
+                if target == state:
+                    hold += w
+                elif target in out:
+                    out[target] += w
+                else:
+                    out[target] = w
+        out[state] = hold
+        return out
+
+
+class NearestNeighborChain(Kernel):
     """Pick an adjacent position uniformly; reorder the pair by its bias entry."""
 
     kind = "nn"
@@ -69,6 +109,7 @@ class NearestNeighborChain:
     def __init__(self, table: BiasTable):
         self.table = table
         self.n = table.n
+        self._slots = [(pos, Fraction(1, self.n - 1)) for pos in range(self.n - 1)]
 
     def space(self):
         return list(perms.all_permutations(self.n))
@@ -76,29 +117,8 @@ class NearestNeighborChain:
     def stationary_weight(self, sigma) -> Fraction:
         return weight_exact(sigma, self.table)
 
-    def step(self, sigma, rng) -> StepOutcome:
-        pos = _pick_uniform(rng.random(), self.n - 1)
-        x, y = sigma[pos], sigma[pos + 1]
-        p_swap = self.table.p(y, x)
-        if rng.random() < p_swap:
-            return StepOutcome(perms.adjacent_swap(sigma, pos), True, (pos,), float(p_swap))
-        return StepOutcome(tuple(sigma), False, (pos,), float(1 - p_swap))
-
-    def transition_distribution(self, sigma) -> dict:
-        n = self.n
-        sel = Fraction(1, n - 1)
-        out: dict = {}
-        hold = Fraction(0)
-        for pos in range(n - 1):
-            x, y = sigma[pos], sigma[pos + 1]
-            p_swap = self.table.p(y, x)
-            if p_swap > 0:
-                tau = perms.adjacent_swap(sigma, pos)
-                out[tau] = out.get(tau, Fraction(0)) + sel * p_swap
-            hold += sel * (1 - p_swap)
-        key = tuple(sigma)
-        out[key] = out.get(key, Fraction(0)) + hold
-        return out
+    def _law(self, sigma, pos):
+        return self.table.p(sigma[pos + 1], sigma[pos]), perms.adjacent_swap(sigma, pos), sigma
 
     def min_hold_probability(self) -> Fraction:
         """Every state holds at least this often."""
@@ -117,7 +137,7 @@ def _inv_targets(sigma, i: int) -> tuple[int | None, int | None]:
     return after, before
 
 
-class InversionChain:
+class InversionChain(Kernel):
     """Move one inversion-table coordinate by +-1.
 
     Label i is selected with probability (n-i)/C(n,2), then a fair direction
@@ -126,20 +146,28 @@ class InversionChain:
     skipped labels are smaller than both, so the swap changes only coordinate
     i of the inversion table.  Holds with probability at least 1/2.
 
-    The max variant is served by conjugating the min kernel with the mirror
-    relabeling rather than by a second code path.
+    The max variant conjugates the min law with the mirror relabeling rather
+    than writing a second one.
     """
 
     kind = "inv"
 
     def __init__(self, spec: CywSpec):
         self.spec = spec
-        self.n = spec.n
+        self.n = n = spec.n
         self._mirror = spec.variant == "max"
-        self._base = spec if not self._mirror else spec.mirrored()
+        r = (spec.mirrored() if self._mirror else spec).r
         from .bias import choose_your_weapon
 
         self.table = choose_your_weapon(spec)
+        # slot (i, direction, acceptance) with mass (n-i)/C(n,2) * 1/2; label n
+        # is never selected
+        self._slots = [
+            ((i, b, accept), Fraction(n - i, n * (n - 1)))
+            for i in range(1, n)
+            for b, accept in ((1, 1 - r[i - 1]), (-1, r[i - 1]))
+        ]
+        self._edges = list(accumulate((n - i) / (n * (n - 1) // 2) for i in range(1, n)))
 
     def space(self):
         return list(perms.all_permutations(self.n))
@@ -147,72 +175,37 @@ class InversionChain:
     def stationary_weight(self, sigma) -> Fraction:
         return weight_exact(sigma, self.table)
 
-    def step(self, sigma, rng) -> StepOutcome:
-        if self._mirror:
-            inner = self._min_kernel().step(perms.mirror(sigma), rng)
-            return StepOutcome(
-                perms.mirror(inner.state), inner.moved, inner.chosen, inner.accept_prob
-            )
-        n = self.n
-        total = n * (n - 1) // 2
+    def _draw(self, rng):
+        # float cumulative pick of label i by weight (n - i), then the direction bit
         u = rng.random()
-        # label i has selection weight (n - i); label n is never selected
-        i = 1
-        acc = 0.0
-        for cand in range(1, n):
-            acc += (n - cand) / total
-            if u < acc:
-                i = cand
+        for i, edge in enumerate(self._edges, 1):
+            if u < edge:
                 break
         else:
-            i = n - 1
-        b = 1 if rng.random() < 0.5 else -1
+            i = self.n - 1
+        down = rng.random() >= 0.5
+        return self._slots[2 * i - 2 + down][0]
+
+    def _law(self, sigma, slot):
+        if self._mirror:
+            p, yes, no = self._min_law(perms.mirror(sigma), slot)
+            return p, perms.mirror(yes), perms.mirror(no)
+        return self._min_law(sigma, slot)
+
+    @staticmethod
+    def _min_law(sigma, slot):
+        i, b, accept = slot
         after, before = _inv_targets(sigma, i)
         j = after if b == 1 else before
         if j is None:
-            rng.random()  # burn the acceptance draw so the stream stays aligned
-            return StepOutcome(tuple(sigma), False, (i, b), 1.0)
-        r_i = self._base.r[i - 1]
-        accept = (1 - r_i) if b == 1 else r_i
-        if rng.random() < accept:
-            return StepOutcome(perms.swap_values(sigma, i, j), True, (i, b), float(accept))
-        return StepOutcome(tuple(sigma), False, (i, b), float(1 - accept))
-
-    def _min_kernel(self) -> "InversionChain":
-        if not hasattr(self, "_inner"):
-            self._inner = InversionChain(self._base)
-        return self._inner
-
-    def transition_distribution(self, sigma) -> dict:
-        if self._mirror:
-            inner = self._min_kernel().transition_distribution(perms.mirror(sigma))
-            return {perms.mirror(s): p for s, p in inner.items()}
-        n = self.n
-        total = Fraction(n * (n - 1), 2)
-        out: dict = {}
-        hold = Fraction(0)
-        for i in range(1, n):
-            sel = Fraction(n - i) / total
-            r_i = self._base.r[i - 1]
-            after, before = _inv_targets(sigma, i)
-            for b, j, accept in ((1, after, 1 - r_i), (-1, before, r_i)):
-                mass = sel * HALF
-                if j is None:
-                    hold += mass
-                    continue
-                tau = perms.swap_values(sigma, i, j)
-                if accept > 0:
-                    out[tau] = out.get(tau, Fraction(0)) + mass * accept
-                hold += mass * (1 - accept)
-        key = tuple(sigma)
-        out[key] = out.get(key, Fraction(0)) + hold
-        return out
+            return 1, sigma, sigma
+        return accept, perms.swap_values(sigma, i, j), sigma
 
     def min_hold_probability(self) -> Fraction:
         return HALF
 
 
-class TreeChain:
+class TreeChain(Kernel):
     """Transpose a label pair when no stranger separates them.
 
     An unordered pair {a, b} is selected uniformly among C(n,2).  If every
@@ -225,10 +218,17 @@ class TreeChain:
 
     def __init__(self, tree: LeagueTree):
         self.tree = tree
-        self.n = tree.n
+        self.n = n = tree.n
         from .bias import league_hierarchy
 
         self.table = league_hierarchy(tree)
+        mass = Fraction(2, n * (n - 1))
+        # slot (a, b, q, leaves under lca(a, b)) for a < b, in dense pair order
+        self._slots = [
+            ((a, b, self.table.p(a, b), tree.leaves_under(tree.lca(a, b))), mass)
+            for a in range(1, n + 1)
+            for b in range(a + 1, n + 1)
+        ]
 
     def space(self):
         return list(perms.all_permutations(self.n))
@@ -236,71 +236,35 @@ class TreeChain:
     def stationary_weight(self, sigma) -> Fraction:
         return weight_exact(sigma, self.table)
 
+    @staticmethod
+    def _span(sigma, a: int, b: int, under) -> tuple[int, int] | None:
+        """Ordered positions of a and b, or None if a label of ``under`` lies between."""
+        lo, hi = sorted((sigma.index(a), sigma.index(b)))
+        if any(sigma[k] in under for k in range(lo + 1, hi)):
+            return None
+        return lo, hi
+
     def pair_is_free(self, sigma, a: int, b: int) -> bool:
         """No element between a and b descends from lca(a, b)."""
-        under = self.tree.leaves_under(self.tree.lca(a, b))
-        pa, pb = list(sigma).index(a), list(sigma).index(b)
-        lo, hi = min(pa, pb), max(pa, pb)
-        return all(sigma[k] not in under for k in range(lo + 1, hi))
+        return self._span(tuple(sigma), a, b, self.tree.leaves_under(self.tree.lca(a, b))) is not None
 
-    @staticmethod
-    def _ordered(sigma, a: int, b: int, in_order: bool):
-        pa, pb = list(sigma).index(a), list(sigma).index(b)
-        lo, hi = min(pa, pb), max(pa, pb)
-        first, second = (min(a, b), max(a, b)) if in_order else (max(a, b), min(a, b))
-        out = list(sigma)
-        out[lo], out[hi] = first, second
-        return tuple(out)
-
-    def step(self, sigma, rng) -> StepOutcome:
-        pair_id = _pick_uniform(rng.random(), self.n * (self.n - 1) // 2)
-        a, b = _unrank_pair(pair_id, self.n)
-        if not self.pair_is_free(sigma, a, b):
-            rng.random()  # burn the orientation draw to keep the stream aligned
-            return StepOutcome(tuple(sigma), False, (a, b), 1.0)
-        q = self.table.p(a, b)
-        in_order = rng.random() < q
-        tau = self._ordered(sigma, a, b, in_order)
-        prob = q if in_order else 1 - q
-        return StepOutcome(tau, tau != tuple(sigma), (a, b), float(prob))
-
-    def transition_distribution(self, sigma) -> dict:
-        pairs = self.n * (self.n - 1) // 2
-        sel = Fraction(1, pairs)
-        out: dict = {}
-        hold = Fraction(0)
-        for a in range(1, self.n + 1):
-            for b in range(a + 1, self.n + 1):
-                if not self.pair_is_free(sigma, a, b):
-                    hold += sel
-                    continue
-                q = self.table.p(a, b)
-                for in_order, prob in ((True, q), (False, 1 - q)):
-                    tau = self._ordered(sigma, a, b, in_order)
-                    if tau == tuple(sigma):
-                        hold += sel * prob
-                    elif prob > 0:
-                        out[tau] = out.get(tau, Fraction(0)) + sel * prob
-        key = tuple(sigma)
-        out[key] = out.get(key, Fraction(0)) + hold
-        return out
+    def _law(self, sigma, slot):
+        a, b, q, under = slot
+        span = self._span(sigma, a, b, under)
+        if span is None:
+            return 1, sigma, sigma
+        lo, hi = span
+        in_order, out_of_order = list(sigma), list(sigma)
+        in_order[lo], in_order[hi] = a, b
+        out_of_order[lo], out_of_order[hi] = b, a
+        return q, tuple(in_order), tuple(out_of_order)
 
     def min_hold_probability(self) -> Fraction:
         qs = [self.tree.q_of(v) for v in self.tree.internal_ids()]
         return min(min(q, 1 - q) for q in qs)
 
 
-def _unrank_pair(pair_id: int, n: int) -> tuple[int, int]:
-    """Unordered pair (a, b), a < b, from a dense 0-based index."""
-    a = 1
-    remaining = pair_id
-    while remaining >= n - a:
-        remaining -= n - a
-        a += 1
-    return a, a + 1 + remaining
-
-
-class OnedChain:
+class OnedChain(Kernel):
     """Walk on 0..k: up with probability r, down with 1-r, clamped holds."""
 
     kind = "oned"
@@ -310,6 +274,7 @@ class OnedChain:
 
         self.r = as_probability(r)
         self.k = int(k)
+        self._slots = [(None, Fraction(1))]
 
     def space(self):
         return list(range(self.k + 1))
@@ -319,33 +284,16 @@ class OnedChain:
             return Fraction(1) if h == self.k else Fraction(0)
         return (self.r / (1 - self.r)) ** h
 
-    def step(self, h: int, rng) -> StepOutcome:
+    def _draw(self, rng):
+        return None
+
+    def _law(self, h: int, slot):
         if not 0 <= h <= self.k:
             raise ValueError(f"state out of range 0..{self.k}: {h}")
-        up = rng.random() < self.r
-        if up and h < self.k:
-            return StepOutcome(h + 1, True, (+1,), float(self.r))
-        if not up and h > 0:
-            return StepOutcome(h - 1, True, (-1,), float(1 - self.r))
-        return StepOutcome(h, False, (+1 if up else -1,), 1.0)
-
-    def transition_distribution(self, h: int) -> dict:
-        out: dict = {}
-        hold = Fraction(0)
-        if h < self.k:
-            out[h + 1] = self.r
-        else:
-            hold += self.r
-        if h > 0:
-            out[h - 1] = 1 - self.r
-        else:
-            hold += 1 - self.r
-        if hold:
-            out[h] = out.get(h, Fraction(0)) + hold
-        return out
+        return self.r, min(h + 1, self.k), max(h - 1, 0)
 
 
-class AsepChain:
+class AsepChain(Kernel):
     """Adjacent exclusion moves on binary strings with k1 ones and k2 zeros.
 
     A position pair is chosen uniformly among the k-1 adjacencies; an unequal
@@ -360,6 +308,7 @@ class AsepChain:
         self.p = as_probability(p)
         self.k1, self.k2 = int(k1), int(k2)
         self.k = self.k1 + self.k2
+        self._slots = [(pos, Fraction(1, self.k - 1)) for pos in range(self.k - 1)]
 
     def space(self):
         import itertools
@@ -391,37 +340,14 @@ class AsepChain:
             raise ValueError("p = 1 has a degenerate stationary law")
         return lam ** self.order_pairs(s)
 
-    def step(self, s: str, rng) -> StepOutcome:
-        pos = _pick_uniform(rng.random(), self.k - 1)
-        a, b = s[pos], s[pos + 1]
-        if a == b:
-            rng.random()  # burn the orientation draw to keep the stream aligned
-            return StepOutcome(s, False, (pos,), 1.0)
-        sorted_pair = rng.random() < self.p
-        new = s[:pos] + ("10" if sorted_pair else "01") + s[pos + 2 :]
-        prob = self.p if sorted_pair else 1 - self.p
-        return StepOutcome(new, new != s, (pos,), float(prob))
-
-    def transition_distribution(self, s: str) -> dict:
-        sel = Fraction(1, self.k - 1)
-        out: dict = {}
-        hold = Fraction(0)
-        for pos in range(self.k - 1):
-            a, b = s[pos], s[pos + 1]
-            if a == b:
-                hold += sel
-                continue
-            for pair, prob in (("10", self.p), ("01", 1 - self.p)):
-                new = s[:pos] + pair + s[pos + 2 :]
-                if new == s:
-                    hold += sel * prob
-                elif prob > 0:
-                    out[new] = out.get(new, Fraction(0)) + sel * prob
-        out[s] = out.get(s, Fraction(0)) + hold
-        return out
+    def _law(self, s: str, pos: int):
+        if s[pos] == s[pos + 1]:
+            return 1, s, s
+        head, tail = s[:pos], s[pos + 2 :]
+        return self.p, head + "10" + tail, head + "01" + tail
 
 
-class WalkChain:
+class WalkChain(Kernel):
     """Adjacent (+1, -1) swaps on staircase walks.
 
     The orientation probability of each unequal adjacent pair comes from
@@ -444,14 +370,16 @@ class WalkChain:
         self.bias_at = bias_at
         self._weight_of = weight_of
         self.label = label
+        self._slots = [(pos, Fraction(1, 2 * n - 1)) for pos in range(2 * n - 1)]
 
     @classmethod
     def fluctuating(cls, spec: SlowMixSpec) -> "WalkChain":
-        def weight(w) -> Fraction:
-            flat, steep = walks.tile_counts(w)
-            return spec.gamma**flat * spec.xi**steep
-
-        return cls(spec.n, lambda l, m: spec.cross_prob(l, spec.n + m), weight, "slowmix")
+        return cls(
+            spec.n,
+            lambda l, m: spec.cross_prob(l, spec.n + m),
+            lambda w: walks.walk_weight(w, spec.gamma, spec.xi),
+            "slowmix",
+        )
 
     @classmethod
     def constant(cls, n: int, p) -> "WalkChain":
@@ -476,44 +404,14 @@ class WalkChain:
         downs = pos + 2 - ones
         return self.bias_at(ones, downs)
 
-    def step(self, w, rng) -> StepOutcome:
-        count = 2 * self.n - 1
-        pos = _pick_uniform(rng.random(), count)
+    def _law(self, w, pos: int):
         if w[pos] == w[pos + 1]:
-            rng.random()  # burn the orientation draw to keep the stream aligned
-            return StepOutcome(tuple(w), False, (pos,), 1.0)
-        p_up = self._pair_bias(w, pos)
-        up_first = rng.random() < p_up
-        new = list(w)
-        new[pos], new[pos + 1] = (1, -1) if up_first else (-1, 1)
-        new = tuple(new)
-        prob = p_up if up_first else 1 - p_up
-        return StepOutcome(new, new != tuple(w), (pos,), float(prob))
-
-    def transition_distribution(self, w) -> dict:
-        count = 2 * self.n - 1
-        sel = Fraction(1, count)
-        out: dict = {}
-        hold = Fraction(0)
-        for pos in range(count):
-            if w[pos] == w[pos + 1]:
-                hold += sel
-                continue
-            p_up = self._pair_bias(w, pos)
-            for up_first, prob in ((True, p_up), (False, 1 - p_up)):
-                new = list(w)
-                new[pos], new[pos + 1] = (1, -1) if up_first else (-1, 1)
-                new = tuple(new)
-                if new == tuple(w):
-                    hold += sel * prob
-                elif prob > 0:
-                    out[new] = out.get(new, Fraction(0)) + sel * prob
-        key = tuple(w)
-        out[key] = out.get(key, Fraction(0)) + hold
-        return out
+            return 1, w, w
+        head, tail = w[:pos], w[pos + 2 :]
+        return self._pair_bias(w, pos), head + (1, -1) + tail, head + (-1, 1) + tail
 
 
-class WalkTranspositionChain:
+class WalkTranspositionChain(Kernel):
     """Swap any (+1, -1) step pair with Metropolis acceptance.
 
     The pair is selected uniformly among the n*n (up-step, down-step) index
@@ -525,14 +423,14 @@ class WalkTranspositionChain:
 
     def __init__(self, spec: SlowMixSpec):
         self.spec = spec
-        self.n = spec.n
+        self.n = n = spec.n
+        self._slots = [(divmod(idx, n), Fraction(1, n * n)) for idx in range(n * n)]
 
     def space(self):
         return walks.all_walks(self.n)
 
     def stationary_weight(self, w) -> Fraction:
-        flat, steep = walks.tile_counts(w)
-        return self.spec.gamma**flat * self.spec.xi**steep
+        return walks.walk_weight(w, self.spec.gamma, self.spec.xi)
 
     def _swapped(self, w, which_up: int, which_down: int):
         ups = [k for k, s in enumerate(w) if s == 1]
@@ -547,69 +445,9 @@ class WalkTranspositionChain:
         f1, s1 = walks.tile_counts(new)
         return self.spec.gamma ** (f1 - f0) * self.spec.xi ** (s1 - s0)
 
-    def step(self, w, rng) -> StepOutcome:
-        idx = _pick_uniform(rng.random(), self.n * self.n)
-        which_up, which_down = divmod(idx, self.n)
-        new = self._swapped(w, which_up, which_down)
-        ratio = self._ratio(w, new)
-        accept = min(Fraction(1), ratio)
-        if rng.random() < accept:
-            return StepOutcome(new, True, (which_up, which_down), float(accept))
-        return StepOutcome(tuple(w), False, (which_up, which_down), float(1 - accept))
-
-    def transition_distribution(self, w) -> dict:
-        sel = Fraction(1, self.n * self.n)
-        out: dict = {}
-        hold = Fraction(0)
-        for which_up in range(self.n):
-            for which_down in range(self.n):
-                new = self._swapped(w, which_up, which_down)
-                accept = min(Fraction(1), self._ratio(w, new))
-                if new == tuple(w):
-                    hold += sel
-                    continue
-                if accept > 0:
-                    out[new] = out.get(new, Fraction(0)) + sel * accept
-                hold += sel * (1 - accept)
-        key = tuple(w)
-        out[key] = out.get(key, Fraction(0)) + hold
-        return out
-
-
-# -- step function wrappers ----------------------------------------------------
-
-
-def step_nn(sigma, table: BiasTable, rng) -> StepOutcome:
-    return NearestNeighborChain(table).step(sigma, rng)
-
-
-def step_inv(sigma, spec: CywSpec, rng) -> StepOutcome:
-    return InversionChain(spec).step(sigma, rng)
-
-
-def step_tree(sigma, tree: LeagueTree, rng) -> StepOutcome:
-    return TreeChain(tree).step(sigma, rng)
-
-
-def step_oned(h: int, r, k: int, rng) -> int:
-    return OnedChain(r, k).step(h, rng).state
-
-
-def step_asep(s: str, p, rng) -> str:
-    k1 = s.count("1")
-    return AsepChain(p, k1, len(s) - k1).step(s, rng).state
-
-
-def step_walk(w, spec: SlowMixSpec, rng):
-    return WalkChain.fluctuating(spec).step(w, rng).state
-
-
-def step_walk_transposition(w, spec: SlowMixSpec, rng):
-    return WalkTranspositionChain(spec).step(w, rng).state
-
-
-def transition_distribution(kernel, state) -> dict:
-    return kernel.transition_distribution(state)
+    def _law(self, w, slot):
+        new = self._swapped(w, *slot)
+        return min(1, self._ratio(w, new)), new, w
 
 
 # -- observables and the run loop ------------------------------------------------

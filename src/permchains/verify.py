@@ -170,17 +170,17 @@ def check_inv_product_projection(fast: bool, seed: int):
     kernel = InversionChain(spec)
     half = Fraction(1, 2)
     total = Fraction(n * (n - 1), 2)
-    for i in range(1, n):
-        k_i = n - i
-        sel = Fraction(n - i) / total
-        r_i = spec.r[i - 1]
-        for sigma in perms.all_permutations(n):
-            x = perms.inversion_table(sigma)[i - 1]
+    for sigma in perms.all_permutations(n):
+        x_all = perms.inversion_table(sigma)
+        row = [(perms.inversion_table(tau), p) for tau, p in kernel.transition_distribution(sigma).items()]
+        for i in range(1, n):
+            x = x_all[i - 1]
             got: dict = {}
-            for tau, p in kernel.transition_distribution(sigma).items():
-                y = perms.inversion_table(tau)[i - 1]
-                got[y] = got.get(y, Fraction(0)) + p
-            up = sel * half * (1 - r_i) if x < k_i else Fraction(0)
+            for y_all, p in row:
+                got[y_all[i - 1]] = got.get(y_all[i - 1], Fraction(0)) + p
+            sel = Fraction(n - i) / total
+            r_i = spec.r[i - 1]
+            up = sel * half * (1 - r_i) if x < n - i else Fraction(0)
             down = sel * half * r_i if x > 0 else Fraction(0)
             ref = {x: 1 - up - down}
             if up:
@@ -194,17 +194,19 @@ def check_inv_product_projection(fast: bool, seed: int):
 
 def check_tree_product_projection(fast: bool, seed: int):
     n = 4 if fast else 6
-    for tree in [complete_tree(n, "0.7"), caterpillar_tree(n, ["0.6"] * (n - 1))]:
+    shapes = [complete_tree(n, "0.7"), caterpillar_tree(n, ["0.6"] * (n - 1)), truncate_tree(demo_tree(), n)]
+    pair_mass = Fraction(1, n * (n - 1) // 2)
+    for tree in shapes:
         kernel = TreeChain(tree)
-        pair_mass = Fraction(1, n * (n - 1) // 2)
-        for nid in tree.internal_ids():
-            q = tree.q_of(nid)
-            for sigma in perms.all_permutations(n):
-                s = tree_encode(sigma, tree)[nid]
+        for sigma in perms.all_permutations(n):
+            enc = tree_encode(sigma, tree)
+            row = [(tree_encode(tau, tree), p) for tau, p in kernel.transition_distribution(sigma).items()]
+            for nid in tree.internal_ids():
+                q = tree.q_of(nid)
+                s = enc[nid]
                 got: dict = {}
-                for tau, p in kernel.transition_distribution(sigma).items():
-                    t = tree_encode(tau, tree)[nid]
-                    got[t] = got.get(t, Fraction(0)) + p
+                for t_enc, p in row:
+                    got[t_enc[nid]] = got.get(t_enc[nid], Fraction(0)) + p
                 ref: dict = {}
                 for pos in range(len(s) - 1):
                     if s[pos] == s[pos + 1]:
@@ -216,7 +218,7 @@ def check_tree_product_projection(fast: bool, seed: int):
                 ref[s] = 1 - sum(ref.values())
                 if got != ref:
                     return False, f"node {nid} projection off at {sigma}"
-    return True, f"node-string projections are exclusion kernels at n={n}, two shapes"
+    return True, f"node-string projections are exclusion kernels at n={n}, {len(shapes)} shapes"
 
 
 def check_path_floors(fast: bool, seed: int):
@@ -281,29 +283,32 @@ def check_laziness(fast: bool, seed: int):
     return True, "hold mass respects per-kernel lower bounds at n=4"
 
 
+def unreachable_from_sorted(kernel) -> list:
+    """States of the kernel's space with no positive-mass path to the identity."""
+    states = kernel.space()
+    preds: dict = {s: [] for s in states}
+    for s in states:
+        for t, p in kernel.transition_distribution(s).items():
+            if p and t != s:
+                preds[t].append(s)
+    seen = {perms.identity(kernel.n)}
+    frontier = list(seen)
+    while frontier:
+        for s in preds[frontier.pop()]:
+            if s not in seen:
+                seen.add(s)
+                frontier.append(s)
+    return [s for s in states if s not in seen]
+
+
 def check_connectivity(fast: bool, seed: int):
-    n = 4
-    kernels = list(_kernels(n))
     from .bias import slow_mixing_bias
 
-    table, _ = slow_mixing_bias(4)
-    kernels.append(NearestNeighborChain(table))
-    for kernel in kernels:
-        for sigma in perms.all_permutations(kernel.n):
-            cur = sigma
-            guard = 0
-            while cur != perms.identity(kernel.n):
-                pos = next(
-                    k for k in range(kernel.n - 1) if cur[k] > cur[k + 1]
-                )
-                step = perms.adjacent_swap(cur, pos)
-                if kernel.kind in ("nn",) and kernel.table.p(cur[pos + 1], cur[pos]) == 0:
-                    return False, f"sorting move blocked under {kernel.kind} at {cur}"
-                cur = step
-                guard += 1
-                if guard > kernel.n**2:
-                    return False, "bubble sort did not terminate"
-    return True, "the sorted permutation is reachable by positive-probability moves"
+    for kernel in [*_kernels(4), NearestNeighborChain(slow_mixing_bias(4)[0])]:
+        stuck = unreachable_from_sorted(kernel)
+        if stuck:
+            return False, f"{kernel.kind} cannot reach the sorted permutation from {stuck[0]}"
+    return True, "every state reaches the sorted permutation by positive-probability moves"
 
 
 CHECKS: list[tuple[str, Callable]] = [

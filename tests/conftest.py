@@ -1,35 +1,15 @@
 import pytest
 
-from permchains.bias import CywSpec
-from permchains.trees import LeagueTree, leaf, node
+from permchains.trees import LeagueTree, truncate_tree
+from permchains.verify import _cyw as cyw_spec  # noqa: F401  (shared with the test modules)
+from permchains.verify import demo_tree as _demo_tree
 
 
 @pytest.fixture(scope="session")
 def demo_tree() -> LeagueTree:
     """Nine-player league tree: two leagues with nested tiers."""
-    return LeagueTree(
-        node(
-            "0.9",
-            node("0.8", node("0.6", leaf(1), node("0.5", leaf(2), leaf(3))), leaf(4)),
-            node(
-                "0.7",
-                node("0.7", leaf(5), leaf(6)),
-                node("0.6", node("0.5", leaf(7), leaf(8)), leaf(9)),
-            ),
-        )
-    )
+    return _demo_tree()
 
 
-def cyw_spec(n: int) -> CywSpec:
-    base = ("0.6", "0.7", "0.8", "0.9", "0.75", "0.65", "0.85")
-    return CywSpec(r=base[: n - 1])
-
-
-@pytest.fixture
-def cyw4() -> CywSpec:
-    return cyw_spec(4)
-
-
-@pytest.fixture
-def cyw5() -> CywSpec:
-    return cyw_spec(5)
+def truncate_tree_demo(n: int) -> LeagueTree:
+    return truncate_tree(_demo_tree(), n)

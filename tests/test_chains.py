@@ -5,6 +5,7 @@ Kernel behavior:
 - detailed balance holds exactly for every kernel at enumerable sizes
 - hold probabilities respect the documented floors
 - trajectories are deterministic given a seed and track the stationary law
+- each kernel's sampler follows its own exact one-step row
 - the walk kernels obey the ratio and height-jump claims
 """
 import math
@@ -38,18 +39,16 @@ from permchains.chains import (
     WalkTranspositionChain,
     make_rng,
     run,
-    step_nn,
-    step_oned,
 )
 from permchains.perms import all_permutations, identity, inversion_count, reversal
 from permchains.trees import truncate_tree
 
-from conftest import cyw_spec
+from conftest import cyw_spec, truncate_tree_demo
 
 
 def test_nn_deterministic_swap():
-    table = constant_bias(2, 1)
-    out = step_nn((2, 1), table, make_rng(0))
+    kernel = NearestNeighborChain(constant_bias(2, 1))
+    out = kernel.step((2, 1), make_rng(0))
     assert out.state == (1, 2) and out.moved
 
 
@@ -80,23 +79,6 @@ def test_distributions_sum_to_one_with_small_support():
             d = kernel.transition_distribution(s)
             assert sum(d.values()) == 1
             assert all(p >= 0 for p in d.values())
-
-
-def truncate_tree_demo(n):
-    from permchains.trees import LeagueTree, leaf, node, truncate_tree
-
-    demo = LeagueTree(
-        node(
-            "0.9",
-            node("0.8", node("0.6", leaf(1), node("0.5", leaf(2), leaf(3))), leaf(4)),
-            node(
-                "0.7",
-                node("0.7", leaf(5), leaf(6)),
-                node("0.6", node("0.5", leaf(7), leaf(8)), leaf(9)),
-            ),
-        )
-    )
-    return truncate_tree(demo, n)
 
 
 def test_nn_support_is_adjacent_swaps():
@@ -233,7 +215,7 @@ def test_oned_examples():
         0: Fraction(1, 4),
     }
     with pytest.raises(ValueError):
-        step_oned(7, "0.75", 5, make_rng(0))
+        OnedChain("0.75", 5).step(7, make_rng(0))
 
 
 def test_asep_two_state_stationary():
@@ -312,6 +294,53 @@ def test_walk_transposition_adjacent_matches_walk_ratio():
             back_w = wchain.transition_distribution(t).get(w, Fraction(0))
             if back_w and back_t:
                 assert dt[t] / back_t == p / back_w  # same acceptance odds
+
+
+def _slowmix(n):
+    return SlowMixSpec(n=n, delta=solve_delta(n))
+
+
+LOW_WALK = (-1, -1, -1, -1, 1, 1, 1, 1)
+ZIGZAG_WALK = (1, -1, -1, 1, 1, -1, -1, 1)
+
+# name -> (kernel factory, two fixed states)
+LAW_CASES = {
+    "nn": (lambda: NearestNeighborChain(constant_bias(4, "0.7")), [(1, 2, 3, 4), (3, 1, 4, 2)]),
+    "inv": (lambda: InversionChain(cyw_spec(4)), [(4, 3, 2, 1), (3, 1, 4, 2)]),
+    "inv-max": (lambda: InversionChain(CywSpec(r=cyw_spec(4).r, variant="max")), [(4, 3, 2, 1), (3, 1, 4, 2)]),
+    "tree": (lambda: TreeChain(truncate_tree_demo(5)), [(1, 2, 3, 4, 5), (3, 5, 1, 4, 2)]),
+    "oned": (lambda: OnedChain("0.6", 6), [0, 3]),
+    "asep": (lambda: AsepChain("0.7", 3, 3), ["000111", "010101"]),
+    "walk": (lambda: WalkChain.fluctuating(_slowmix(4)), [LOW_WALK, ZIGZAG_WALK]),
+    "walk-transposition": (lambda: WalkTranspositionChain(_slowmix(4)), [LOW_WALK, ZIGZAG_WALK]),
+}
+LAW_DRAWS = 4_000
+
+
+@pytest.mark.parametrize("name", sorted(LAW_CASES))
+def test_sampler_matches_exact_law(name):
+    """Repeated steps from one state follow that state's exact row (chi-square)."""
+    from scipy.stats import chisquare
+
+    make, states = LAW_CASES[name]
+    kernel = make()
+    rng = make_rng(7)
+    for state in states:
+        row = {t: p for t, p in kernel.transition_distribution(state).items() if p}
+        counts = dict.fromkeys(row, 0)
+        for _ in range(LAW_DRAWS):
+            out = kernel.step(state, rng)
+            assert out.state in counts and out.moved == (out.state != state)
+            counts[out.state] += 1
+        # outcomes expected fewer than 5 times are pooled into one cell
+        common = [t for t in row if LAW_DRAWS * row[t] >= 5]
+        rare = [t for t in row if t not in common]
+        observed = [counts[t] for t in common] + ([sum(counts[t] for t in rare)] if rare else [])
+        expected = [LAW_DRAWS * float(row[t]) for t in common]
+        if rare:
+            expected.append(LAW_DRAWS * float(sum(row[t] for t in rare)))
+        if len(observed) > 1:
+            assert chisquare(observed, expected).pvalue > 1e-3, (state, counts)
 
 
 def test_run_contract():

@@ -161,6 +161,20 @@ def test_verify_seed_flag(capsys):
     assert main(["verify", "--fast", "--seed", "7"]) == 0
 
 
+def test_connectivity_check_rejects_a_kernel_that_cannot_sort():
+    from fractions import Fraction
+
+    from permchains.bias import BiasTable, constant_bias
+    from permchains.chains import NearestNeighborChain
+    from permchains.perms import identity
+    from permchains.verify import unreachable_from_sorted
+
+    assert unreachable_from_sorted(NearestNeighborChain(constant_bias(4, "0.7"))) == []
+    # every adjacent pair is put out of order with probability 1
+    backwards = NearestNeighborChain(BiasTable(4, lambda i, j: Fraction(0)))
+    assert unreachable_from_sorted(backwards) == [s for s in backwards.space() if s != identity(4)]
+
+
 def test_slowmix_row(capsys):
     code, out, _ = run_cli(["slowmix", "--n", "4", "--no-comparison"], capsys)
     assert code == 0

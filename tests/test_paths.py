@@ -35,9 +35,9 @@ from permchains.paths import (
     verify_path,
 )
 from permchains.perms import all_permutations
-from permchains.trees import caterpillar_tree, mirror_tree, truncate_tree
+from permchains.trees import caterpillar_tree, mirror_tree
 
-from conftest import cyw_spec
+from conftest import cyw_spec, truncate_tree_demo
 
 WORKED_START = (5, 8, 9, 2, 10, 3, 4, 1, 7)
 WORKED_END = (7, 8, 9, 2, 10, 3, 4, 1, 5)
@@ -88,23 +88,6 @@ def test_adjacent_move_is_single_step():
     assert len(path_inv_to_nn(sigma, beta)) == 1
     tree = truncate_tree_demo(4)
     assert len(path_tree_to_nn(sigma, beta, tree)) == 1
-
-
-def truncate_tree_demo(n):
-    from permchains.trees import LeagueTree, leaf, node
-
-    demo = LeagueTree(
-        node(
-            "0.9",
-            node("0.8", node("0.6", leaf(1), node("0.5", leaf(2), leaf(3))), leaf(4)),
-            node(
-                "0.7",
-                node("0.7", leaf(5), leaf(6)),
-                node("0.6", node("0.5", leaf(7), leaf(8)), leaf(9)),
-            ),
-        )
-    )
-    return truncate_tree(demo, n)
 
 
 def test_edge_predicates():
