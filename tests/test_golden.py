@@ -1,9 +1,11 @@
 """
-Golden pins: sha256 fingerprints of seeded trajectories and exact one-step rows.
+Golden pins: sha256 fingerprints of seeded trajectories, exact one-step rows,
+and the slow-mixing bottleneck report.
 
 The sample configs are the seven ``sample`` jobs of the benchmark; the row
 configs are small spaces of every kernel.  A change to the kernels that keeps
-their laws and their draw order leaves every digest unchanged.
+their laws and their draw order leaves every digest unchanged, and a change
+to how the report is computed leaves its CSV bytes unchanged.
 """
 import hashlib
 
@@ -20,7 +22,7 @@ from permchains.chains import (
     WalkTranspositionChain,
     run,
 )
-from permchains.cli import _build_kernel, _default_start
+from permchains.cli import _build_kernel, _default_start, main
 from permchains.trees import complete_tree, truncate_tree
 from permchains.verify import _cyw, demo_tree
 
@@ -122,3 +124,11 @@ def test_sample_trajectory_pinned(kind, seed):
 @pytest.mark.parametrize("name", sorted(ROW_KERNELS))
 def test_exact_rows_pinned(name):
     assert rows_digest(name) == ROW_PINS[name]
+
+
+SLOWMIX_PIN = "cb7f06eacfbc99edbeaf8e5016f51822a66735d7f906637565140e321a285984"
+
+
+def test_slowmix_report_pinned(capsys):
+    assert main(["slowmix", "--n-range", "4:7"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == SLOWMIX_PIN
