@@ -11,6 +11,13 @@ hitting-time estimates for the one-dimensional walk.
 State orderings are frozen (lexicographic) so ids are comparable across runs.
 Dense linear algebra is used up to 10^4 states, sparse iteration above; the
 hard cap on materialized spaces is 10^5 states.
+
+The staircase-walk spaces of the bottleneck report are array-backed: walks are
+integer codes (``walks.walk_arrays``), and the walk matrices, the stationary
+law and the long-swap conductance are numpy builds that call the kernel's own
+``_law`` and ``stationary_weight`` once per class of walks sharing the value.
+The Fraction path (``transition_distribution``, ``transition_matrix``,
+``stationary_exact``) stays the oracle; the array builds equal it bit for bit.
 """
 from __future__ import annotations
 
@@ -253,27 +260,21 @@ def slowmix_cut_report(n: int, comparison_p=Fraction(3, 4), compute_comparison: 
     total = masses[1] + masses[2] + masses[3]
     masses_w = _class_masses(n, spec, widened=True)
 
-    states = walks.all_walks(n)
-    idx = state_index(states)
+    arrays = walks.walk_arrays(n)
     chain = WalkChain.fluctuating(spec)
-    pi = stationary_exact(chain, states)
-    s1_ids = [idx[w] for w in states if walks.cut_class(w) == 1]
-
-    matrix = transition_matrix(chain, states)
-    phi = conductance_of_cut(matrix, pi, s1_ids)
-
-    tchain = WalkTranspositionChain(spec)
-    phi_t = _transposition_conductance(tchain, spec, states, pi, idx)
+    pi = walk_stationary(chain, arrays)
+    matrix = walk_transition_matrix(chain, arrays)
+    phi = conductance_of_cut(matrix, pi, np.flatnonzero(arrays.max_height < spec.level).tolist())
+    phi_t = long_swap_conductance(WalkTranspositionChain(spec), arrays, pi)
 
     tau_cmp = None
     label = ""
     if compute_comparison:
         cmp_chain = WalkChain.constant(n, comparison_p)
-        cmp_matrix = transition_matrix(cmp_chain, states)
-        cmp_pi = stationary_exact(cmp_chain, states)
-        lowest = idx[tuple([-1] * n + [1] * n)]
-        highest = idx[tuple([1] * n + [-1] * n)]
-        res = mixing_time_exact(cmp_matrix, cmp_pi, 0.25, starts=[lowest, highest])
+        cmp_matrix = walk_transition_matrix(cmp_chain, arrays)
+        cmp_pi = walk_stationary(cmp_chain, arrays)
+        # the lowest and the highest walk have the smallest and the largest code
+        res = mixing_time_exact(cmp_matrix, cmp_pi, 0.25, starts=[0, len(arrays.codes) - 1])
         tau_cmp = res.tau
         label = f"constant:{Fraction(comparison_p)}"
 
@@ -297,27 +298,112 @@ def slowmix_cut_report(n: int, comparison_p=Fraction(3, 4), compute_comparison: 
     )
 
 
-def _transposition_conductance(chain, spec, states, pi, idx) -> float:
+# -- array-backed walk spaces ----------------------------------------------------
+#
+# Each builder equals its Fraction-oracle build on walks.all_walks(n) bit for
+# bit: exact values are converted to float once per class, and float sums run
+# in the oracle's order.
+
+
+def _running_total(values: np.ndarray):
+    """Left-to-right float sum, as a Python loop adds; np.sum adds pairwise."""
+    return np.add.accumulate(values)[-1]
+
+
+def walk_stationary(chain, arrays: walks.WalkArrays) -> np.ndarray:
+    """stationary_exact over all walks, one weight per (flat, steep) class.
+
+    Valid for walk chains whose weight depends on the tile counts only, as
+    the fluctuating and the constant-bias walk weights do.
+    """
+    keys = np.stack([arrays.flat, arrays.steep], axis=1)
+    _, first, inverse, sizes = np.unique(
+        keys, axis=0, return_index=True, return_inverse=True, return_counts=True
+    )
+    weights = [chain.stationary_weight(arrays.walk(row)) for row in first.tolist()]
+    total = sum(size * w for size, w in zip(sizes.tolist(), weights))
+    if total == 0:
+        raise ValueError("all states have zero weight")
+    return np.array([float(w / total) for w in weights])[inverse.reshape(-1)]
+
+
+def walk_transition_matrix(chain: WalkChain, arrays: walks.WalkArrays) -> sp.csr_matrix:
+    """transition_matrix of an adjacent-swap walk chain over all walks.
+
+    Slot ``pos`` swaps steps pos and pos+1.  Its law depends on the walk only
+    through the pair's orientation and the number of up-steps through pos+1,
+    so ``_law`` runs once per (pos, ones, orientation) class.  A row's hold
+    entry is the exact 1 - sum of its off-diagonal masses, computed once per
+    distinct count of each exact mass.
+    """
+    codes, steps = arrays.codes, arrays.steps
+    m, length = steps.shape
+    ups = np.cumsum(steps, axis=1, dtype=np.int64)
+    masses: dict[Fraction, int] = {}  # exact off-diagonal mass -> id
+    mass_id = np.full((m, length), -1)  # per slot; -1 where the walk stays
+    cols = np.empty((m, length), dtype=np.int64)  # the last column is the hold
+    cols[:, -1] = np.arange(m)
+    for pos, mass in chain._slots:
+        cols[:, pos] = np.searchsorted(codes, codes ^ (3 << (length - 2 - pos)))
+        moving = np.flatnonzero(steps[:, pos] != steps[:, pos + 1])
+        _, first, inverse = np.unique(
+            2 * ups[moving, pos + 1] + steps[moving, pos], return_index=True, return_inverse=True
+        )
+        ids = []
+        for row in moving[first].tolist():
+            w = arrays.walk(row)
+            p, yes, no = chain._law(w, pos)
+            prob = p if no == w else 1 - p
+            ids.append(masses.setdefault(mass * prob, len(masses)) if prob else -1)
+        mass_id[moving, pos] = np.asarray(ids, dtype=np.int64)[inverse.reshape(-1)]
+
+    exact = list(masses)
+    counts = np.stack([(mass_id == k).sum(axis=1) for k in range(len(exact))], axis=1)
+    patterns, inverse = np.unique(counts, axis=0, return_inverse=True)
+    holds = [float(1 - sum(c * x for c, x in zip(row, exact))) for row in patterns.tolist()]
+    vals = np.append([float(x) for x in exact], 0.0)[mass_id]
+    vals[:, -1] = np.asarray(holds)[inverse.reshape(-1)]
+    keep = mass_id >= 0
+    keep[:, -1] = True
+    # entries in the oracle's order: row by row, slots ascending, hold last
+    return sp.csr_matrix(
+        (vals[keep], (np.nonzero(keep)[0], cols[keep])), shape=(m, m)
+    )
+
+
+def long_swap_conductance(chain: WalkTranspositionChain, arrays: walks.WalkArrays, pi: np.ndarray) -> float:
     """Flow out of the low class under the long-swap chain, over its mass.
 
     Only walks within jumping distance of the level can cross, so the scan
-    touches the thin slice with max height in {level-2, level-1}.
+    touches the thin slice with max height in {level-2, level-1}, as one
+    (walks x n^2 slots) array.  Every slot has mass 1/n^2 and an acceptance
+    fixed by the swap's change in (flat, steep), so ``_law`` runs once per
+    distinct change.  Both sums run sequentially in (walk, slot) order, as
+    the row-by-row scan adds them.
     """
-    level = spec.level
-    mass = 0.0
-    flow = 0.0
-    for w in states:
-        h = walks.max_height(w)
-        if h >= level:
-            continue
-        p_w = pi[idx[w]]
-        mass += p_w
-        if h < level - 2:
-            continue
-        for t, p in chain.transition_distribution(w).items():
-            if t != w and walks.max_height(t) >= level:
-                flow += p_w * float(p)
-    return flow / mass
+    n, level = chain.n, chain.spec.level
+    low = arrays.max_height < level
+    mass = _running_total(pi[low])
+    thin = np.flatnonzero(low & (arrays.max_height >= level - 2))
+    steps = arrays.steps[thin]
+    up_at = np.nonzero(steps)[1].reshape(-1, n)
+    down_at = np.nonzero(steps == 0)[1].reshape(-1, n)
+    top = 2 * n - 1
+    # slot (i, j) swaps the i-th up-step with the j-th down-step
+    flips = (np.int64(1) << (top - up_at))[:, :, None] | (np.int64(1) << (top - down_at))[:, None, :]
+    targets = np.searchsorted(arrays.codes, arrays.codes[thin, None] ^ flips.reshape(len(thin), n * n))
+    walk, slot = np.nonzero(arrays.max_height[targets] >= level)
+    target = targets[walk, slot]
+    source = thin[walk]
+    change = np.stack([arrays.flat[target] - arrays.flat[source], arrays.steep[target] - arrays.steep[source]], axis=1)
+    _, first, inverse = np.unique(change, axis=0, return_index=True, return_inverse=True)
+    probs = []
+    for k in first.tolist():
+        slot_k, slot_mass = chain._slots[slot[k]]
+        p, _, _ = chain._law(arrays.walk(source[k]), slot_k)
+        probs.append(float(slot_mass if p == 1 else slot_mass * p))
+    terms = pi[source] * np.asarray(probs)[inverse.reshape(-1)]
+    return _running_total(terms) / mass
 
 
 # -- product chains ------------------------------------------------------------

@@ -386,6 +386,8 @@ class WalkChain(Kernel):
         from ._common import as_probability
 
         q = as_probability(p)
+        if q in (0, 1):
+            raise ValueError(f"constant walk bias {q} is degenerate: every swap goes one way; use 0 < p < 1")
         lam = q / (1 - q)
 
         def weight(w) -> Fraction:

@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
-from . import __version__, walks
+from . import __version__
 from .analysis import (
     CapExceeded,
     STATE_CAP,
@@ -62,7 +63,10 @@ def _notice(text: str):
 def _parse_n_range(text: str) -> list[int]:
     if ":" in text:
         lo, hi = text.split(":")
-        return list(range(int(lo), int(hi) + 1))
+        ns = list(range(int(lo), int(hi) + 1))
+        if not ns:
+            raise UsageError(f"empty n range: {text}")
+        return ns
     return [int(text)]
 
 
@@ -270,7 +274,7 @@ def cmd_slowmix(args) -> int:
     for n in ns:
         if n < 4:
             raise UsageError("slowmix needs n >= 4")
-        if len(walks.all_walks(n)) > STATE_CAP:
+        if math.comb(2 * n, n) > STATE_CAP:
             raise CapExceeded(f"walk space at n={n} exceeds the cap")
         rep = slowmix_cut_report(n, compute_comparison=not args.no_comparison)
         rows.append([

@@ -23,6 +23,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
+import numpy as np
+
 from .perms import check_permutation
 
 
@@ -84,6 +86,88 @@ def all_walks(n: int) -> list[tuple[int, ...]]:
         out.append(tuple(w))
     out.sort()
     return out
+
+
+# -- integer walk codes ---------------------------------------------------------
+#
+# A walk of 2n steps is coded as a 2n-bit integer, up = 1, first step in the
+# most significant bit.  Integer order then equals the lexicographic order of
+# all_walks, so a walk's index is a binary search over the sorted codes.
+
+
+def walk_to_code(w: Sequence[int]) -> int:
+    code = 0
+    for s in check_walk(w):
+        code = 2 * code + (s == 1)
+    return code
+
+
+def code_to_walk(code: int, n: int) -> tuple[int, ...]:
+    return tuple(1 if code >> k & 1 else -1 for k in range(2 * n - 1, -1, -1))
+
+
+@dataclass(frozen=True)
+class WalkArrays:
+    """Per-walk statistics of a set of walk codes, one row per code.
+
+    ``steps`` is the 0/1 step matrix (1 = up); ``flat``, ``steep`` and
+    ``max_height`` equal :func:`tile_counts` and :func:`max_height` row by row.
+    """
+
+    n: int
+    codes: np.ndarray
+    steps: np.ndarray
+    flat: np.ndarray
+    steep: np.ndarray
+    max_height: np.ndarray
+
+    def walk(self, row: int) -> tuple[int, ...]:
+        return code_to_walk(int(self.codes[row]), self.n)
+
+
+def _sorted_codes(n: int) -> np.ndarray:
+    """Ascending codes of all 2n-bit integers with n set bits."""
+    # by[k]: ascending codes of the current length with k set bits and at
+    # most n clear ones; a new top bit 0 keeps a code below every code whose
+    # new top bit is 1
+    none = np.zeros(0, dtype=np.int64)
+    by = {0: np.zeros(1, dtype=np.int64)}
+    for length in range(2 * n):
+        top = np.int64(1) << length
+        by = {
+            k: np.concatenate([by.get(k, none), top + by.get(k - 1, none)])
+            for k in range(max(0, length + 1 - n), min(length + 1, n) + 1)
+        }
+    return by[n]
+
+
+def walk_arrays(n: int, codes: np.ndarray | None = None) -> WalkArrays:
+    """Step matrix, tile counts and max heights of the given codes (default: all walks).
+
+    Vectorised :func:`tile_counts`: the up-step at position k closes column
+    x = (ups through k) at height n - (downs before k), and that column holds
+    max(0, height - max(n + level - x, 1) + 1) steep tiles.
+    """
+    codes = _sorted_codes(n) if codes is None else np.asarray(codes, dtype=np.int64)
+    # per-step values stay within +-2 * 2n, so int8 holds them for every n
+    # whose codes fit in int64
+    steps = np.empty((len(codes), 2 * n), dtype=np.int8)
+    for k in range(2 * n):
+        steps[:, k] = codes >> (2 * n - 1 - k) & 1
+    ups = np.cumsum(steps, axis=1, dtype=np.int8)
+    through = np.arange(1, 2 * n + 1, dtype=np.int8)
+    column = n - (through - ups)
+    steep_in_column = np.clip(column - np.maximum(n + cut_level(n) - ups, 1) + 1, 0, None)
+    total = (steps * column).sum(axis=1, dtype=np.int64)
+    steep = (steps * steep_in_column).sum(axis=1, dtype=np.int64)
+    return WalkArrays(
+        n=n,
+        codes=codes,
+        steps=steps,
+        flat=total - steep,
+        steep=steep,
+        max_height=(2 * ups - through).max(axis=1).astype(np.int64),
+    )
 
 
 # -- the fluctuating-bias threshold ------------------------------------------
@@ -177,13 +261,15 @@ class HeightProfile:
 
 @lru_cache(maxsize=None)
 def height_profile(n: int) -> HeightProfile:
-    """Enumerate all walks once and bucket tile counts by max height."""
+    """Bucket the tile counts of all walks by max height."""
+    a = walk_arrays(n)
+    side = n * n + 1  # heights, flat and steep counts all lie in 0..n^2
+    keys, sizes = np.unique((a.max_height * side + a.flat) * side + a.steep, return_counts=True)
     counts: dict[int, dict] = {}
-    for w in all_walks(n):
-        h = max_height(w)
-        key = tile_counts(w)
-        counts.setdefault(h, {})
-        counts[h][key] = counts[h].get(key, 0) + 1
+    for key, size in zip(keys.tolist(), sizes.tolist()):
+        rest, steep = divmod(key, side)
+        h, flat = divmod(rest, side)
+        counts.setdefault(h, {})[(flat, steep)] = size
     return HeightProfile(n=n, counts=counts)
 
 

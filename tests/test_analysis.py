@@ -9,6 +9,8 @@ Exact analysis machinery:
 - the product bound is sound on a 4-state toy and reproduces the plug-in form
 - coupling and hitting-time estimates agree with birth-death formulas
 - the n=4 monotone grid has no gap below the uniform table
+- the array-backed walk matrices, stationary law, long-swap conductance and
+  height profile equal their Fraction-oracle builds bit for bit at n = 4..7
 """
 import math
 from fractions import Fraction
@@ -29,6 +31,7 @@ from permchains.analysis import (
     kron_product_matrix,
     level_cuts_by_weight,
     loglog_slope,
+    long_swap_conductance,
     mixing_time_exact,
     monotone_grid_tables,
     product_mixing_bound,
@@ -37,7 +40,12 @@ from permchains.analysis import (
     stationary_exact,
     transition_matrix,
     tv_distance,
+    walk_stationary,
+    walk_transition_matrix,
 )
+from permchains import walks
+from permchains.bias import SlowMixSpec, solve_delta
+from permchains.chains import WalkChain, WalkTranspositionChain
 from permchains.bias import choose_your_weapon, constant_bias
 from permchains.chains import (
     InversionChain,
@@ -294,3 +302,69 @@ def test_cap_enforced():
 
     with pytest.raises(CapExceeded):
         transition_matrix(Fake())
+
+
+# -- array-backed walk spaces against the Fraction oracle -------------------------
+
+WALK_SIZES = [4, 5, 6, 7]
+
+
+def _slowmix_spec(n):
+    return SlowMixSpec(n=n, delta=solve_delta(n))
+
+
+WALK_CHAINS = {
+    "fluctuating": lambda n: WalkChain.fluctuating(_slowmix_spec(n)),
+    "constant-3/4": lambda n: WalkChain.constant(n, Fraction(3, 4)),
+    "constant-2/3": lambda n: WalkChain.constant(n, Fraction(2, 3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WALK_CHAINS))
+@pytest.mark.parametrize("n", WALK_SIZES)
+def test_walk_matrix_and_pi_match_oracle(n, name):
+    chain = WALK_CHAINS[name](n)
+    arrays = walks.walk_arrays(n)
+    states = walks.all_walks(n)
+    fast = walk_transition_matrix(chain, arrays)
+    exact = transition_matrix(chain, states)
+    assert (fast != exact).nnz == 0
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(fast, attr), getattr(exact, attr))
+    assert np.array_equal(walk_stationary(chain, arrays), stationary_exact(chain, states))
+
+
+def row_by_row_long_swap_conductance(chain, pi):
+    """Flow out of the low class over its mass, one transition_distribution row at a time."""
+    level = chain.spec.level
+    mass = flow = 0.0
+    for k, w in enumerate(walks.all_walks(chain.n)):
+        h = walks.max_height(w)
+        if h >= level:
+            continue
+        mass += pi[k]
+        if h < level - 2:
+            continue
+        for t, p in chain.transition_distribution(w).items():
+            if t != w and walks.max_height(t) >= level:
+                flow += pi[k] * float(p)
+    return flow / mass
+
+
+@pytest.mark.parametrize("n", WALK_SIZES)
+def test_long_swap_conductance_matches_row_scan(n):
+    spec = _slowmix_spec(n)
+    arrays = walks.walk_arrays(n)
+    pi = walk_stationary(WalkChain.fluctuating(spec), arrays)
+    chain = WalkTranspositionChain(spec)
+    assert long_swap_conductance(chain, arrays, pi) == row_by_row_long_swap_conductance(chain, pi)
+
+
+@pytest.mark.parametrize("n", WALK_SIZES)
+def test_height_profile_matches_tuple_build(n):
+    counts = {}
+    for w in walks.all_walks(n):
+        table = counts.setdefault(walks.max_height(w), {})
+        key = walks.tile_counts(w)
+        table[key] = table.get(key, 0) + 1
+    assert walks.height_profile(n).counts == counts

@@ -187,3 +187,35 @@ def test_slowmix_row(capsys):
 def test_slowmix_small_n_rejected(capsys):
     code, _, _ = run_cli(["slowmix", "--n", "3", "--no-comparison"], capsys)
     assert code == 2
+
+
+def test_slowmix_cap_checked_without_enumerating(capsys, monkeypatch):
+    from permchains import walks
+
+    def enumerate_walks(n):
+        raise AssertionError("the cap check enumerated the walk space")
+
+    monkeypatch.setattr(walks, "all_walks", enumerate_walks)
+    code, out, err = run_cli(["slowmix", "--n", "12"], capsys)
+    assert code == 3
+    assert "cap" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("command", [["slowmix"], ["exact", "--chain", "nn", "--model", "constant:0.7"]])
+def test_empty_n_range_is_usage_error(capsys, command):
+    code, out, err = run_cli(command + ["--n-range", "6:5"], capsys)
+    assert code == 2
+    assert "empty" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("command", [
+    ["sample", "--steps", "10"],
+    ["exact"],
+])
+@pytest.mark.parametrize("p", ["0", "1"])
+def test_degenerate_constant_walk_bias_is_usage_error(capsys, command, p):
+    code, _, err = run_cli(command + ["--chain", "walk", "--model", f"constant:{p}", "--n", "4"], capsys)
+    assert code == 2
+    assert "degenerate" in err

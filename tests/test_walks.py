@@ -6,18 +6,24 @@ Staircase walks and the fluctuating-bias geometry:
 - tile counts match a brute-force column scan and respect the exact
   diagonal rule; toggling one square moves exactly one tile class
 - cut classes partition by max height around level n - isqrt(n)
+- integer walk codes round-trip, sort in all_walks order, and carry the
+  tile counts and max height of their walk (random walks up to n = 12,
+  every walk up to n = 6)
 """
 import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from permchains.perms import all_permutations
 from permchains.walks import (
     all_walks,
     check_walk,
     class_weight,
+    code_to_walk,
     cut_class,
     cut_level,
     exceeds_diag,
@@ -26,6 +32,8 @@ from permchains.walks import (
     max_height,
     tile_counts,
     to_staircase_walk,
+    walk_arrays,
+    walk_to_code,
     walk_to_permutation,
 )
 
@@ -142,3 +150,41 @@ def test_height_profile_totals():
     # class weights at gamma = xi = 1 count states
     tables = prof.class_table()
     assert sum(class_weight(tables[c], Fraction(1), Fraction(1)) for c in (1, 2, 3)) == total
+
+
+# -- integer walk codes -------------------------------------------------------------
+
+
+@st.composite
+def walk_lists(draw):
+    n = draw(st.integers(1, 12))
+    return n, draw(st.lists(st.permutations([1] * n + [-1] * n), min_size=1, max_size=8))
+
+
+def assert_rows_match(arrays, ws):
+    assert arrays.flat.tolist() == [tile_counts(w)[0] for w in ws]
+    assert arrays.steep.tolist() == [tile_counts(w)[1] for w in ws]
+    assert arrays.max_height.tolist() == [max_height(w) for w in ws]
+    assert (2 * arrays.steps.astype(int) - 1).tolist() == [list(w) for w in ws]
+
+
+@given(walk_lists())
+def test_walk_codes_on_random_walks(case):
+    n, ws = case
+    ws = [tuple(w) for w in ws]
+    codes = [walk_to_code(w) for w in ws]
+    assert [code_to_walk(c, n) for c in codes] == ws
+    # integer order is the all_walks (lexicographic) order
+    assert sorted(range(len(ws)), key=codes.__getitem__) == sorted(range(len(ws)), key=ws.__getitem__)
+    arrays = walk_arrays(n, np.array(codes))
+    assert arrays.codes.tolist() == codes
+    assert_rows_match(arrays, ws)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_walk_arrays_exhaustive(n):
+    ws = all_walks(n)
+    arrays = walk_arrays(n)
+    assert arrays.codes.tolist() == [walk_to_code(w) for w in ws]
+    assert [arrays.walk(k) for k in range(len(ws))] == ws
+    assert_rows_match(arrays, ws)
