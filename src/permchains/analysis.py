@@ -401,7 +401,7 @@ def long_swap_conductance(chain: WalkTranspositionChain, arrays: walks.WalkArray
     for k in first.tolist():
         slot_k, slot_mass = chain._slots[slot[k]]
         p, _, _ = chain._law(arrays.walk(source[k]), slot_k)
-        probs.append(float(slot_mass if p == 1 else slot_mass * p))
+        probs.append(float(slot_mass * p))
     terms = pi[source] * np.asarray(probs)[inverse.reshape(-1)]
     return _running_total(terms) / mass
 
