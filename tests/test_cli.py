@@ -19,6 +19,13 @@ def run_cli(args, capsys):
     return code, out.out, out.err
 
 
+def _paths_record(out: str) -> dict:
+    import csv
+
+    rows = list(csv.reader(l for l in out.splitlines() if l and not l.startswith("#")))
+    return dict(zip(rows[0], rows[1]))
+
+
 def test_sample_determinism(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["sample", "--chain", "nn", "--model", "constant:0.7", "--n", "5",
@@ -119,13 +126,26 @@ def test_paths_inv_pass(capsys):
         capsys,
     )
     assert code == 0
-    import csv
-
-    rows = list(csv.reader(l for l in out.splitlines() if l and not l.startswith("#")))
-    record = dict(zip(rows[0], rows[1]))
+    record = _paths_record(out)
     assert record["floor-check"] == "pass"
     assert int(record["max-paths-per-edge"]) <= 25
     assert float(record["comparison-bound"]) >= float(record["exact-tau"])
+
+
+NON_MONOTONE_TREE = (
+    '{"q":"0.5","left":1,"right":{"q":"0.6","left":{"q":"0.9","left":2,"right":3},"right":4}}'
+)
+
+
+def test_paths_floor_not_guaranteed(tmp_path, capsys):
+    # neither monotonicity clause holds, so a failed floor is reported, not fatal
+    tree_file = tmp_path / "t.json"
+    tree_file.write_text(NON_MONOTONE_TREE)
+    code, out, _ = run_cli(["paths", "--kind", "tree", "--model", f"league:{tree_file}"], capsys)
+    assert code == 0
+    record = _paths_record(out)
+    assert record["floor-check"] == "not-guaranteed"
+    assert (record["edge-count"], record["A"], record["max-path-length"]) == ("92", "9.875", "7")
 
 
 def test_json_format(capsys):

@@ -1,11 +1,11 @@
 """
 Golden pins: sha256 fingerprints of seeded trajectories, exact one-step rows,
-and the slow-mixing bottleneck report.
+the slow-mixing bottleneck report and the canonical-path reports.
 
 The sample configs are the seven ``sample`` jobs of the benchmark; the row
 configs are small spaces of every kernel.  A change to the kernels that keeps
 their laws and their draw order leaves every digest unchanged, and a change
-to how the report is computed leaves its CSV bytes unchanged.
+to how a report is computed leaves its CSV bytes unchanged.
 """
 import hashlib
 
@@ -132,3 +132,28 @@ SLOWMIX_PIN = "cb7f06eacfbc99edbeaf8e5016f51822a66735d7f906637565140e321a285984"
 def test_slowmix_report_pinned(capsys):
     assert main(["slowmix", "--n-range", "4:7"]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == SLOWMIX_PIN
+
+
+PATHS_PINS = {
+    "inv": "d26da0d0da940707867da2ed466b10958fab33864ed6ab78cafeb7ed439655b4",
+    "tree": "1332a183c608966a64a413b464e951ffea593a5958661ccceddf079986fbd49b",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PATHS_PINS))
+def test_paths_report_pinned(kind, tmp_path, capsys):
+    if kind == "inv":
+        args = ["paths", "--kind", "inv", "--model", "cyw:0.6,0.7,0.8,0.9", "--n", "5"]
+        tree_file = None
+    else:
+        tree_file = tmp_path / "tree5.json"
+        tree_file.write_text(truncate_tree(demo_tree(), 5).to_json())
+        args = ["paths", "--kind", "tree", "--model", f"league:{tree_file}"]
+    assert main(args) == 0
+    # the config line and the model column echo the tree's file path
+    body = "".join(
+        line for line in capsys.readouterr().out.splitlines(keepends=True) if not line.startswith("#")
+    )
+    if tree_file is not None:
+        body = body.replace(str(tree_file), "<tree>")
+    assert hashlib.sha256(body.encode()).hexdigest() == PATHS_PINS[kind]
