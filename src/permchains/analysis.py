@@ -162,8 +162,10 @@ def mixing_time_exact(
     distances = [float(np.abs(block - pi).sum(axis=1).max() * 0.5)]
     if distances[-1] <= eps:
         return MixingResult(0, eps, distances, True, caveat)
+    # block @ matrix would transpose the sparse matrix on every step
+    transposed = matrix.T
     for t in range(1, horizon + 1):
-        block = block @ matrix
+        block = (transposed @ block.T).T
         d = float(np.abs(block - pi).sum(axis=1).max() * 0.5)
         distances.append(d)
         if d <= eps:

@@ -4,7 +4,8 @@ Exact analysis machinery:
 - transition matrices are row stochastic with the hand-enumerated 2-state law
 - weight-derived stationary vectors are matrix fixed points
 - TV distance, mixing times, spectral gaps, and conductance match small
-  hand-computed oracles
+  hand-computed oracles; the mixing-time iteration's distances equal a
+  ``block @ matrix`` reference step for step
 - every explicit cut lower-bounds the exact mixing time
 - the product bound is sound on a 4-state toy and reproduces the plug-in form
 - coupling and hitting-time estimates agree with birth-death formulas
@@ -129,6 +130,33 @@ def test_mixing_time_deterministic_climb():
     m = transition_matrix(k)
     pi = stationary_exact(k)
     assert mixing_time_exact(m, pi, 0.1).tau == 5
+
+
+def _distances_by_rmatmul(matrix, pi, eps, starts):
+    """Worst-start TV curve stepped with ``block @ matrix``: the reference."""
+    block = np.eye(matrix.shape[0])
+    if starts is not None:
+        block = block[starts]
+    distances = [float(np.abs(block - pi).sum(axis=1).max() * 0.5)]
+    while distances[-1] > eps:
+        block = block @ matrix
+        distances.append(float(np.abs(block - pi).sum(axis=1).max() * 0.5))
+    return distances
+
+
+@pytest.mark.parametrize("chain", ["nn", "walk"])
+def test_mixing_iteration_matches_rmatmul(chain):
+    if chain == "nn":
+        kernel = NearestNeighborChain(choose_your_weapon(cyw_spec(5)))
+        starts = None
+    else:
+        kernel = WalkChain.fluctuating(SlowMixSpec(n=5, delta=solve_delta(5)))
+        starts = [0, len(kernel.space()) - 1]
+    matrix = transition_matrix(kernel)
+    pi = stationary_exact(kernel)
+    res = mixing_time_exact(matrix, pi, 0.25, starts=starts)
+    assert res.tau > 1
+    assert res.distances == _distances_by_rmatmul(matrix, pi, 0.25, starts)
 
 
 def test_spectral_gap_two_state():
