@@ -74,6 +74,12 @@ class Kernel:
     def _law(self, state, slot) -> tuple:
         raise NotImplementedError
 
+    def _uniform(self, slots) -> list:
+        """Slots of equal selection mass; a kernel needs at least one."""
+        if not slots:
+            raise ValueError(f"{self.kind} kernel has no move at this size")
+        return [(slot, Fraction(1, len(slots))) for slot in slots]
+
     def _draw(self, rng):
         return self._slots[_pick_uniform(rng.random(), len(self._slots))][0]
 
@@ -109,7 +115,7 @@ class NearestNeighborChain(Kernel):
     def __init__(self, table: BiasTable):
         self.table = table
         self.n = table.n
-        self._slots = [(pos, Fraction(1, self.n - 1)) for pos in range(self.n - 1)]
+        self._slots = self._uniform(range(self.n - 1))
 
     def space(self):
         return list(perms.all_permutations(self.n))
@@ -167,6 +173,8 @@ class InversionChain(Kernel):
             for i in range(1, n)
             for b, accept in ((1, 1 - r[i - 1]), (-1, r[i - 1]))
         ]
+        if not self._slots:
+            raise ValueError(f"{self.kind} kernel has no move at this size")
         self._edges = list(accumulate((n - i) / (n * (n - 1) // 2) for i in range(1, n)))
 
     def space(self):
@@ -222,13 +230,12 @@ class TreeChain(Kernel):
         from .bias import league_hierarchy
 
         self.table = league_hierarchy(tree)
-        mass = Fraction(2, n * (n - 1))
         # slot (a, b, q, leaves under lca(a, b)) for a < b, in dense pair order
-        self._slots = [
-            ((a, b, self.table.p(a, b), tree.leaves_under(tree.lca(a, b))), mass)
+        self._slots = self._uniform([
+            (a, b, self.table.p(a, b), tree.leaves_under(tree.lca(a, b)))
             for a in range(1, n + 1)
             for b in range(a + 1, n + 1)
-        ]
+        ])
 
     def space(self):
         return list(perms.all_permutations(self.n))
@@ -308,7 +315,7 @@ class AsepChain(Kernel):
         self.p = as_probability(p)
         self.k1, self.k2 = int(k1), int(k2)
         self.k = self.k1 + self.k2
-        self._slots = [(pos, Fraction(1, self.k - 1)) for pos in range(self.k - 1)]
+        self._slots = self._uniform(range(self.k - 1))
 
     def space(self):
         import itertools
@@ -370,7 +377,7 @@ class WalkChain(Kernel):
         self.bias_at = bias_at
         self._weight_of = weight_of
         self.label = label
-        self._slots = [(pos, Fraction(1, 2 * n - 1)) for pos in range(2 * n - 1)]
+        self._slots = self._uniform(range(2 * n - 1))
 
     @classmethod
     def fluctuating(cls, spec: SlowMixSpec) -> "WalkChain":
@@ -426,7 +433,7 @@ class WalkTranspositionChain(Kernel):
     def __init__(self, spec: SlowMixSpec):
         self.spec = spec
         self.n = n = spec.n
-        self._slots = [(divmod(idx, n), Fraction(1, n * n)) for idx in range(n * n)]
+        self._slots = self._uniform([divmod(idx, n) for idx in range(n * n)])
 
     def space(self):
         return walks.all_walks(self.n)

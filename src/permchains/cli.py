@@ -31,7 +31,7 @@ from .analysis import (
     stationary_exact,
     transition_matrix,
 )
-from .bias import Model, choose_your_weapon, league_hierarchy, parse_model_spec, weight_exact
+from .bias import Model, parse_model_spec
 from .chains import (
     AsepChain,
     InversionChain,
@@ -42,7 +42,7 @@ from .chains import (
     WalkTranspositionChain,
     run,
 )
-from .paths import _aux_edges, comparison_bound, congestion_A, path_inv_to_nn, path_tree_to_nn, verify_path
+from .paths import comparison_bound, congestion_A
 from .perms import identity, reversal
 from .trees import complete_tree
 from .verify import run_suite
@@ -182,6 +182,8 @@ def _cell(v) -> str:
 
 
 def cmd_sample(args) -> int:
+    if args.steps < 0 or args.stride < 0:
+        raise UsageError("--steps and --stride must be non-negative")
     model = parse_model_spec(args.model)
     kernel = _build_kernel(args.chain, model, args.n)
     start = _default_start(kernel)
@@ -290,56 +292,27 @@ def cmd_slowmix(args) -> int:
 
 def cmd_paths(args) -> int:
     model = parse_model_spec(args.model)
-    n = args.n
-    if args.kind == "inv":
-        if model.kind != "cyw":
-            raise UsageError("paths --kind inv needs a cyw model")
-        if n is None:
-            n = model.n
-        if model.n != n:
-            raise UsageError(f"model has n={model.n}, requested n={n}")
-        payload = model.cyw
-        table = choose_your_weapon(payload)
-        build = lambda s, t: path_inv_to_nn(s, t, table)
-        per_edge_cap = n * n
-        length_cap = 2 * n
-    else:
-        if model.kind != "league":
-            raise UsageError("paths --kind tree needs a league model")
-        if n is None:
-            n = model.n
-        if model.n != n:
-            raise UsageError(f"league tree has {model.n} leaves, requested n={n}")
-        payload = model.tree
-        table = league_hierarchy(payload)
-        build = lambda s, t: path_tree_to_nn(s, t, payload)
-        per_edge_cap = 4 * n * n
-        length_cap = 4 * n
-    if n > 6:
-        raise CapExceeded(f"path enumeration is capped at n = 6, got {n}")
+    need = {"inv": "cyw", "tree": "league"}[args.kind]
+    if model.kind != need:
+        raise UsageError(f"paths --kind {args.kind} needs a {need} model")
+    n = model.n if args.n is None else args.n
+    if model.n != n:
+        raise UsageError(f"model has n={model.n}, requested n={n}")
 
-    floors_ok = True
-    for sigma, beta, _ in _aux_edges(args.kind, payload):
-        path = build(sigma, beta)
-        floor = min(weight_exact(sigma, table), weight_exact(beta, table))
-        report = verify_path(path, table, floor)
-        if not report.legal:
-            raise SoundnessError(f"illegal canonical path at {sigma} -> {beta}")
-        if not report.floor_ok:
-            if getattr(path, "floor_guaranteed", True):
-                raise SoundnessError(f"weight floor violated at {sigma} -> {beta}")
-            floors_ok = False
-
-    result = congestion_A(args.kind, payload, n)
+    result = congestion_A(args.kind, model.cyw if args.kind == "inv" else model.tree, n)
+    if result.failure and (not result.legal or result.failure[2]):
+        what = "illegal canonical path" if not result.legal else "weight floor violated"
+        raise SoundnessError(f"{what}; first failing move {result.failure[0]} -> {result.failure[1]}")
+    per_edge_cap, length_cap = (n * n, 2 * n) if args.kind == "inv" else (4 * n * n, 4 * n)
     if result.max_paths_per_edge > per_edge_cap or result.max_path_length > length_cap:
         raise SoundnessError("path witness bounds violated")
 
-    kernel = NearestNeighborChain(table)
+    aux = _build_kernel(args.kind, model, n)
+    kernel = NearestNeighborChain(aux.table)
     states = kernel.space()
     matrix = transition_matrix(kernel, states)
     pi = stationary_exact(kernel, states)
     tau_nn = mixing_time_exact(matrix, pi, args.eps).tau
-    aux = InversionChain(payload) if args.kind == "inv" else TreeChain(payload)
     tau_aux = mixing_time_exact(transition_matrix(aux, states), pi, args.eps).tau
     bound = comparison_bound(result.congestion, tau_aux, float(pi.min()), args.eps)
     if tau_nn is not None and bound < tau_nn:
@@ -347,7 +320,7 @@ def cmd_paths(args) -> int:
 
     rows = [[
         args.kind, n, args.model, result.edge_count, result.max_paths_per_edge,
-        result.max_path_length, result.congestion, "pass" if floors_ok else "not-guaranteed",
+        result.max_path_length, result.congestion, "pass" if result.floors_held else "not-guaranteed",
         tau_aux, bound, tau_nn,
     ]]
     header = [

@@ -18,9 +18,9 @@ min(weight(start), weight(end)):
   be weakly monotone; the column-monotone flavor is handled by mirroring the
   instance, building the row-monotone path, and mirroring back.
 
-The congestion constant aggregates path loads over every edge of the
-nearest-neighbor chain and feeds the comparison bound
-4 ln(1/(eps pi_min)) / ln(1/(2 eps)) * A * tau_aux.
+``congestion_A`` routes each move once, checks its legality and floor with
+``verify_path``, and adds its load to the nearest-neighbor edges it uses; the
+congestion A feeds the comparison bound 4 ln(1/(eps pi_min)) / ln(1/(2 eps)) * A * tau_aux.
 """
 from __future__ import annotations
 
@@ -28,8 +28,10 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from . import perms
+from .analysis import CapExceeded
 from .bias import (
     BiasTable,
+    MonotonicityReport,
     choose_your_weapon,
     is_weakly_monotone,
     league_hierarchy,
@@ -202,16 +204,18 @@ def transposition_path(sigma, beta) -> NnPath:
     return path
 
 
-def path_tree_to_nn(sigma, beta, tree: LeagueTree) -> NnPath:
+def path_tree_to_nn(sigma, beta, tree: LeagueTree, monotone: MonotonicityReport | None = None) -> NnPath:
     """Four-stage route for a tree-chain move, mirrored when only the
-    column-monotone clause of weak monotonicity holds."""
+    column-monotone clause of weak monotonicity holds; ``monotone`` is the
+    tree's ``is_weakly_monotone`` report, computed here when not given."""
     if not is_tree_edge(sigma, beta, tree):
         raise NotAnEdge(f"not a tree-chain move: {sigma} -> {beta}")
-    report = is_weakly_monotone(league_hierarchy(tree))
-    if report.rows_up or not report.cols_down:
+    if monotone is None:
+        monotone = is_weakly_monotone(league_hierarchy(tree))
+    if monotone.rows_up or not monotone.cols_down:
         # default construction; also the fallback when neither clause holds
         path = transposition_path(sigma, beta)
-        path.floor_guaranteed = report.weakly_monotone
+        path.floor_guaranteed = monotone.weakly_monotone
         return path
     flipped = transposition_path(perms.mirror(sigma), perms.mirror(beta))
     n = len(sigma)
@@ -234,7 +238,6 @@ class PathReport:
     floor_ok: bool
     min_weight: Fraction
     floor: Fraction
-    worst_ratio: float
     failures: list = field(default_factory=list)
 
     @property
@@ -242,8 +245,9 @@ class PathReport:
         return self.legal and self.floor_ok
 
 
-def verify_path(path: NnPath, table: BiasTable, floor) -> PathReport:
-    """Check step legality under the nearest-neighbor kernel and the weight floor."""
+def verify_path(path: NnPath, table: BiasTable, floor, weight: dict | None = None) -> PathReport:
+    """Check step legality under the nearest-neighbor kernel and the weight
+    floor; ``weight`` maps states to exact weights, else ``weight_exact`` runs."""
     failures = []
     legal = True
     for k in range(len(path)):
@@ -257,19 +261,16 @@ def verify_path(path: NnPath, table: BiasTable, floor) -> PathReport:
         if table.p(t[diff[0]], t[diff[1]]) == 0:
             legal = False
             failures.append(("zero-probability-step", k))
-    weights = [weight_exact(s, table) for s in path.states]
-    min_weight = min(weights)
+    min_weight = min(weight[s] if weight else weight_exact(s, table) for s in path.states)
     floor = Fraction(floor) if not isinstance(floor, Fraction) else floor
     floor_ok = min_weight >= floor
     if not floor_ok:
         failures.append(("floor-violated", float(min_weight / floor) if floor else 0.0))
-    worst = float(min_weight / floor) if floor > 0 else math.inf
     return PathReport(
         legal=legal,
         floor_ok=floor_ok,
         min_weight=min_weight,
         floor=floor,
-        worst_ratio=worst,
         failures=failures,
     )
 
@@ -287,6 +288,9 @@ class CongestionResult:
     max_paths_per_edge: int
     max_path_length: int
     collision_free: bool         # (edge, stage, origin) identifies the path
+    legal: bool                  # every path is a chain of positive-probability adjacent swaps
+    floors_held: bool            # no path dips below min(weight(sigma), weight(beta))
+    failure: tuple | None        # (sigma, beta, floor_guaranteed) of the first path failing either
 
 
 def _aux_edges(kind: str, model):
@@ -304,38 +308,48 @@ def _aux_edges(kind: str, model):
 
 
 def congestion_A(kind: str, model, n: int) -> CongestionResult:
-    """Exact congestion constant by routing every auxiliary move.
+    """Route every auxiliary move once: legality, weight floors and congestion.
 
     Enumerates all directed auxiliary edges at size n (capped at 6), builds
-    each canonical path, and accumulates len * pi(sigma) * P'(sigma, beta) on
-    every nearest-neighbor edge used; A is the worst load over edges divided
-    by the edge's own flow pi * P.
+    each canonical path, records its ``verify_path`` outcome against the floor
+    min(weight(sigma), weight(beta)), and adds len * pi(sigma) * P'(sigma, beta)
+    to every nearest-neighbor edge a legal path uses; A is the worst load over
+    edges divided by the edge's own flow pi * P.
     """
     if n > 6:
-        raise ValueError(f"path enumeration is capped at n = 6, got {n}")
+        raise CapExceeded(f"path enumeration is capped at n = 6, got {n}")
     if kind == "inv":
         table = choose_your_weapon(model)
         build = lambda s, t: path_inv_to_nn(s, t, table)
     else:
         table = league_hierarchy(model)
-        build = lambda s, t: path_tree_to_nn(s, t, model)
+        monotone = is_weakly_monotone(table)
+        build = lambda s, t: path_tree_to_nn(s, t, model, monotone)
     if table.n != n:
         raise ValueError(f"model size {table.n} != n = {n}")
 
     nn = NearestNeighborChain(table)
-    states = nn.space()
-    weights = [weight_exact(s, table) for s in states]
-    z = sum(weights)
-    pi = {s: w / z for s, w in zip(states, weights)}
+    weight = {s: weight_exact(s, table) for s in nn.space()}
+    z = sum(weight.values())
+    pi = {s: w / z for s, w in weight.items()}
 
     loads: dict = {}
     owners: dict = {}
     max_len = 0
     edge_count = 0
+    legal = floors_held = True
+    failure = None
     for sigma, beta, prob in _aux_edges(kind, model):
         path = build(sigma, beta)
         edge_count += 1
         max_len = max(max_len, len(path))
+        check = verify_path(path, table, min(weight[sigma], weight[beta]), weight)
+        if not check.ok:
+            legal &= check.legal
+            floors_held &= check.floor_ok
+            failure = failure or (sigma, beta, path.floor_guaranteed)
+        if not check.legal:
+            continue  # its steps are not nearest-neighbor edges
         contribution = len(path) * pi[sigma] * prob
         for k in range(len(path)):
             edge = (path.states[k], path.states[k + 1])
@@ -369,6 +383,9 @@ def congestion_A(kind: str, model, n: int) -> CongestionResult:
         max_paths_per_edge=max_paths,
         max_path_length=max_len,
         collision_free=collision_free,
+        legal=legal,
+        floors_held=floors_held,
+        failure=failure,
     )
 
 

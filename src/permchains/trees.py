@@ -202,6 +202,8 @@ def tree_decode(encoding: dict[int, str], tree: LeagueTree) -> tuple[int, ...]:
 
 def complete_tree(n: int, q) -> LeagueTree:
     """Balanced splits; every internal node carries the same q."""
+    if n < 1:
+        raise ValueError(f"a league tree needs at least one leaf, got n = {n}")
     qp = as_probability(q)
 
     def build(lo: int, hi: int) -> TreeNode:

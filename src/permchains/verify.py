@@ -34,7 +34,7 @@ from .chains import (
     WalkTranspositionChain,
     make_rng,
 )
-from .paths import _aux_edges, path_inv_to_nn, path_tree_to_nn, verify_path
+from .paths import congestion_A
 from .trees import (
     LeagueTree,
     caterpillar_tree,
@@ -225,22 +225,14 @@ def check_path_floors(fast: bool, seed: int):
     top = 4 if fast else 6
     checked = 0
     for n in range(3, top + 1):
-        spec = _cyw(n)
-        table = choose_your_weapon(spec)
-        for sigma, beta, _ in _aux_edges("inv", spec):
-            path = path_inv_to_nn(sigma, beta, table)
-            floor = min(weight_exact(sigma, table), weight_exact(beta, table))
-            if len(path) > 2 * n or not verify_path(path, table, floor).ok:
-                return False, f"inv path failed at n={n}: {sigma} -> {beta}"
-            checked += 1
-        tree = truncate_tree(demo_tree(), n)
-        ltable = league_hierarchy(tree)
-        for sigma, beta, _ in _aux_edges("tree", tree):
-            path = path_tree_to_nn(sigma, beta, tree)
-            floor = min(weight_exact(sigma, ltable), weight_exact(beta, ltable))
-            if len(path) > 4 * n or not verify_path(path, ltable, floor).ok:
-                return False, f"tree path failed at n={n}: {sigma} -> {beta}"
-            checked += 1
+        for kind, model, length_cap in (
+            ("inv", _cyw(n), 2 * n),
+            ("tree", truncate_tree(demo_tree(), n), 4 * n),
+        ):
+            result = congestion_A(kind, model, n)
+            if not (result.legal and result.floors_held) or result.max_path_length > length_cap:
+                return False, f"{kind} paths failed at n={n}: first failing move {result.failure}"
+            checked += result.edge_count
     return True, f"{checked} canonical paths legal, within length bounds, floors hold (n <= {top})"
 
 

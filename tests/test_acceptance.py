@@ -34,7 +34,6 @@ from permchains.bias import (
     is_weakly_monotone,
     league_hierarchy,
     solve_delta,
-    weight_exact,
 )
 from permchains.chains import (
     InversionChain,
@@ -43,15 +42,7 @@ from permchains.chains import (
     TreeChain,
     WalkTranspositionChain,
 )
-from permchains.paths import (
-    _aux_edges,
-    comparison_bound,
-    congestion_A,
-    path_inv_to_nn,
-    path_tree_to_nn,
-    transposition_path,
-    verify_path,
-)
+from permchains.paths import comparison_bound, congestion_A, transposition_path
 from permchains.perms import (
     all_permutations,
     identity,
@@ -221,29 +212,19 @@ def test_criterion_7_canonical_paths(demo_tree):
     edge_totals = {"inv": 0, "tree": 0}
     for n in range(3, 7):
         spec = cyw_spec(n)
-        table = choose_your_weapon(spec)
-        for sigma, beta, _ in _aux_edges("inv", spec):
-            path = path_inv_to_nn(sigma, beta, table)
-            assert len(path) <= 2 * n
-            floor = min(weight_exact(sigma, table), weight_exact(beta, table))
-            assert verify_path(path, table, floor).ok
-            edge_totals["inv"] += 1
-
         tree = truncate_tree(demo_tree, n)
-        ltable = league_hierarchy(tree)
-        assert is_weakly_monotone(ltable).weakly_monotone
-        for sigma, beta, _ in _aux_edges("tree", tree):
-            path = path_tree_to_nn(sigma, beta, tree)
-            assert len(path) <= 4 * n
-            floor = min(weight_exact(sigma, ltable), weight_exact(beta, ltable))
-            assert verify_path(path, ltable, floor).ok
-            edge_totals["tree"] += 1
-
+        assert is_weakly_monotone(league_hierarchy(tree)).weakly_monotone
+        # one pass routes every move: legality, exact floors and congestion
         inv_res = congestion_A("inv", spec, n)
         tree_res = congestion_A("tree", tree, n)
+        for res in (inv_res, tree_res):
+            assert res.legal and res.floors_held and res.failure is None
+            assert res.collision_free
+            edge_totals[res.kind] += res.edge_count
+        assert inv_res.max_path_length <= 2 * n
+        assert tree_res.max_path_length <= 4 * n
         assert inv_res.max_paths_per_edge <= n * n
         assert tree_res.max_paths_per_edge <= 4 * n * n
-        assert inv_res.collision_free and tree_res.collision_free
 
         eps = 0.25
         for kind, model, aux, res in (

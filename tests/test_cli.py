@@ -3,7 +3,8 @@ CLI behavior:
 
 - outputs begin with '#' metadata lines and are byte-stable per (config, seed)
 - model/chain pairings validate, with the documented constant-model coercions
-- exit codes: 0 success, 1 invariant failure, 2 usage error, 3 cap exceeded
+- exit codes: 0 success, 1 invariant failure, 2 usage error (degenerate
+  sizes and negative step counts included), 3 cap exceeded, 4 soundness failure
 - n-range scans emit one row per size with monotone mixing times
 """
 import json
@@ -148,6 +149,26 @@ def test_paths_floor_not_guaranteed(tmp_path, capsys):
     assert (record["edge-count"], record["A"], record["max-path-length"]) == ("92", "9.875", "7")
 
 
+def test_paths_broken_route_is_soundness_failure(capsys, monkeypatch):
+    from permchains import paths
+
+    route = paths.path_inv_to_nn
+
+    def skip_a_swap(sigma, beta, table=None):
+        path = route(sigma, beta, table)
+        if len(path) > 1:
+            del path.states[1], path.stages[1]
+        return path
+
+    monkeypatch.setattr(paths, "path_inv_to_nn", skip_a_swap)
+    code, out, err = run_cli(
+        ["paths", "--kind", "inv", "--model", "cyw:0.6,0.7,0.8,0.9", "--n", "5"], capsys
+    )
+    assert code == 4
+    assert "illegal canonical path" in err
+    assert out == ""
+
+
 def test_json_format(capsys):
     code, out, _ = run_cli(
         ["exact", "--chain", "oned", "--model", "oned:0.75,6", "--format", "json"],
@@ -239,3 +260,24 @@ def test_degenerate_constant_walk_bias_is_usage_error(capsys, command, p):
     code, _, err = run_cli(command + ["--chain", "walk", "--model", f"constant:{p}", "--n", "4"], capsys)
     assert code == 2
     assert "degenerate" in err
+
+
+@pytest.mark.parametrize("args", [
+    ["--chain", "nn", "--model", "constant:0.7", "--n", "0"],
+    ["--chain", "nn", "--model", "constant:0.7", "--n", "1"],
+    ["--chain", "inv", "--model", "constant:0.7", "--n", "1"],
+    ["--chain", "tree", "--model", "constant:0.7", "--n", "1"],
+    ["--chain", "tree", "--model", "constant:0.7", "--n", "0"],
+    ["--chain", "asep", "--model", "asep:0.5,1,0"],
+    ["--chain", "nn", "--model", "constant:0.7", "--n", "3", "--steps", "-3"],
+    ["--chain", "nn", "--model", "constant:0.7", "--n", "3", "--stride", "-1"],
+])
+def test_degenerate_sample_input_is_usage_error(capsys, args):
+    try:
+        code = main(["sample", *args])
+    except SystemExit as exc:  # argparse rejected the value
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert "error" in err and "Traceback" not in err

@@ -6,6 +6,8 @@ Canonical paths and congestion:
 - inversion routes are legal, short, and never dip below the endpoint floor
 - the four-stage route handles empty small/big sets and the mirrored clause
 - congestion constants carry collision-free witnesses within n^2 / 4n^2
+- the routing pass reports the same legality and floor outcome as a
+  per-move reference loop, including on trees without the floor guarantee
 - the comparison bound evaluates correctly and dominates exact mixing times
 """
 import math
@@ -35,9 +37,16 @@ from permchains.paths import (
     verify_path,
 )
 from permchains.perms import all_permutations
-from permchains.trees import caterpillar_tree, mirror_tree
+from permchains.trees import LeagueTree, caterpillar_tree, leaf, mirror_tree, node
 
 from conftest import cyw_spec, truncate_tree_demo
+
+# neither clause of weak monotonicity holds; every floor still holds at n = 4
+UNGUARANTEED_TREE = LeagueTree(node("0.6", node("0.9", leaf(1), leaf(2)), node("0.9", leaf(3), leaf(4))))
+# neither clause holds, and some routes dip below their endpoint floor
+FLOOR_FAILING_TREE = LeagueTree(
+    node("0.5", leaf(1), node("0.6", node("0.9", leaf(2), leaf(3)), leaf(4)))
+)
 
 WORKED_START = (5, 8, 9, 2, 10, 3, 4, 1, 7)
 WORKED_END = (7, 8, 9, 2, 10, 3, 4, 1, 5)
@@ -178,17 +187,55 @@ def test_mirrored_clause_routes():
 
 
 def test_non_monotone_path_flagged():
-    # a league model violating both monotonicity clauses still routes, but
-    # without the floor guarantee
-    from permchains.trees import LeagueTree, leaf, node
+    # a league model violating both monotonicity clauses still routes every
+    # move, but without the floor guarantee
+    report = is_weakly_monotone(league_hierarchy(UNGUARANTEED_TREE))
+    assert not report.rows_up and not report.cols_down
+    routed = [path_tree_to_nn(s, t, UNGUARANTEED_TREE) for s, t, _ in _aux_edges("tree", UNGUARANTEED_TREE)]
+    assert len(routed) == 96
+    assert not any(path.floor_guaranteed for path in routed)
 
-    tree = LeagueTree(
-        node("0.9", node("0.5", leaf(1), leaf(2)), node("0.9", leaf(3), leaf(4)))
-    )
-    report = is_weakly_monotone(league_hierarchy(tree))
-    if not report.weakly_monotone:
-        path = path_tree_to_nn((1, 3, 2, 4), (2, 3, 1, 4), tree)
-        assert not path.floor_guaranteed
+
+def _reference_outcome(kind, model):
+    """Per-move loop: (every path legal, every floor held, first failing move)."""
+    if kind == "inv":
+        table = choose_your_weapon(model)
+        route = lambda s, t: path_inv_to_nn(s, t, table)
+    else:
+        table = league_hierarchy(model)
+        route = lambda s, t: path_tree_to_nn(s, t, model)
+    legal = floors_held = True
+    failure = None
+    for sigma, beta, _ in _aux_edges(kind, model):
+        path = route(sigma, beta)
+        floor = min(weight_exact(sigma, table), weight_exact(beta, table))
+        report = verify_path(path, table, floor)
+        legal = legal and report.legal
+        floors_held = floors_held and report.floor_ok
+        if failure is None and not report.ok:
+            failure = (sigma, beta, path.floor_guaranteed)
+    return legal, floors_held, failure
+
+
+PASS_CASES = {
+    **{f"inv-cyw{n}": ("inv", lambda n=n: cyw_spec(n)) for n in (3, 4, 5)},
+    **{f"tree-demo{n}": ("tree", lambda n=n: truncate_tree_demo(n)) for n in (3, 4, 5)},
+    "tree-unguaranteed": ("tree", lambda: UNGUARANTEED_TREE),
+    "tree-floor-failing": ("tree", lambda: FLOOR_FAILING_TREE),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PASS_CASES))
+def test_pass_outcome_matches_reference_loop(case):
+    kind, make = PASS_CASES[case]
+    model = make()
+    n = model.n
+    result = congestion_A(kind, model, n)
+    assert (result.legal, result.floors_held, result.failure) == _reference_outcome(kind, model)
+    if case == "tree-floor-failing":
+        assert not result.floors_held and result.failure[2] is False
+    else:
+        assert result.legal and result.floors_held and result.failure is None
 
 
 def test_verify_path_negative_control():
