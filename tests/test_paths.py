@@ -218,19 +218,17 @@ def _reference_outcome(kind, model):
 
 
 PASS_CASES = {
-    **{f"inv-cyw{n}": ("inv", lambda n=n: cyw_spec(n)) for n in (3, 4, 5)},
-    **{f"tree-demo{n}": ("tree", lambda n=n: truncate_tree_demo(n)) for n in (3, 4, 5)},
-    "tree-unguaranteed": ("tree", lambda: UNGUARANTEED_TREE),
-    "tree-floor-failing": ("tree", lambda: FLOOR_FAILING_TREE),
+    **{f"inv-cyw{n}": ("inv", cyw_spec(n)) for n in (3, 4, 5)},
+    **{f"tree-demo{n}": ("tree", truncate_tree_demo(n)) for n in (3, 4, 5)},
+    "tree-unguaranteed": ("tree", UNGUARANTEED_TREE),
+    "tree-floor-failing": ("tree", FLOOR_FAILING_TREE),
 }
 
 
 @pytest.mark.parametrize("case", sorted(PASS_CASES))
 def test_pass_outcome_matches_reference_loop(case):
-    kind, make = PASS_CASES[case]
-    model = make()
-    n = model.n
-    result = congestion_A(kind, model, n)
+    kind, model = PASS_CASES[case]
+    result = congestion_A(kind, model, model.n)
     assert (result.legal, result.floors_held, result.failure) == _reference_outcome(kind, model)
     if case == "tree-floor-failing":
         assert not result.floors_held and result.failure[2] is False
