@@ -176,12 +176,14 @@ def mixing_time_exact(
 def spectral_gap(matrix: sp.csr_matrix, pi: np.ndarray, tol: float = 1e-9) -> float:
     """1 minus the second-largest eigenvalue modulus of the symmetrized kernel.
 
-    Requires reversibility; the similarity transform D^(1/2) P D^(-1/2) is
-    then symmetric and the spectrum is real.
+    Requires reversibility and pi > 0; the similarity transform
+    D^(1/2) P D^(-1/2) is then symmetric and the spectrum is real.
     """
     m = matrix.shape[0]
     if m > DENSE_CAP:
         raise CapExceeded(f"{m} states exceed the dense eigensolve cap {DENSE_CAP}")
+    if not pi.all():
+        raise ValueError("pi has zero entries; the symmetrization needs pi > 0")
     dense = matrix.toarray()
     flows = pi[:, None] * dense
     if not np.allclose(flows, flows.T, atol=tol, rtol=0):

@@ -12,6 +12,8 @@ otherwise to ``no``.  The base class derives both views from it:
   acceptance uniform u, going to ``yes`` when u < p.  A blocked slot has the
   law ``(1, state, state)``, so it still spends its acceptance draw, and
   trajectories are reproducible from (kernel, start, steps, seed) alone.
+  The acceptance test is exact and cheap: u is k / 2**53 for an integer k,
+  so u < p is compared on integers, never through a float rounding of p.
 * ``transition_distribution(state)`` returns the exact one-step distribution
   as a dict of successor -> Fraction, which the analysis code turns into
   matrices.  Self-loops are folded into one hold entry, inserted last.
@@ -33,13 +35,18 @@ Kernels:
                              acceptance under the same walk weights.
 
 Blocked proposals count as holds, never as errors.
+
+``run`` serves the uniforms of ``make_rng(seed)`` from blocks of array draws
+(``BlockUniforms``); Philox gives an array draw the same values as repeated
+scalar draws, so a trajectory is the same as one drawn a uniform at a time and
+``step`` is the only sampling code path.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
-from typing import Callable
+from itertools import accumulate, chain
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -48,10 +55,13 @@ from .bias import BiasTable, CywSpec, SlowMixSpec, weight_exact
 from .trees import LeagueTree
 
 HALF = Fraction(1, 2)
+# numpy's uniform doubles are k * 2**-53 with an integer 0 <= k < 2**53
+UNIT_BITS = 53
+UNIT = float(1 << UNIT_BITS)
+BLOCK = 2048  # uniforms per array draw in ``run``
 
 
-@dataclass(frozen=True)
-class StepOutcome:
+class StepOutcome(NamedTuple):
     state: object
     moved: bool
 
@@ -59,6 +69,15 @@ class StepOutcome:
 def make_rng(seed: int) -> np.random.Generator:
     """Counter-based generator; the documented draw order makes runs portable."""
     return np.random.Generator(np.random.Philox(seed))
+
+
+class BlockUniforms:
+    """``random()`` yields the uniforms of ``make_rng(seed)`` in order, drawn
+    ``BLOCK`` at a time: the same values as repeated ``make_rng(seed).random()``."""
+
+    def __init__(self, seed: int):
+        gen = make_rng(seed)
+        self.random = chain.from_iterable(iter(lambda: gen.random(BLOCK).tolist(), None)).__next__
 
 
 def _pick_uniform(u: float, count: int) -> int:
@@ -85,7 +104,8 @@ class Kernel:
 
     def step(self, state, rng) -> StepOutcome:
         p, yes, no = self._law(state, self._draw(rng))
-        new = yes if rng.random() < p else no
+        # u < p exactly, for a Fraction or int p, with u = k / 2**53
+        new = yes if int(rng.random() * UNIT) * p.denominator < p.numerator << UNIT_BITS else no
         return StepOutcome(new, new != state)
 
     def transition_distribution(self, state) -> dict:
@@ -137,7 +157,7 @@ class NearestNeighborChain(Kernel):
 
 def _inv_targets(sigma, i: int) -> tuple[int | None, int | None]:
     """(first larger label after i, last larger label before i) in sigma."""
-    pos = list(sigma).index(i)
+    pos = sigma.index(i)
     after = next((v for v in sigma[pos + 1 :] if v > i), None)
     before = next((v for v in reversed(sigma[:pos]) if v > i), None)
     return after, before
@@ -246,8 +266,9 @@ class TreeChain(Kernel):
     @staticmethod
     def _span(sigma, a: int, b: int, under) -> tuple[int, int] | None:
         """Ordered positions of a and b, or None if a label of ``under`` lies between."""
-        lo, hi = sorted((sigma.index(a), sigma.index(b)))
-        if any(sigma[k] in under for k in range(lo + 1, hi)):
+        i, j = sigma.index(a), sigma.index(b)
+        lo, hi = (i, j) if i < j else (j, i)
+        if not under.isdisjoint(sigma[lo + 1 : hi]):
             return None
         return lo, hi
 
@@ -281,6 +302,8 @@ class OnedChain(Kernel):
 
         self.r = as_probability(r)
         self.k = int(k)
+        if self.k < 1:
+            raise ValueError(f"oned walk on 0..{self.k} has fewer than two states; use k >= 1")
         self._slots = [(None, Fraction(1))]
 
     def space(self):
@@ -314,6 +337,10 @@ class AsepChain(Kernel):
 
         self.p = as_probability(p)
         self.k1, self.k2 = int(k1), int(k2)
+        if self.k1 < 1 or self.k2 < 1:
+            raise ValueError(
+                f"asep with {self.k1} ones and {self.k2} zeros has fewer than two states; use k1, k2 >= 1"
+            )
         self.k = self.k1 + self.k2
         self._slots = self._uniform(range(self.k - 1))
 
@@ -361,7 +388,8 @@ class WalkChain(Kernel):
     ``bias_at(ones_before, downs_before)``: the probability of the (+1, -1)
     arrangement for the pair formed by the l-th up-step and m-th down-step.
     Use :meth:`fluctuating` for the slow-mixing family and :meth:`constant`
-    for a uniform-bias reference chain of the same size.
+    for a uniform-bias reference chain of the same size.  Each pair's bias is
+    taken from ``bias_at`` once per kernel.
     """
 
     kind = "walk"
@@ -378,6 +406,7 @@ class WalkChain(Kernel):
         self._weight_of = weight_of
         self.label = label
         self._slots = self._uniform(range(2 * n - 1))
+        self._bias: dict[tuple[int, int], Fraction] = {}
 
     @classmethod
     def fluctuating(cls, spec: SlowMixSpec) -> "WalkChain":
@@ -409,9 +438,12 @@ class WalkChain(Kernel):
         return self._weight_of(w)
 
     def _pair_bias(self, w, pos: int) -> Fraction:
-        ones = sum(1 for s in w[: pos + 2] if s == 1)
-        downs = pos + 2 - ones
-        return self.bias_at(ones, downs)
+        ones = w[: pos + 2].count(1)
+        pair = (ones, pos + 2 - ones)
+        bias = self._bias.get(pair)
+        if bias is None:
+            bias = self._bias[pair] = self.bias_at(*pair)
+        return bias
 
     def _law(self, w, pos: int):
         if w[pos] == w[pos + 1]:
@@ -425,7 +457,9 @@ class WalkTranspositionChain(Kernel):
 
     The pair is selected uniformly among the n*n (up-step, down-step) index
     pairs; acceptance is min(1, weight ratio) under the fluctuating-bias walk
-    weights.  A single swap changes the maximum height by at most 2.
+    weights.  A single swap changes the maximum height by at most 2.  The ratio
+    depends only on the change (flat, steep) of the tile counts, so each
+    class's acceptance is built once per kernel.
     """
 
     kind = "walk-transposition"
@@ -434,6 +468,7 @@ class WalkTranspositionChain(Kernel):
         self.spec = spec
         self.n = n = spec.n
         self._slots = self._uniform([divmod(idx, n) for idx in range(n * n)])
+        self._accept: dict[tuple[int, int], Fraction | int] = {}
 
     def space(self):
         return walks.all_walks(self.n)
@@ -449,14 +484,15 @@ class WalkTranspositionChain(Kernel):
         new[a], new[b] = new[b], new[a]
         return tuple(new)
 
-    def _ratio(self, w, new) -> Fraction:
-        f0, s0 = walks.tile_counts(w)
-        f1, s1 = walks.tile_counts(new)
-        return self.spec.gamma ** (f1 - f0) * self.spec.xi ** (s1 - s0)
-
     def _law(self, w, slot):
         new = self._swapped(w, *slot)
-        return min(1, self._ratio(w, new)), new, w
+        f0, s0 = walks.tile_counts(w)
+        f1, s1 = walks.tile_counts(new)
+        change = (f1 - f0, s1 - s0)
+        accept = self._accept.get(change)
+        if accept is None:
+            accept = self._accept[change] = min(1, self.spec.gamma ** change[0] * self.spec.xi ** change[1])
+        return accept, new, w
 
 
 # -- observables and the run loop ------------------------------------------------
@@ -500,19 +536,19 @@ class Trajectory:
 
 def run(kernel, start, steps: int, seed: int, stride: int = 0, observable: str | None = None) -> Trajectory:
     """Deterministic trajectory: same (kernel, start, steps, seed) -> same output."""
-    rng = make_rng(seed)
+    rng = BlockUniforms(seed)
     name = observable or default_observable(kernel)
     obs = OBSERVABLES[name]
     state = start
     traj = Trajectory(final_state=start, steps=steps, seed=seed, observable=name)
     if stride:
         traj.records.append((0, obs(state)))
+    moves = 0
     for t in range(1, steps + 1):
-        out = kernel.step(state, rng)
-        state = out.state
-        if out.moved:
-            traj.moves += 1
+        state, moved = kernel.step(state, rng)
+        moves += moved
         if stride and t % stride == 0:
             traj.records.append((t, obs(state)))
     traj.final_state = state
+    traj.moves = moves
     return traj

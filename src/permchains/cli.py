@@ -205,6 +205,11 @@ def _exact_rows(args, ns: list[int], chain: str, model_text: str):
             raise CapExceeded(f"{len(states)} states at n={n} exceed the cap {STATE_CAP}")
         matrix = transition_matrix(kernel, states)
         pi = stationary_exact(kernel, states)
+        if not pi.all():
+            raise UsageError(
+                f"{model_text} is a degenerate bias: {int((pi == 0).sum())} of {len(states)} states have zero "
+                f"stationary mass at n={n}; use probabilities strictly between 0 and 1"
+            )
         if len(states) <= 720:
             starts = None
             caveat = "all-starts"

@@ -368,9 +368,13 @@ def congestion_A(kind: str, model, n: int) -> CongestionResult:
             if seen.setdefault(key, owner) != owner:
                 collision_free = False
 
+    rows: dict = {}  # each loaded state's nearest-neighbor row, built once
     best = Fraction(0)
     for (u, v), load in loads.items():
-        flow = pi[u] * nn.transition_distribution(u).get(v, Fraction(0))
+        row = rows.get(u)
+        if row is None:
+            row = rows[u] = nn.transition_distribution(u)
+        flow = pi[u] * row.get(v, Fraction(0))
         if flow == 0:
             raise AssertionError("path used a zero-probability edge")
         best = max(best, load / flow)

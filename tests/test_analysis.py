@@ -180,6 +180,13 @@ def test_spectral_gap_rejects_non_reversible():
         spectral_gap(m, np.full(3, 1 / 3))
 
 
+def test_spectral_gap_rejects_zero_mass(recwarn):
+    k = OnedChain(1, 5)  # all mass on the top state
+    with pytest.raises(ValueError, match="pi > 0"):
+        spectral_gap(transition_matrix(k), stationary_exact(k))
+    assert not recwarn.list
+
+
 def test_conductance_two_state_hand_value():
     k = NearestNeighborChain(constant_bias(2, "0.7"))
     m = transition_matrix(k)

@@ -6,6 +6,8 @@ Kernel behavior:
 - hold probabilities respect the documented floors
 - trajectories are deterministic given a seed and track the stationary law
 - each kernel's sampler follows its own exact one-step row
+- the integer acceptance test equals u < p exactly, block-served uniforms
+  equal scalar draws, and ``run`` reproduces the scalar-draw sampler
 - the walk kernels obey the ratio and height-jump claims
 """
 import math
@@ -13,6 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from permchains import walks
 from permchains.analysis import (
@@ -30,13 +33,18 @@ from permchains.bias import (
     solve_delta,
 )
 from permchains.chains import (
+    BLOCK,
+    OBSERVABLES,
     AsepChain,
+    BlockUniforms,
     InversionChain,
+    Kernel,
     NearestNeighborChain,
     OnedChain,
     TreeChain,
     WalkChain,
     WalkTranspositionChain,
+    default_observable,
     make_rng,
     run,
 )
@@ -373,3 +381,93 @@ def test_observable_records():
     traj = run(k, reversal(4), 100, seed=1, stride=50)
     assert [t for t, _ in traj.records] == [0, 50, 100]
     assert traj.records[0][1] == inversion_count(reversal(4))
+
+
+# -- exact acceptance, block draws, and the run loop against the scalar sampler --
+
+UNIT = 2**53
+
+
+class _Coin(Kernel):
+    """One slot with law (p, "yes", "no"): ``step`` goes to "yes" exactly when u < p."""
+
+    kind = "coin"
+
+    def __init__(self, p):
+        self.p = p
+        self._slots = [(None, Fraction(1))]
+
+    def _draw(self, rng):
+        return None
+
+    def _law(self, state, slot):
+        return self.p, "yes", "no"
+
+
+class _Uniforms:
+    """Stands in for a generator whose next uniforms are given."""
+
+    def __init__(self, *us):
+        self.random = iter(us).__next__
+
+
+def _accepts(u, p) -> bool:
+    return _Coin(p).step("start", _Uniforms(u)).state == "yes"
+
+
+@st.composite
+def _uniform_near(draw):
+    """(k, p): a 53-bit k anywhere, or within a few units of p * 2**53."""
+    p = draw(st.fractions(min_value=0, max_value=1, max_denominator=10**30) | st.sampled_from([0, 1]))
+    offset = draw(st.integers(-2, 2) | st.none())
+    if offset is None:
+        return draw(st.integers(0, UNIT - 1)), p
+    return min(max(math.floor(p * UNIT) + offset, 0), UNIT - 1), p
+
+
+@given(_uniform_near())
+def test_integer_acceptance_equals_exact_comparison(case):
+    k, p = case
+    assert _accepts(k / UNIT, p) == (Fraction(k, UNIT) < p)
+
+
+@pytest.mark.parametrize("p", [Fraction(7, 10), Fraction(1, 3), Fraction(2, 3)])
+def test_integer_acceptance_at_the_rounded_probability(p):
+    # float(p) lies below p, so u == float(p) is accepted; a float compare would not
+    u = float(p)
+    assert Fraction(u) < p and not u < float(p)
+    assert _accepts(u, p)
+
+
+def test_integer_acceptance_for_int_probabilities():
+    largest = (UNIT - 1) / UNIT
+    assert not _accepts(0.0, 0) and not _accepts(largest, 0)
+    assert _accepts(0.0, 1) and _accepts(largest, 1)
+
+
+def test_block_uniforms_equal_scalar_draws():
+    count = 2 * BLOCK + 17  # crosses two block boundaries
+    blocks, scalar = BlockUniforms(5), make_rng(5)
+    assert [blocks.random() for _ in range(count)] == [scalar.random() for _ in range(count)]
+
+
+def _reference_run(kernel, start, steps: int, seed: int):
+    """The sampler as first written: scalar draws and u < Fraction(p), stride 1."""
+    rng = make_rng(seed)
+    obs = OBSERVABLES[default_observable(kernel)]
+    state, moves, records = start, 0, [(0, obs(start))]
+    for t in range(1, steps + 1):
+        p, yes, no = kernel._law(state, kernel._draw(rng))
+        new = yes if rng.random() < Fraction(p) else no
+        moves += new != state
+        state = new
+        records.append((t, obs(state)))
+    return state, moves, records
+
+
+@pytest.mark.parametrize("name", sorted(LAW_CASES))
+def test_run_matches_scalar_reference_loop(name):
+    make, states = LAW_CASES[name]
+    start = states[0]
+    traj = run(make(), start, 3_000, seed=17, stride=1)
+    assert (traj.final_state, traj.moves, traj.records) == _reference_run(make(), start, 3_000, 17)

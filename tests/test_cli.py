@@ -4,7 +4,8 @@ CLI behavior:
 - outputs begin with '#' metadata lines and are byte-stable per (config, seed)
 - model/chain pairings validate, with the documented constant-model coercions
 - exit codes: 0 success, 1 invariant failure, 2 usage error (degenerate
-  sizes and negative step counts included), 3 cap exceeded, 4 soundness failure
+  sizes, one-state spaces, zero-mass stationary laws and negative step counts
+  included), 3 cap exceeded, 4 soundness failure
 - n-range scans emit one row per size with monotone mixing times
 """
 import json
@@ -281,3 +282,31 @@ def test_degenerate_sample_input_is_usage_error(capsys, args):
     assert code == 2
     assert out == ""
     assert "error" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["sample", "exact"])
+@pytest.mark.parametrize("chain, model", [
+    ("oned", "oned:0.5,0"),
+    ("asep", "asep:0.5,0,3"),
+    ("asep", "asep:0.5,3,0"),
+])
+def test_one_state_space_is_usage_error(capsys, command, chain, model):
+    code, out, err = run_cli([command, "--chain", chain, "--model", model], capsys)
+    assert code == 2
+    assert out == ""
+    assert "fewer than two states" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("args", [
+    ["exact", "--chain", "nn", "--model", "constant:1", "--n", "4"],
+    ["scan", "--chain", "nn", "--model", "constant:1", "--n-range", "3:4"],
+    ["exact", "--chain", "tree", "--model", "constant:1", "--n", "4"],
+    ["exact", "--chain", "oned", "--model", "oned:1,4"],
+])
+def test_zero_mass_stationary_law_is_usage_error(capsys, recwarn, args):
+    code, out, err = run_cli(args, capsys)
+    assert code == 2
+    assert out == ""
+    model = args[args.index("--model") + 1]
+    assert f"{model} is a degenerate bias" in err and "zero stationary mass" in err
+    assert not recwarn.list
