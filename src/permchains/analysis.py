@@ -61,17 +61,6 @@ def transition_matrix(kernel, states=None) -> sp.csr_matrix:
     return m
 
 
-def transition_matrix_exact(kernel, states=None) -> list[dict[int, Fraction]]:
-    """Exact rational rows, as {column: Fraction} dicts."""
-    if states is None:
-        states = kernel.space()
-    idx = state_index(states)
-    return [
-        {idx[t]: p for t, p in kernel.transition_distribution(s).items()}
-        for s in states
-    ]
-
-
 def stationary_weights_exact(kernel, states=None) -> list[Fraction]:
     if states is None:
         states = kernel.space()

@@ -253,10 +253,6 @@ class SlowMixSpec:
         return (1 - self.delta) / self.delta
 
     @property
-    def diag(self) -> float:
-        return self.n - math.sqrt(self.n)
-
-    @property
     def level(self) -> int:
         return walks.cut_level(self.n)
 
@@ -338,7 +334,6 @@ class Model:
     tree: LeagueTree | None = None
     slowmix: SlowMixSpec | None = None
     params: tuple = ()
-    spec_string: str = ""
 
     def bias_table(self, n: int | None = None) -> BiasTable:
         if self.kind == "constant":
@@ -362,7 +357,7 @@ def parse_model_spec(text: str) -> Model:
     """
     kind, _, rest = text.partition(":")
     if kind == "constant":
-        return Model(kind="constant", p=as_probability(rest), spec_string=text)
+        return Model(kind="constant", p=as_probability(rest))
     if kind == "cyw":
         parts = rest.split(":")
         variant = "min"
@@ -372,27 +367,25 @@ def parse_model_spec(text: str) -> Model:
             raise ValueError(f"bad cyw spec: {text}")
         r = [as_probability(x) for x in parts[0].split(",")]
         spec = CywSpec(r=tuple(r), variant=variant)
-        return Model(kind="cyw", n=spec.n, cyw=spec, spec_string=text)
+        return Model(kind="cyw", n=spec.n, cyw=spec)
     if kind == "league":
         with open(rest, "r", encoding="utf-8") as fh:
             tree = LeagueTree.from_json(fh.read())
-        return Model(kind="league", n=tree.n, tree=tree, spec_string=text)
+        return Model(kind="league", n=tree.n, tree=tree)
     if kind == "slowmix":
         half = int(rest)
         spec = SlowMixSpec(n=half, delta=solve_delta(half))
-        return Model(kind="slowmix", n=2 * half, slowmix=spec, spec_string=text)
+        return Model(kind="slowmix", n=2 * half, slowmix=spec)
     if kind == "oned":
         r_text, k_text = rest.split(",")
         return Model(
             kind="oned",
             params=(as_probability(r_text), int(k_text)),
-            spec_string=text,
         )
     if kind == "asep":
         p_text, k1_text, k2_text = rest.split(",")
         return Model(
             kind="asep",
             params=(as_probability(p_text), int(k1_text), int(k2_text)),
-            spec_string=text,
         )
     raise ValueError(f"unknown model spec: {text}")

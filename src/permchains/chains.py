@@ -36,6 +36,11 @@ Kernels:
 
 Blocked proposals count as holds, never as errors.
 
+Each kernel class builds itself from a parsed model (``from_model``, with its
+coercion notice and usage errors) and declares its size ``n``, its
+``observable``, a ``default_start()`` and ``space_size()``, which counts
+``space()`` without enumerating it.  ``build`` looks kinds up in ``KERNELS``.
+
 ``run`` serves the uniforms of ``make_rng(seed)`` from blocks of array draws
 (``BlockUniforms``); Philox gives an array draw the same values as repeated
 scalar draws, so a trajectory is the same as one drawn a uniform at a time and
@@ -43,16 +48,19 @@ scalar draws, so a trajectory is the same as one drawn a uniform at a time and
 """
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, chain
+from itertools import accumulate, chain, combinations
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import perms, walks
-from .bias import BiasTable, CywSpec, SlowMixSpec, weight_exact
-from .trees import LeagueTree
+from ._common import as_probability
+from .bias import BiasTable, CywSpec, Model, SlowMixSpec, choose_your_weapon, league_hierarchy, weight_exact
+from .trees import LeagueTree, complete_tree
 
 HALF = Fraction(1, 2)
 # numpy's uniform doubles are k * 2**-53 with an integer 0 <= k < 2**53
@@ -80,6 +88,10 @@ class BlockUniforms:
         self.random = chain.from_iterable(iter(lambda: gen.random(BLOCK).tolist(), None)).__next__
 
 
+def _notice(text: str):
+    print(f"notice: {text}", file=sys.stderr)
+
+
 def _pick_uniform(u: float, count: int) -> int:
     k = int(u * count)
     return min(k, count - 1)  # guard u == 1.0 edge
@@ -88,6 +100,9 @@ def _pick_uniform(u: float, count: int) -> int:
 class Kernel:
     """A transition law given by ``_slots`` and ``_law``; see the module docstring."""
 
+    kind: str
+    observable: str  # a key of OBSERVABLES
+    n: int
     _slots: list  # (slot, exact selection mass)
 
     def _law(self, state, slot) -> tuple:
@@ -127,7 +142,26 @@ class Kernel:
         return out
 
 
-class NearestNeighborChain(Kernel):
+class PermutationKernel(Kernel):
+    """A kernel on S_n whose stationary weight is the product form of ``self.table``."""
+
+    observable = "inversions"
+    table: BiasTable
+
+    def space(self):
+        return list(perms.all_permutations(self.n))
+
+    def space_size(self) -> int:
+        return math.factorial(self.n)
+
+    def default_start(self):
+        return perms.reversal(self.n)
+
+    def stationary_weight(self, sigma) -> Fraction:
+        return weight_exact(sigma, self.table)
+
+
+class NearestNeighborChain(PermutationKernel):
     """Pick an adjacent position uniformly; reorder the pair by its bias entry."""
 
     kind = "nn"
@@ -137,11 +171,14 @@ class NearestNeighborChain(Kernel):
         self.n = table.n
         self._slots = self._uniform(range(self.n - 1))
 
-    def space(self):
-        return list(perms.all_permutations(self.n))
-
-    def stationary_weight(self, sigma) -> Fraction:
-        return weight_exact(sigma, self.table)
+    @classmethod
+    def from_model(cls, model: Model, n: int | None) -> "NearestNeighborChain":
+        if model.kind in ("oned", "asep"):
+            raise ValueError(f"chain nn cannot use model {model.kind}")
+        size = model.n or n
+        if size is None:
+            raise ValueError("chain nn with a constant model needs --n")
+        return cls(model.bias_table(size))
 
     def _law(self, sigma, pos):
         return self.table.p(sigma[pos + 1], sigma[pos]), perms.adjacent_swap(sigma, pos), sigma
@@ -163,7 +200,7 @@ def _inv_targets(sigma, i: int) -> tuple[int | None, int | None]:
     return after, before
 
 
-class InversionChain(Kernel):
+class InversionChain(PermutationKernel):
     """Move one inversion-table coordinate by +-1.
 
     Label i is selected with probability (n-i)/C(n,2), then a fair direction
@@ -179,12 +216,9 @@ class InversionChain(Kernel):
     kind = "inv"
 
     def __init__(self, spec: CywSpec):
-        self.spec = spec
         self.n = n = spec.n
         self._mirror = spec.variant == "max"
         r = (spec.mirrored() if self._mirror else spec).r
-        from .bias import choose_your_weapon
-
         self.table = choose_your_weapon(spec)
         # slot (i, direction, acceptance) with mass (n-i)/C(n,2) * 1/2; label n
         # is never selected
@@ -197,11 +231,16 @@ class InversionChain(Kernel):
             raise ValueError(f"{self.kind} kernel has no move at this size")
         self._edges = list(accumulate((n - i) / (n * (n - 1) // 2) for i in range(1, n)))
 
-    def space(self):
-        return list(perms.all_permutations(self.n))
-
-    def stationary_weight(self, sigma) -> Fraction:
-        return weight_exact(sigma, self.table)
+    @classmethod
+    def from_model(cls, model: Model, n: int | None) -> "InversionChain":
+        if model.kind == "constant":
+            if n is None:
+                raise ValueError("chain inv with a constant model needs --n")
+            _notice(f"constant model coerced to cyw with all ranks {model.p}")
+            return cls(CywSpec(r=(model.p,) * (n - 1)))
+        if model.kind != "cyw":
+            raise ValueError("chain inv requires a cyw (or constant) model")
+        return cls(model.cyw)
 
     def _draw(self, rng):
         # float cumulative pick of label i by weight (n - i), then the direction bit
@@ -233,7 +272,7 @@ class InversionChain(Kernel):
         return HALF
 
 
-class TreeChain(Kernel):
+class TreeChain(PermutationKernel):
     """Transpose a label pair when no stranger separates them.
 
     An unordered pair {a, b} is selected uniformly among C(n,2).  If every
@@ -247,8 +286,6 @@ class TreeChain(Kernel):
     def __init__(self, tree: LeagueTree):
         self.tree = tree
         self.n = n = tree.n
-        from .bias import league_hierarchy
-
         self.table = league_hierarchy(tree)
         # slot (a, b, q, leaves under lca(a, b)) for a < b, in dense pair order
         self._slots = self._uniform([
@@ -257,11 +294,16 @@ class TreeChain(Kernel):
             for b in range(a + 1, n + 1)
         ])
 
-    def space(self):
-        return list(perms.all_permutations(self.n))
-
-    def stationary_weight(self, sigma) -> Fraction:
-        return weight_exact(sigma, self.table)
+    @classmethod
+    def from_model(cls, model: Model, n: int | None) -> "TreeChain":
+        if model.kind == "constant":
+            if n is None:
+                raise ValueError("chain tree with a constant model needs --n")
+            _notice(f"constant model coerced to a complete league tree with q = {model.p}")
+            return cls(complete_tree(n, model.p))
+        if model.kind != "league":
+            raise ValueError("chain tree requires a league (or constant) model")
+        return cls(model.tree)
 
     @staticmethod
     def _span(sigma, a: int, b: int, under) -> tuple[int, int] | None:
@@ -296,18 +338,29 @@ class OnedChain(Kernel):
     """Walk on 0..k: up with probability r, down with 1-r, clamped holds."""
 
     kind = "oned"
+    observable = "value"
 
     def __init__(self, r, k: int):
-        from ._common import as_probability
-
         self.r = as_probability(r)
-        self.k = int(k)
+        self.n = self.k = int(k)
         if self.k < 1:
             raise ValueError(f"oned walk on 0..{self.k} has fewer than two states; use k >= 1")
         self._slots = [(None, Fraction(1))]
 
+    @classmethod
+    def from_model(cls, model: Model, n: int | None) -> "OnedChain":
+        if model.kind != "oned":
+            raise ValueError("chain oned requires an oned:<r>,<k> model")
+        return cls(*model.params)
+
     def space(self):
         return list(range(self.k + 1))
+
+    def space_size(self) -> int:
+        return self.k + 1
+
+    def default_start(self) -> int:
+        return 0
 
     def stationary_weight(self, h: int) -> Fraction:
         if self.r == 1:
@@ -331,30 +384,39 @@ class AsepChain(Kernel):
     """
 
     kind = "asep"
+    observable = "order-pairs"
 
     def __init__(self, p, k1: int, k2: int):
-        from ._common import as_probability
-
         self.p = as_probability(p)
         self.k1, self.k2 = int(k1), int(k2)
         if self.k1 < 1 or self.k2 < 1:
             raise ValueError(
                 f"asep with {self.k1} ones and {self.k2} zeros has fewer than two states; use k1, k2 >= 1"
             )
-        self.k = self.k1 + self.k2
+        self.n = self.k = self.k1 + self.k2
         self._slots = self._uniform(range(self.k - 1))
 
-    def space(self):
-        import itertools
+    @classmethod
+    def from_model(cls, model: Model, n: int | None) -> "AsepChain":
+        if model.kind != "asep":
+            raise ValueError("chain asep requires an asep:<p>,<k1>,<k2> model")
+        return cls(*model.params)
 
+    def space(self):
         out = []
-        for ones in itertools.combinations(range(self.k), self.k1):
+        for ones in combinations(range(self.k), self.k1):
             s = ["0"] * self.k
             for i in ones:
                 s[i] = "1"
             out.append("".join(s))
         out.sort()
         return out
+
+    def space_size(self) -> int:
+        return math.comb(self.k, self.k1)
+
+    def default_start(self) -> str:
+        return "0" * self.k2 + "1" * self.k1
 
     @staticmethod
     def order_pairs(s: str) -> int:
@@ -369,10 +431,9 @@ class AsepChain(Kernel):
         return total
 
     def stationary_weight(self, s: str) -> Fraction:
-        lam = self.p / (1 - self.p) if self.p != 1 else None
-        if lam is None:
+        if self.p == 1:
             raise ValueError("p = 1 has a degenerate stationary law")
-        return lam ** self.order_pairs(s)
+        return (self.p / (1 - self.p)) ** self.order_pairs(s)
 
     def _law(self, s: str, pos: int):
         if s[pos] == s[pos + 1]:
@@ -381,7 +442,22 @@ class AsepChain(Kernel):
         return self.p, head + "10" + tail, head + "01" + tail
 
 
-class WalkChain(Kernel):
+class WalkKernel(Kernel):
+    """A kernel on the staircase walks with n up-steps and n down-steps."""
+
+    observable = "max-height"
+
+    def space(self):
+        return walks.all_walks(self.n)
+
+    def space_size(self) -> int:
+        return math.comb(2 * self.n, self.n)
+
+    def default_start(self) -> tuple:
+        return (-1,) * self.n + (1,) * self.n
+
+
+class WalkChain(WalkKernel):
     """Adjacent (+1, -1) swaps on staircase walks.
 
     The orientation probability of each unequal adjacent pair comes from
@@ -399,12 +475,10 @@ class WalkChain(Kernel):
         n: int,
         bias_at: Callable[[int, int], Fraction],
         weight_of: Callable[[tuple], Fraction],
-        label: str = "walk",
     ):
         self.n = n
         self.bias_at = bias_at
         self._weight_of = weight_of
-        self.label = label
         self._slots = self._uniform(range(2 * n - 1))
         self._bias: dict[tuple[int, int], Fraction] = {}
 
@@ -414,13 +488,10 @@ class WalkChain(Kernel):
             spec.n,
             lambda l, m: spec.cross_prob(l, spec.n + m),
             lambda w: walks.walk_weight(w, spec.gamma, spec.xi),
-            "slowmix",
         )
 
     @classmethod
     def constant(cls, n: int, p) -> "WalkChain":
-        from ._common import as_probability
-
         q = as_probability(p)
         if q in (0, 1):
             raise ValueError(f"constant walk bias {q} is degenerate: every swap goes one way; use 0 < p < 1")
@@ -429,10 +500,17 @@ class WalkChain(Kernel):
         def weight(w) -> Fraction:
             return lam ** walks.tile_count_total(w)
 
-        return cls(n, lambda l, m: q, weight, f"constant:{q}")
+        return cls(n, lambda l, m: q, weight)
 
-    def space(self):
-        return walks.all_walks(self.n)
+    @classmethod
+    def from_model(cls, model: Model, n: int | None) -> "WalkChain":
+        if model.kind == "slowmix":
+            return cls.fluctuating(model.slowmix)
+        if model.kind == "constant":
+            if n is None:
+                raise ValueError("chain walk with a constant model needs --n (half size)")
+            return cls.constant(n, model.p)
+        raise ValueError("chain walk requires a slowmix or constant model")
 
     def stationary_weight(self, w) -> Fraction:
         return self._weight_of(w)
@@ -452,7 +530,7 @@ class WalkChain(Kernel):
         return self._pair_bias(w, pos), head + (1, -1) + tail, head + (-1, 1) + tail
 
 
-class WalkTranspositionChain(Kernel):
+class WalkTranspositionChain(WalkKernel):
     """Swap any (+1, -1) step pair with Metropolis acceptance.
 
     The pair is selected uniformly among the n*n (up-step, down-step) index
@@ -470,8 +548,11 @@ class WalkTranspositionChain(Kernel):
         self._slots = self._uniform([divmod(idx, n) for idx in range(n * n)])
         self._accept: dict[tuple[int, int], Fraction | int] = {}
 
-    def space(self):
-        return walks.all_walks(self.n)
+    @classmethod
+    def from_model(cls, model: Model, n: int | None) -> "WalkTranspositionChain":
+        if model.kind != "slowmix":
+            raise ValueError("chain walk-transposition requires a slowmix model")
+        return cls(model.slowmix)
 
     def stationary_weight(self, w) -> Fraction:
         return walks.walk_weight(w, self.spec.gamma, self.spec.xi)
@@ -495,6 +576,22 @@ class WalkTranspositionChain(Kernel):
         return accept, new, w
 
 
+KERNELS: dict[str, type[Kernel]] = {
+    cls.kind: cls
+    for cls in (
+        NearestNeighborChain, InversionChain, TreeChain, OnedChain, AsepChain, WalkChain, WalkTranspositionChain,
+    )
+}
+
+
+def build(kind: str, model: Model, n: int | None = None) -> Kernel:
+    """The ``kind`` kernel of a parsed model; ``n``, when given, must be its size."""
+    kernel = KERNELS[kind].from_model(model, n)
+    if n is not None and n != kernel.n:
+        raise ValueError(f"model has n={kernel.n}, requested n={n}")
+    return kernel
+
+
 # -- observables and the run loop ------------------------------------------------
 
 
@@ -514,16 +611,6 @@ OBSERVABLES: dict[str, Callable] = {
 }
 
 
-def default_observable(kernel) -> str:
-    if kernel.kind in ("nn", "inv", "tree"):
-        return "inversions"
-    if kernel.kind in ("walk", "walk-transposition"):
-        return "max-height"
-    if kernel.kind == "oned":
-        return "value"
-    return "order-pairs"
-
-
 @dataclass
 class Trajectory:
     final_state: object
@@ -534,13 +621,12 @@ class Trajectory:
     moves: int = 0
 
 
-def run(kernel, start, steps: int, seed: int, stride: int = 0, observable: str | None = None) -> Trajectory:
+def run(kernel, start, steps: int, seed: int, stride: int = 0) -> Trajectory:
     """Deterministic trajectory: same (kernel, start, steps, seed) -> same output."""
     rng = BlockUniforms(seed)
-    name = observable or default_observable(kernel)
-    obs = OBSERVABLES[name]
+    obs = OBSERVABLES[kernel.observable]
     state = start
-    traj = Trajectory(final_state=start, steps=steps, seed=seed, observable=name)
+    traj = Trajectory(final_state=start, steps=steps, seed=seed, observable=kernel.observable)
     if stride:
         traj.records.append((0, obs(state)))
     moves = 0

@@ -7,6 +7,11 @@ starts with '#'-prefixed metadata lines (config echo, package version, seed)
 followed by a CSV body (or a JSON document with the same content).  Outputs
 are bit-stable: the same config and seed produce identical bytes.
 
+``--chain`` names a kernel of ``chains.KERNELS``, made by ``chains.build``;
+an ``--n`` that contradicts a sized model is a usage error, and rows report
+the kernel's own ``n``.  ``exact`` and ``scan`` check the counted size of the
+state space against the cap before enumerating it.
+
 Exit codes: 0 success, 1 invariant failure, 2 usage error, 3 resource cap
 exceeded, 4 internal soundness failure.
 """
@@ -27,24 +32,12 @@ from .analysis import (
     mixing_time_exact,
     slowmix_cut_report,
     spectral_gap,
-    state_index,
     stationary_exact,
     transition_matrix,
 )
-from .bias import Model, parse_model_spec
-from .chains import (
-    AsepChain,
-    InversionChain,
-    NearestNeighborChain,
-    OnedChain,
-    TreeChain,
-    WalkChain,
-    WalkTranspositionChain,
-    run,
-)
+from .bias import parse_model_spec
+from .chains import KERNELS, NearestNeighborChain, build, run
 from .paths import comparison_bound, congestion_A
-from .perms import identity, reversal
-from .trees import complete_tree
 from .verify import run_suite
 
 
@@ -56,10 +49,6 @@ class SoundnessError(RuntimeError):
     pass
 
 
-def _notice(text: str):
-    print(f"notice: {text}", file=sys.stderr)
-
-
 def _parse_n_range(text: str) -> list[int]:
     if ":" in text:
         lo, hi = text.split(":")
@@ -68,70 +57,6 @@ def _parse_n_range(text: str) -> list[int]:
             raise UsageError(f"empty n range: {text}")
         return ns
     return [int(text)]
-
-
-def _build_kernel(chain: str, model: Model, n: int | None):
-    """Kernel for a (chain, model) pairing, coercing where that is well defined."""
-    if chain == "nn":
-        if model.kind == "oned" or model.kind == "asep":
-            raise UsageError(f"chain nn cannot use model {model.kind}")
-        size = model.n or n
-        if size is None:
-            raise UsageError("chain nn with a constant model needs --n")
-        return NearestNeighborChain(model.bias_table(size))
-    if chain == "inv":
-        if model.kind == "constant":
-            if n is None:
-                raise UsageError("chain inv with a constant model needs --n")
-            from .bias import CywSpec
-
-            _notice(f"constant model coerced to cyw with all ranks {model.p}")
-            return InversionChain(CywSpec(r=(model.p,) * (n - 1)))
-        if model.kind != "cyw":
-            raise UsageError("chain inv requires a cyw (or constant) model")
-        return InversionChain(model.cyw)
-    if chain == "tree":
-        if model.kind == "constant":
-            if n is None:
-                raise UsageError("chain tree with a constant model needs --n")
-            _notice(f"constant model coerced to a complete league tree with q = {model.p}")
-            return TreeChain(complete_tree(n, model.p))
-        if model.kind != "league":
-            raise UsageError("chain tree requires a league (or constant) model")
-        return TreeChain(model.tree)
-    if chain == "oned":
-        if model.kind != "oned":
-            raise UsageError("chain oned requires an oned:<r>,<k> model")
-        r, k = model.params
-        return OnedChain(r, k)
-    if chain == "asep":
-        if model.kind != "asep":
-            raise UsageError("chain asep requires an asep:<p>,<k1>,<k2> model")
-        p, k1, k2 = model.params
-        return AsepChain(p, k1, k2)
-    if chain == "walk":
-        if model.kind == "slowmix":
-            return WalkChain.fluctuating(model.slowmix)
-        if model.kind == "constant":
-            if n is None:
-                raise UsageError("chain walk with a constant model needs --n (half size)")
-            return WalkChain.constant(n, model.p)
-        raise UsageError("chain walk requires a slowmix or constant model")
-    if chain == "walk-transposition":
-        if model.kind != "slowmix":
-            raise UsageError("chain walk-transposition requires a slowmix model")
-        return WalkTranspositionChain(model.slowmix)
-    raise UsageError(f"unknown chain kind: {chain}")
-
-
-def _default_start(kernel):
-    if kernel.kind in ("nn", "inv", "tree"):
-        return reversal(kernel.n)
-    if kernel.kind in ("walk", "walk-transposition"):
-        return tuple([-1] * kernel.n + [1] * kernel.n)
-    if kernel.kind == "oned":
-        return 0
-    return "0" * kernel.k2 + "1" * kernel.k1
 
 
 def _metadata(args, extra: dict | None = None) -> list[str]:
@@ -184,10 +109,8 @@ def _cell(v) -> str:
 def cmd_sample(args) -> int:
     if args.steps < 0 or args.stride < 0:
         raise UsageError("--steps and --stride must be non-negative")
-    model = parse_model_spec(args.model)
-    kernel = _build_kernel(args.chain, model, args.n)
-    start = _default_start(kernel)
-    traj = run(kernel, start, args.steps, args.seed, stride=args.stride)
+    kernel = build(args.chain, parse_model_spec(args.model), args.n)
+    traj = run(kernel, kernel.default_start(), args.steps, args.seed, stride=args.stride)
     rows = [[step, traj.observable, value] for step, value in traj.records]
     extra = {"final-state": "".join(map(str, traj.final_state)) if not isinstance(traj.final_state, (int, str)) else str(traj.final_state),
              "moves-accepted": traj.moves}
@@ -195,30 +118,30 @@ def cmd_sample(args) -> int:
     return 0
 
 
-def _exact_rows(args, ns: list[int], chain: str, model_text: str):
+def _exact_rows(args, ns: list[int | None]):
+    """One row per size; a size of None takes the model's own."""
+    model = parse_model_spec(args.model)
     rows = []
-    for n in ns:
-        model = parse_model_spec(model_text)
-        kernel = _build_kernel(chain, model, n)
+    for requested in ns:
+        kernel = build(args.chain, model, requested)
+        n = kernel.n
+        size = kernel.space_size()
+        if size > STATE_CAP:
+            raise CapExceeded(f"{size} states at n={n} exceed the cap {STATE_CAP}")
         states = kernel.space()
-        if len(states) > STATE_CAP:
-            raise CapExceeded(f"{len(states)} states at n={n} exceed the cap {STATE_CAP}")
         matrix = transition_matrix(kernel, states)
         pi = stationary_exact(kernel, states)
         if not pi.all():
             raise UsageError(
-                f"{model_text} is a degenerate bias: {int((pi == 0).sum())} of {len(states)} states have zero "
+                f"{args.model} is a degenerate bias: {int((pi == 0).sum())} of {len(states)} states have zero "
                 f"stationary mass at n={n}; use probabilities strictly between 0 and 1"
             )
         if len(states) <= 720:
             starts = None
             caveat = "all-starts"
         else:
-            idx = state_index(states)
-            if kernel.kind in ("nn", "inv", "tree"):
-                starts = [idx[identity(kernel.n)], idx[reversal(kernel.n)]]
-            else:
-                starts = [0, len(states) - 1]
+            # the first and last states: for permutations, the identity and the reversal
+            starts = [0, len(states) - 1]
             caveat = "extreme-starts"
         res = mixing_time_exact(matrix, pi, args.eps, starts=starts)
         gap = spectral_gap(matrix, pi) if len(states) <= 2000 else float("nan")
@@ -229,32 +152,20 @@ def _exact_rows(args, ns: list[int], chain: str, model_text: str):
                 raise SoundnessError(
                     f"tau={res.tau} violates the conductance bound {1/(4*phi)-0.5:.2f}"
                 )
-        rows.append([n, chain, model_text, args.eps, res.tau, gap, float(pi.min()), caveat])
+        rows.append([n, args.chain, args.model, args.eps, res.tau, gap, float(pi.min()), caveat])
     return rows
-
-
-def _implied_n(model: Model) -> int | None:
-    if model.kind == "oned":
-        return model.params[1]
-    if model.kind == "asep":
-        return model.params[1] + model.params[2]
-    return model.n
 
 
 def cmd_exact(args) -> int:
     ns = _parse_n_range(args.n_range) if args.n_range else [args.n]
-    if ns == [None]:
-        ns = [_implied_n(parse_model_spec(args.model))]
-    if ns == [None]:
-        raise UsageError("exact needs --n or --n-range")
-    rows = _exact_rows(args, ns, args.chain, args.model)
+    rows = _exact_rows(args, ns)
     _write_table(args, ["n", "chain", "model", "eps", "tau", "gap", "pi_min", "caveat"], rows)
     return 0
 
 
 def cmd_scan(args) -> int:
     ns = _parse_n_range(args.n_range)
-    rows = _exact_rows(args, ns, args.chain, args.model)
+    rows = _exact_rows(args, ns)
     taus = [r[4] for r in rows]
     slope = loglog_slope(ns, taus)
     element_slope = loglog_slope(ns, [t / n for t, n in zip(taus, ns)])
@@ -300,9 +211,8 @@ def cmd_paths(args) -> int:
     need = {"inv": "cyw", "tree": "league"}[args.kind]
     if model.kind != need:
         raise UsageError(f"paths --kind {args.kind} needs a {need} model")
-    n = model.n if args.n is None else args.n
-    if model.n != n:
-        raise UsageError(f"model has n={model.n}, requested n={n}")
+    aux = build(args.kind, model, args.n)
+    n = aux.n
 
     result = congestion_A(args.kind, model.cyw if args.kind == "inv" else model.tree, n)
     if result.failure and (not result.legal or result.failure[2]):
@@ -312,7 +222,6 @@ def cmd_paths(args) -> int:
     if result.max_paths_per_edge > per_edge_cap or result.max_path_length > length_cap:
         raise SoundnessError("path witness bounds violated")
 
-    aux = _build_kernel(args.kind, model, n)
     kernel = NearestNeighborChain(aux.table)
     states = kernel.space()
     matrix = transition_matrix(kernel, states)
@@ -358,8 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="run a seeded trajectory and emit observables")
     common(p)
-    p.add_argument("--chain", required=True,
-                   choices=("nn", "inv", "tree", "oned", "asep", "walk", "walk-transposition"))
+    p.add_argument("--chain", required=True, choices=tuple(KERNELS))
     p.add_argument("--model", required=True, help="constant:<p> | cyw:<r1,...>[:max] | league:<tree.json> | slowmix:<n> | oned:<r>,<k> | asep:<p>,<k1>,<k2>")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--steps", type=int, default=10000)
@@ -368,8 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("exact", help="exact mixing time, gap, and stationary floor")
     common(p)
-    p.add_argument("--chain", required=True,
-                   choices=("nn", "inv", "tree", "oned", "asep", "walk", "walk-transposition"))
+    p.add_argument("--chain", required=True, choices=tuple(KERNELS))
     p.add_argument("--model", required=True)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--n-range", default=None, help="lo:hi inclusive")
@@ -378,8 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="exact over an n range plus fitted growth exponents")
     common(p)
-    p.add_argument("--chain", required=True,
-                   choices=("nn", "inv", "tree", "oned", "asep", "walk", "walk-transposition"))
+    p.add_argument("--chain", required=True, choices=tuple(KERNELS))
     p.add_argument("--model", required=True)
     p.add_argument("--n-range", required=True)
     p.add_argument("--eps", type=float, default=0.25)
@@ -414,13 +320,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
-        if isinstance(exc, CapExceeded):
-            print(f"error: {exc}", file=sys.stderr)
-            return 3
+        return 3
+    except (ValueError, OSError) as exc:  # UsageError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SoundnessError as exc:

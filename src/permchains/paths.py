@@ -37,7 +37,7 @@ from .bias import (
     league_hierarchy,
     weight_exact,
 )
-from .chains import InversionChain, NearestNeighborChain, TreeChain
+from .chains import KERNELS, NearestNeighborChain
 from .trees import LeagueTree
 
 
@@ -295,12 +295,7 @@ class CongestionResult:
 
 def _aux_edges(kind: str, model):
     """Directed moves (sigma, beta, P'(sigma, beta)) of the auxiliary chain."""
-    if kind == "inv":
-        kernel = InversionChain(model)
-    elif kind == "tree":
-        kernel = TreeChain(model)
-    else:
-        raise ValueError(f"unknown path kind: {kind}")
+    kernel = KERNELS[kind](model)
     for sigma in kernel.space():
         for beta, prob in kernel.transition_distribution(sigma).items():
             if beta != sigma and prob > 0:

@@ -12,7 +12,7 @@ bijection onto the set of all such tables.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 
 def check_permutation(entries: Sequence[int]) -> tuple[int, ...]:
@@ -113,9 +113,3 @@ def mirror(sigma: Sequence[int]) -> tuple[int, ...]:
     """
     n = len(sigma)
     return tuple(n + 1 - v for v in reversed(sigma))
-
-
-def positions_of(sigma: Sequence[int], values: Iterable[int]) -> dict[int, int]:
-    """Map each requested label to its 0-based position."""
-    want = set(values)
-    return {v: k for k, v in enumerate(sigma) if v in want}

@@ -264,8 +264,6 @@ def check_walk_closure(fast: bool, seed: int):
 def check_laziness(fast: bool, seed: int):
     n = 4
     for kernel in _kernels(n):
-        if not hasattr(kernel, "min_hold_probability"):
-            continue
         bound = kernel.min_hold_probability()
         for sigma in perms.all_permutations(n):
             row = kernel.transition_distribution(sigma)

@@ -54,7 +54,7 @@ from permchains.perms import (
 from permchains.trees import tree_decode, tree_encode, truncate_tree
 from permchains.verify import check_inv_product_projection, check_tree_product_projection
 
-from conftest import cyw_spec
+from support import cyw_spec
 
 
 def report(criterion: int, detail: str):

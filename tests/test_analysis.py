@@ -57,7 +57,7 @@ from permchains.chains import (
 from permchains.perms import identity, reversal
 from permchains.trees import truncate_tree
 
-from conftest import cyw_spec
+from support import cyw_spec
 
 
 def test_two_state_matrix():

@@ -32,7 +32,7 @@ from permchains.bias import (
 from permchains.perms import all_permutations, identity
 from permchains.trees import caterpillar_tree, complete_tree
 
-from conftest import cyw_spec
+from support import cyw_spec
 
 
 def test_complementarity_exact():

@@ -9,6 +9,8 @@ Kernel behavior:
 - the integer acceptance test equals u < p exactly, block-served uniforms
   equal scalar draws, and ``run`` reproduces the scalar-draw sampler
 - the walk kernels obey the ratio and height-jump claims
+- every registered kernel starts inside its space, counts that space without
+  enumerating it, and names an observable defined on its states
 """
 import math
 from fractions import Fraction
@@ -29,11 +31,13 @@ from permchains.bias import (
     SlowMixSpec,
     choose_your_weapon,
     constant_bias,
+    parse_model_spec,
     slow_mixing_bias,
     solve_delta,
 )
 from permchains.chains import (
     BLOCK,
+    KERNELS,
     OBSERVABLES,
     AsepChain,
     BlockUniforms,
@@ -44,14 +48,14 @@ from permchains.chains import (
     TreeChain,
     WalkChain,
     WalkTranspositionChain,
-    default_observable,
+    build,
     make_rng,
     run,
 )
 from permchains.perms import all_permutations, identity, inversion_count, reversal
 from permchains.trees import truncate_tree
 
-from conftest import cyw_spec, truncate_tree_demo
+from support import cyw_spec, truncate_tree_demo
 
 
 def test_nn_deterministic_swap():
@@ -454,7 +458,7 @@ def test_block_uniforms_equal_scalar_draws():
 def _reference_run(kernel, start, steps: int, seed: int):
     """The sampler as first written: scalar draws and u < Fraction(p), stride 1."""
     rng = make_rng(seed)
-    obs = OBSERVABLES[default_observable(kernel)]
+    obs = OBSERVABLES[kernel.observable]
     state, moves, records = start, 0, [(0, obs(start))]
     for t in range(1, steps + 1):
         p, yes, no = kernel._law(state, kernel._draw(rng))
@@ -471,3 +475,29 @@ def test_run_matches_scalar_reference_loop(name):
     start = states[0]
     traj = run(make(), start, 3_000, seed=17, stride=1)
     assert (traj.final_state, traj.moves, traj.records) == _reference_run(make(), start, 3_000, 17)
+
+
+# -- the kernel registry ----------------------------------------------------------
+
+# kind -> (model, --n), a small space of every registered kernel
+REGISTRY_CONFIGS = {
+    "nn": ("cyw:0.6,0.7,0.8", None),
+    "inv": ("constant:0.7", 4),
+    "tree": ("constant:0.7", 4),
+    "oned": ("oned:0.6,5", None),
+    "asep": ("asep:0.6,2,3", None),
+    "walk": ("constant:0.7", 3),
+    "walk-transposition": ("slowmix:4", None),
+}
+
+
+@pytest.mark.parametrize("kind", list(KERNELS))
+def test_registered_kernel_metadata(kind):
+    model, n = REGISTRY_CONFIGS[kind]
+    kernel = build(kind, parse_model_spec(model), n)
+    assert type(kernel) is KERNELS[kind] and kernel.kind == kind
+    states = kernel.space()
+    start = kernel.default_start()
+    assert start in states
+    assert kernel.space_size() == len(states)
+    assert isinstance(OBSERVABLES[kernel.observable](start), float)

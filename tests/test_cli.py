@@ -4,8 +4,10 @@ CLI behavior:
 - outputs begin with '#' metadata lines and are byte-stable per (config, seed)
 - model/chain pairings validate, with the documented constant-model coercions
 - exit codes: 0 success, 1 invariant failure, 2 usage error (degenerate
-  sizes, one-state spaces, zero-mass stationary laws and negative step counts
-  included), 3 cap exceeded, 4 soundness failure
+  sizes, one-state spaces, zero-mass stationary laws, negative step counts
+  and an --n that contradicts a sized model included), 3 cap exceeded
+  (checked before the state space is enumerated), 4 soundness failure
+- each row reports the kernel's own size; for walks, the half size
 - n-range scans emit one row per size with monotone mixing times
 """
 import json
@@ -310,3 +312,38 @@ def test_zero_mass_stationary_law_is_usage_error(capsys, recwarn, args):
     model = args[args.index("--model") + 1]
     assert f"{model} is a degenerate bias" in err and "zero stationary mass" in err
     assert not recwarn.list
+
+
+@pytest.mark.parametrize("args", [
+    ["exact", "--chain", "nn", "--model", "cyw:0.6,0.7", "--n", "5"],
+    ["scan", "--chain", "inv", "--model", "cyw:0.6,0.7,0.8", "--n-range", "3:5"],
+    ["exact", "--chain", "oned", "--model", "oned:0.6,5", "--n", "9"],
+    ["sample", "--chain", "nn", "--model", "cyw:0.6,0.7", "--n", "6"],
+])
+def test_n_contradicting_a_sized_model_is_usage_error(capsys, args):
+    code, out, err = run_cli(args, capsys)
+    assert code == 2
+    assert out == ""
+    assert "requested n=" in err and "Traceback" not in err
+
+
+def test_exact_cap_checked_without_enumerating(capsys, monkeypatch):
+    from permchains import perms
+
+    def enumerate_permutations(n):
+        raise AssertionError("the cap check enumerated the permutations")
+
+    monkeypatch.setattr(perms, "all_permutations", enumerate_permutations)
+    code, out, err = run_cli(["exact", "--chain", "nn", "--model", "constant:0.7", "--n", "9"], capsys)
+    assert code == 3
+    assert "362880 states at n=9 exceed the cap" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("chain, n", [("walk", None), ("walk", "4"), ("walk-transposition", None)])
+def test_walk_rows_report_the_half_size(capsys, chain, n):
+    args = ["exact", "--chain", chain, "--model", "slowmix:4"] + (["--n", n] if n else [])
+    code, out, _ = run_cli(args, capsys)
+    assert code == 0
+    rows = [l.split(",") for l in out.splitlines() if l and not l.startswith("#")]
+    assert rows[1][0] == "4"

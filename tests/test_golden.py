@@ -20,9 +20,10 @@ from permchains.chains import (
     TreeChain,
     WalkChain,
     WalkTranspositionChain,
+    build,
     run,
 )
-from permchains.cli import _build_kernel, _default_start, main
+from permchains.cli import main
 from permchains.trees import complete_tree, truncate_tree
 from permchains.verify import _cyw, demo_tree
 
@@ -64,8 +65,8 @@ def _digest(obj) -> str:
 
 def sample_digest(kind: str, seed: int) -> str:
     model, n = SAMPLE_CONFIGS[kind]
-    kernel = _build_kernel(kind, parse_model_spec(model), n)
-    traj = run(kernel, _default_start(kernel), STEPS, seed, stride=STRIDE)
+    kernel = build(kind, parse_model_spec(model), n)
+    traj = run(kernel, kernel.default_start(), STEPS, seed, stride=STRIDE)
     return _digest((traj.final_state, traj.moves, traj.records))
 
 

@@ -39,7 +39,7 @@ from permchains.paths import (
 from permchains.perms import all_permutations
 from permchains.trees import LeagueTree, caterpillar_tree, leaf, mirror_tree, node
 
-from conftest import cyw_spec, truncate_tree_demo
+from support import cyw_spec, truncate_tree_demo
 
 # neither clause of weak monotonicity holds; every floor still holds at n = 4
 UNGUARANTEED_TREE = LeagueTree(node("0.6", node("0.9", leaf(1), leaf(2)), node("0.9", leaf(3), leaf(4))))

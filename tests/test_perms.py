@@ -3,6 +3,7 @@ Permutation and inversion-table behavior:
 
 - the worked 8-element example encodes and decodes correctly
 - the codec is a bijection on all of S_n for small n
+- S_n is enumerated lexicographically: identity first, reversal last
 - table entries stay inside 0..n-i and sum to the inversion count
 - decoding rejects out-of-range entries
 """
@@ -50,7 +51,9 @@ def test_identity_and_reversal():
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_roundtrip_exhaustive(n):
-    for sigma in all_permutations(n):
+    states = list(all_permutations(n))
+    assert states == sorted(states) and states[0] == identity(n) and states[-1] == reversal(n)
+    for sigma in states:
         table = inversion_table(sigma)
         assert table == brute_table(sigma)
         assert all(0 <= x <= n - i for i, x in enumerate(table, start=1))
