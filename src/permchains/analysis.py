@@ -18,6 +18,14 @@ law and the long-swap conductance are numpy builds that call the kernel's own
 ``_law`` and ``stationary_weight`` once per class of walks sharing the value.
 The Fraction path (``transition_distribution``, ``transition_matrix``,
 ``stationary_exact``) stays the oracle; the array builds equal it bit for bit.
+
+The worst-start TV iteration (``mixing_time_exact``) forms the sparse
+transpose once and steps a C-ordered (states, starts) block with it, the
+layout the product returns; |x - pi| is reduced in one preallocated buffer,
+summed over states in sequence, so no step transposes or allocates beyond the
+product, and the distances equal the tests' reference (starts, states) loop
+bit for bit.  The stationary weights come from ``bias.weight_exact``, one
+integer product per state.
 """
 from __future__ import annotations
 
@@ -151,11 +159,22 @@ def mixing_time_exact(
     distances = [float(np.abs(block - pi).sum(axis=1).max() * 0.5)]
     if distances[-1] <= eps:
         return MixingResult(0, eps, distances, True, caveat)
-    # block @ matrix would transpose the sparse matrix on every step
+    # Step the (states, starts) block with the CSC transpose formed once; the
+    # product returns that C-ordered layout, so nothing is transposed per step.
+    # |x - pi| goes through one buffer whose sum over axis 0 adds the states in
+    # sequence: summed pairwise (a contiguous (starts, states) buffer), the
+    # distances would change in their last bits.
     transposed = matrix.T
+    column = np.asarray(pi)[:, None]
+    # a C-contiguous x: scipy would copy a strided one inside the product
+    x = np.ascontiguousarray(block.T)
+    del block
+    buf = np.empty(x.shape)
     for t in range(1, horizon + 1):
-        block = (transposed @ block.T).T
-        d = float(np.abs(block - pi).sum(axis=1).max() * 0.5)
+        x = transposed @ x
+        np.subtract(x, column, out=buf)
+        np.abs(buf, out=buf)
+        d = float(buf.sum(axis=0).max() * 0.5)
         distances.append(d)
         if d <= eps:
             return MixingResult(t, eps, distances, True, caveat)

@@ -22,14 +22,17 @@ Model families:
   walk measure puts equal mass on the two sides of the bottleneck.
 
 Weights are exposed both in log domain (floats; -inf encodes a forbidden
-arrangement) and as exact Fractions for small-n detailed-balance work.
+arrangement) and as exact Fractions for small-n detailed-balance work.  The
+exact weight is one integer product: each pair's p[i][j] and p[j][i] are
+written over their common denominator, so a weight is the product of integer
+numerators over the product of the pair denominators, reduced once.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 from . import walks
@@ -52,6 +55,28 @@ class BiasTable:
                 p = as_probability(upper(i, j))
                 self._p[i][j] = p
                 self._p[j][i] = 1 - p
+
+    @cached_property
+    def integer_pairs(self) -> tuple[list, list, int]:
+        """(a, d, D): each pair's probabilities as integers over one denominator.
+
+        d[i][j] = d[j][i] is the denominator of p[i][j] (p[j][i] = 1 - p[i][j]
+        has the same one), a[i][j] = p[i][j] * d[i][j], so a[i][j] + a[j][i] =
+        d[i][j]; D is the product of d over the unordered pairs.  Built on the
+        first weighing, so constructing a table costs no more.
+        """
+        n = self.n
+        a = [[0] * (n + 1) for _ in range(n + 1)]
+        d = [[0] * (n + 1) for _ in range(n + 1)]
+        total = 1
+        for i in range(1, n + 1):
+            for j in range(i + 1, n + 1):
+                p = self._p[i][j]
+                d[i][j] = d[j][i] = p.denominator
+                a[i][j] = p.numerator
+                a[j][i] = p.denominator - p.numerator
+                total *= p.denominator
+        return a, d, total
 
     def p(self, i: int, j: int) -> Fraction:
         """Probability that i is put ahead of j; 1-based labels, i != j."""
@@ -99,18 +124,21 @@ class BiasTable:
 def weight_exact(sigma: Sequence[int], table: BiasTable) -> Fraction:
     """Unnormalized stationary weight: product of p over in-order position pairs.
 
-    Returns Fraction(0) when the arrangement uses a forbidden (p = 0) factor.
+    Taken as one integer product of the numerators ``a`` of
+    ``table.integer_pairs`` over their fixed denominator D, so the only
+    reduction is Fraction's one gcd.  Returns Fraction(0) when the arrangement
+    uses a forbidden (p = 0) factor.
     """
     sigma = check_permutation(sigma)
     if len(sigma) != table.n:
         raise ValueError(f"permutation size {len(sigma)} != table size {table.n}")
-    out = Fraction(1)
-    for a in range(len(sigma)):
-        for b in range(a + 1, len(sigma)):
-            out *= table.p(sigma[a], sigma[b])
-            if out == 0:
-                return Fraction(0)
-    return out
+    a, _, total = table.integer_pairs
+    numerator = 1
+    for k, i in enumerate(sigma):
+        row = a[i]
+        for j in sigma[k + 1 :]:
+            numerator *= row[j]
+    return Fraction(numerator, total)
 
 
 def weight_log(sigma: Sequence[int], table: BiasTable) -> float:

@@ -59,6 +59,15 @@ def _parse_n_range(text: str) -> list[int]:
     return [int(text)]
 
 
+def _sizes(args) -> list[int | None]:
+    """The sizes of --n-range, else the one --n (None when neither is given)."""
+    if args.n_range is None:
+        return [args.n]
+    if args.n is not None:
+        raise UsageError("give --n or --n-range, not both")
+    return _parse_n_range(args.n_range)
+
+
 def _metadata(args, extra: dict | None = None) -> list[str]:
     skip = {"func", "out", "format"}
     config = {k: v for k, v in sorted(vars(args).items()) if k not in skip and v is not None}
@@ -157,8 +166,7 @@ def _exact_rows(args, ns: list[int | None]):
 
 
 def cmd_exact(args) -> int:
-    ns = _parse_n_range(args.n_range) if args.n_range else [args.n]
-    rows = _exact_rows(args, ns)
+    rows = _exact_rows(args, _sizes(args))
     _write_table(args, ["n", "chain", "model", "eps", "tau", "gap", "pi_min", "caveat"], rows)
     return 0
 
@@ -180,7 +188,7 @@ def cmd_scan(args) -> int:
 
 
 def cmd_slowmix(args) -> int:
-    ns = _parse_n_range(args.n_range) if args.n_range else [args.n]
+    ns = _sizes(args)
     if ns == [None]:
         raise UsageError("slowmix needs --n or --n-range")
     header = [
@@ -218,8 +226,7 @@ def cmd_paths(args) -> int:
     if result.failure and (not result.legal or result.failure[2]):
         what = "illegal canonical path" if not result.legal else "weight floor violated"
         raise SoundnessError(f"{what}; first failing move {result.failure[0]} -> {result.failure[1]}")
-    per_edge_cap, length_cap = (n * n, 2 * n) if args.kind == "inv" else (4 * n * n, 4 * n)
-    if result.max_paths_per_edge > per_edge_cap or result.max_path_length > length_cap:
+    if not result.within_witness_caps:
         raise SoundnessError("path witness bounds violated")
 
     kernel = NearestNeighborChain(aux.table)

@@ -21,6 +21,9 @@ min(weight(start), weight(end)):
 ``congestion_A`` routes each move once, checks its legality and floor with
 ``verify_path``, and adds its load to the nearest-neighbor edges it uses; the
 congestion A feeds the comparison bound 4 ln(1/(eps pi_min)) / ln(1/(2 eps)) * A * tau_aux.
+``witness_caps`` is the one table of the caps each construction meets: at
+most n^2 (inv) or 4n^2 (tree) paths share an edge, and no path is longer than
+2n (inv) or 4n (tree) swaps.
 """
 from __future__ import annotations
 
@@ -278,6 +281,12 @@ def verify_path(path: NnPath, table: BiasTable, floor, weight: dict | None = Non
 # -- congestion --------------------------------------------------------------------
 
 
+def witness_caps(kind: str, n: int) -> tuple[int, int]:
+    """Caps (paths sharing one nearest-neighbor edge, swaps in one path) that
+    the inv and tree path constructions meet at size n."""
+    return {"inv": (n * n, 2 * n), "tree": (4 * n * n, 4 * n)}[kind]
+
+
 @dataclass
 class CongestionResult:
     kind: str
@@ -291,6 +300,11 @@ class CongestionResult:
     legal: bool                  # every path is a chain of positive-probability adjacent swaps
     floors_held: bool            # no path dips below min(weight(sigma), weight(beta))
     failure: tuple | None        # (sigma, beta, floor_guaranteed) of the first path failing either
+
+    @property
+    def within_witness_caps(self) -> bool:
+        per_edge, length = witness_caps(self.kind, self.n)
+        return self.max_paths_per_edge <= per_edge and self.max_path_length <= length
 
 
 def _aux_edges(kind: str, model):

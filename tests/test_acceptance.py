@@ -42,7 +42,7 @@ from permchains.chains import (
     TreeChain,
     WalkTranspositionChain,
 )
-from permchains.paths import comparison_bound, congestion_A, transposition_path
+from permchains.paths import comparison_bound, congestion_A, transposition_path, witness_caps
 from permchains.perms import (
     all_permutations,
     identity,
@@ -221,10 +221,10 @@ def test_criterion_7_canonical_paths(demo_tree):
             assert res.legal and res.floors_held and res.failure is None
             assert res.collision_free
             edge_totals[res.kind] += res.edge_count
-        assert inv_res.max_path_length <= 2 * n
-        assert tree_res.max_path_length <= 4 * n
-        assert inv_res.max_paths_per_edge <= n * n
-        assert tree_res.max_paths_per_edge <= 4 * n * n
+        for res in (inv_res, tree_res):
+            per_edge, length = witness_caps(res.kind, n)
+            assert res.max_path_length <= length
+            assert res.max_paths_per_edge <= per_edge
 
         eps = 0.25
         for kind, model, aux, res in (

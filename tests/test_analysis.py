@@ -5,7 +5,8 @@ Exact analysis machinery:
 - weight-derived stationary vectors are matrix fixed points
 - TV distance, mixing times, spectral gaps, and conductance match small
   hand-computed oracles; the mixing-time iteration's distances equal a
-  ``block @ matrix`` reference step for step
+  ``block @ matrix`` reference and the former transposed-block loop step for
+  step (720-state all-starts runs, walk extreme starts at n = 7)
 - every explicit cut lower-bounds the exact mixing time
 - the product bound is sound on a 4-state toy and reproduces the plug-in form
 - coupling and hitting-time estimates agree with birth-death formulas
@@ -47,12 +48,13 @@ from permchains.analysis import (
 from permchains import walks
 from permchains.bias import SlowMixSpec, solve_delta
 from permchains.chains import WalkChain, WalkTranspositionChain
-from permchains.bias import choose_your_weapon, constant_bias
+from permchains.bias import choose_your_weapon, constant_bias, parse_model_spec
 from permchains.chains import (
     InversionChain,
     NearestNeighborChain,
     OnedChain,
     TreeChain,
+    build,
 )
 from permchains.perms import identity, reversal
 from permchains.trees import truncate_tree
@@ -157,6 +159,39 @@ def test_mixing_iteration_matches_rmatmul(chain):
     res = mixing_time_exact(matrix, pi, 0.25, starts=starts)
     assert res.tau > 1
     assert res.distances == _distances_by_rmatmul(matrix, pi, 0.25, starts)
+
+
+def _distances_by_transposed_block(matrix, pi, eps, starts):
+    """The former stepping loop, kept as the reference: a (starts, states) block
+    stepped through ``(matrix.T @ block.T).T``, a new |block - pi| every step."""
+    block = np.eye(matrix.shape[0])
+    if starts is not None:
+        block = block[starts]
+    distances = [float(np.abs(block - pi).sum(axis=1).max() * 0.5)]
+    transposed = matrix.T
+    while distances[-1] > eps:
+        block = (transposed @ block.T).T
+        distances.append(float(np.abs(block - pi).sum(axis=1).max() * 0.5))
+    return distances
+
+
+@pytest.mark.parametrize("kind, model", [
+    ("nn", "cyw:0.6,0.7,0.8,0.9,0.75"),
+    ("inv", "constant:0.75"),
+    ("tree", "constant:0.75"),
+    ("walk", "slowmix:7"),
+])
+def test_mixing_distances_equal_the_former_loop(kind, model):
+    # the 720-state all-starts runs of exact/scan at n = 6, and the extreme
+    # starts of the fluctuating walk at n = 7
+    kernel = build(kind, parse_model_spec(model), None if kind in ("nn", "walk") else 6)
+    states = kernel.space()
+    starts = None if kind != "walk" else [0, len(states) - 1]
+    matrix = transition_matrix(kernel, states)
+    pi = stationary_exact(kernel, states)
+    res = mixing_time_exact(matrix, pi, 0.25, starts=starts)
+    assert res.tau > 1
+    assert res.distances == _distances_by_transposed_block(matrix, pi, 0.25, starts)
 
 
 def test_spectral_gap_two_state():

@@ -2,7 +2,10 @@
 Bias tables and model constructors:
 
 - complementarity holds exactly; positive-bias flags behave
-- weights: uniform, single-pair, and the brute-force product oracle
+- weights: uniform, single-pair, and the brute-force product oracle; the
+  one-integer-product weight equals the former pairwise Fraction product
+  exhaustively at n <= 6, and the integer pair numerators are exact
+  complements over their denominators (hypothesis)
 - choose-your-weapon and league constructors match their pair rules
 - weak monotonicity clauses report correctly
 - the slow-mixing family freezes within-half pairs and balances the cut
@@ -12,6 +15,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from permchains import walks
 from permchains.bias import (
@@ -32,7 +36,7 @@ from permchains.bias import (
 from permchains.perms import all_permutations, identity
 from permchains.trees import caterpillar_tree, complete_tree
 
-from support import cyw_spec
+from support import cyw_spec, truncate_tree_demo
 
 
 def test_complementarity_exact():
@@ -83,6 +87,60 @@ def test_weight_brute_force_product():
     assert weight_exact(sigma, table) == expected == Fraction(3, 10) * Fraction(7, 10) ** 5
     assert weight(sigma, table) == pytest.approx(float(expected))
     assert weight_log(sigma, table) == pytest.approx(math.log(float(expected)))
+
+
+def _pairwise_weight(sigma, table):
+    """The former weight_exact, kept as the reference: a running Fraction
+    product of p over the in-order position pairs."""
+    out = Fraction(1)
+    for a in range(len(sigma)):
+        for b in range(a + 1, len(sigma)):
+            out *= table.p(sigma[a], sigma[b])
+            if out == 0:
+                return Fraction(0)
+    return out
+
+
+def _zero_one_table(n: int) -> BiasTable:
+    """Pairs with i + j divisible by 3 frozen (p = 0 or 1) so that even labels
+    go first, which keeps some arrangements allowed; other pairs at 2/3."""
+    return BiasTable(n, lambda i, j: Fraction(2, 3) if (i + j) % 3 else Fraction(int(not (i % 2 and j % 2 == 0))))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_weight_equals_the_pairwise_product_exhaustively(n):
+    zeros = 0
+    for table in (
+        constant_bias(n, "0.7"),
+        choose_your_weapon(cyw_spec(n)),
+        league_hierarchy(truncate_tree_demo(n)),
+        _zero_one_table(n),
+    ):
+        for sigma in all_permutations(n):
+            w = weight_exact(sigma, table)
+            assert w == _pairwise_weight(sigma, table)
+            zeros += w == 0
+    assert zeros > 0 or n < 3
+
+
+@st.composite
+def _tables(draw):
+    n = draw(st.integers(min_value=1, max_value=8))
+    probs = st.fractions(min_value=0, max_value=1, max_denominator=10**6)
+    upper = {(i, j): draw(probs) for i in range(1, n + 1) for j in range(i + 1, n + 1)}
+    return BiasTable(n, lambda i, j: upper[(i, j)])
+
+
+@given(_tables(), st.data())
+def test_integer_pairs_are_exact_complements(table, data):
+    a, d, total = table.integer_pairs
+    labels = range(1, table.n + 1)
+    for i, j in itertools.permutations(labels, 2):
+        assert a[i][j] + a[j][i] == d[i][j] == d[j][i]
+        assert Fraction(a[i][j], d[i][j]) == table.p(i, j)
+    assert total == math.prod(d[i][j] for i, j in itertools.combinations(labels, 2))
+    sigma = tuple(data.draw(st.permutations(labels)))
+    assert weight_exact(sigma, table) == _pairwise_weight(sigma, table)
 
 
 def test_weight_zero_is_distinguished():

@@ -4,9 +4,10 @@ CLI behavior:
 - outputs begin with '#' metadata lines and are byte-stable per (config, seed)
 - model/chain pairings validate, with the documented constant-model coercions
 - exit codes: 0 success, 1 invariant failure, 2 usage error (degenerate
-  sizes, one-state spaces, zero-mass stationary laws, negative step counts
-  and an --n that contradicts a sized model included), 3 cap exceeded
-  (checked before the state space is enumerated), 4 soundness failure
+  sizes, one-state spaces, zero-mass stationary laws, negative step counts,
+  an --n that contradicts a sized model and --n given with --n-range
+  included), 3 cap exceeded (checked before the state space is enumerated),
+  4 soundness failure
 - each row reports the kernel's own size; for walks, the half size
 - n-range scans emit one row per size with monotone mixing times
 """
@@ -252,6 +253,17 @@ def test_empty_n_range_is_usage_error(capsys, command):
     assert code == 2
     assert "empty" in err
     assert out == ""
+
+
+@pytest.mark.parametrize("command", [
+    ["exact", "--chain", "nn", "--model", "constant:0.7", "--n", "5", "--n-range", "3:4"],
+    ["slowmix", "--n", "9", "--n-range", "4:4"],
+])
+def test_n_with_n_range_is_usage_error(capsys, command):
+    code, out, err = run_cli(command, capsys)
+    assert code == 2
+    assert out == ""
+    assert "not both" in err
 
 
 @pytest.mark.parametrize("command", [

@@ -35,6 +35,7 @@ from permchains.paths import (
     path_tree_to_nn,
     transposition_path,
     verify_path,
+    witness_caps,
 )
 from permchains.perms import all_permutations
 from permchains.trees import LeagueTree, caterpillar_tree, leaf, mirror_tree, node
@@ -131,7 +132,7 @@ def test_inv_floors_exhaustive(n):
     table = choose_your_weapon(spec)
     for sigma, beta, _ in _aux_edges("inv", spec):
         path = path_inv_to_nn(sigma, beta, table)
-        assert len(path) <= 2 * n
+        assert len(path) <= witness_caps("inv", n)[1]
         floor = min(weight_exact(sigma, table), weight_exact(beta, table))
         report = verify_path(path, table, floor)
         assert report.ok
@@ -150,7 +151,7 @@ def test_tree_floors_exhaustive(n):
     table = league_hierarchy(tree)
     for sigma, beta, _ in _aux_edges("tree", tree):
         path = path_tree_to_nn(sigma, beta, tree)
-        assert len(path) <= 4 * n
+        assert len(path) <= witness_caps("tree", n)[1]
         assert path.floor_guaranteed
         floor = min(weight_exact(sigma, table), weight_exact(beta, table))
         assert verify_path(path, table, floor).ok
@@ -258,14 +259,13 @@ def test_congestion_pinned_value():
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_congestion_witnesses(n):
-    inv = congestion_A("inv", cyw_spec(n), n)
-    assert inv.max_paths_per_edge <= n * n
-    assert inv.max_path_length <= 2 * n
-    assert inv.collision_free
-    tree = congestion_A("tree", truncate_tree_demo(n), n)
-    assert tree.max_paths_per_edge <= 4 * n * n
-    assert tree.max_path_length <= 4 * n
-    assert tree.collision_free
+    for kind, model in (("inv", cyw_spec(n)), ("tree", truncate_tree_demo(n))):
+        result = congestion_A(kind, model, n)
+        per_edge, length = witness_caps(kind, n)
+        assert result.max_paths_per_edge <= per_edge
+        assert result.max_path_length <= length
+        assert result.within_witness_caps
+        assert result.collision_free
 
 
 def test_congestion_growth_trend():
