@@ -2,7 +2,7 @@
 
 Run from anywhere inside a checkout of the change:
 
-    python3 tools/bench_pairs.py --parent HEAD~1 --pr 7 --first-seed 101 --pairs 10
+    python3 tools/bench_pairs.py --parent HEAD~1 --pr <number> --first-seed <seed> --pairs 10
 
 For each workload and each pair k it runs, once on each side,
 
