@@ -19,13 +19,8 @@ law and the long-swap conductance are numpy builds that call the kernel's own
 The Fraction path (``transition_distribution``, ``transition_matrix``,
 ``stationary_exact``) stays the oracle; the array builds equal it bit for bit.
 
-The worst-start TV iteration (``mixing_time_exact``) forms the sparse
-transpose once and steps a C-ordered (states, starts) block with it, the
-layout the product returns; |x - pi| is reduced in one preallocated buffer,
-summed over states in sequence, so no step transposes or allocates beyond the
-product, and the distances equal the tests' reference (starts, states) loop
-bit for bit.  The stationary weights come from ``bias.weight_exact``, one
-integer product per state.
+The worst-start TV distances of ``mixing_time_exact`` equal the tests'
+reference loop bit for bit.
 """
 from __future__ import annotations
 

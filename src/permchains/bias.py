@@ -57,26 +57,24 @@ class BiasTable:
                 self._p[j][i] = 1 - p
 
     @cached_property
-    def integer_pairs(self) -> tuple[list, list, int]:
-        """(a, d, D): each pair's probabilities as integers over one denominator.
+    def integer_pairs(self) -> tuple[list, int]:
+        """(a, D): each pair's probabilities as integers over one denominator.
 
-        d[i][j] = d[j][i] is the denominator of p[i][j] (p[j][i] = 1 - p[i][j]
-        has the same one), a[i][j] = p[i][j] * d[i][j], so a[i][j] + a[j][i] =
-        d[i][j]; D is the product of d over the unordered pairs.  Built on the
-        first weighing, so constructing a table costs no more.
+        With d_ij the denominator of p[i][j] (p[j][i] = 1 - p[i][j] has the
+        same one), a[i][j] = p[i][j] * d_ij, so a[i][j] + a[j][i] = d_ij; D is
+        the product of d_ij over the unordered pairs.  Built on the first
+        weighing, so constructing a table costs no more.
         """
         n = self.n
         a = [[0] * (n + 1) for _ in range(n + 1)]
-        d = [[0] * (n + 1) for _ in range(n + 1)]
         total = 1
         for i in range(1, n + 1):
             for j in range(i + 1, n + 1):
                 p = self._p[i][j]
-                d[i][j] = d[j][i] = p.denominator
                 a[i][j] = p.numerator
                 a[j][i] = p.denominator - p.numerator
                 total *= p.denominator
-        return a, d, total
+        return a, total
 
     def p(self, i: int, j: int) -> Fraction:
         """Probability that i is put ahead of j; 1-based labels, i != j."""
@@ -132,7 +130,7 @@ def weight_exact(sigma: Sequence[int], table: BiasTable) -> Fraction:
     sigma = check_permutation(sigma)
     if len(sigma) != table.n:
         raise ValueError(f"permutation size {len(sigma)} != table size {table.n}")
-    a, _, total = table.integer_pairs
+    a, total = table.integer_pairs
     numerator = 1
     for k, i in enumerate(sigma):
         row = a[i]

@@ -2,17 +2,18 @@
 
 Run from anywhere inside a checkout of the change:
 
-    python3 tools/bench_pairs.py --parent HEAD~1 --pr <number> --first-seed <seed> --pairs 10
+    python3 tools/bench_pairs.py --parent HEAD~1 --pr <number> --first-seed <seed>
 
-For each workload and each pair k it runs, once on each side,
+For every workload of BENCHMARK.json and each of its 10 pairs k it runs, once
+on each side,
 
     python3 perfbench/run.py --workload W --seed <first-seed + k> --seconds S --trace 0
 
-The change side is this checkout's working tree; the parent side is a
-``git worktree`` of ``--parent`` made for the run and removed after it, or an
-existing checkout given with ``--parent-dir``.  Pairs alternate which side
-runs first, so a drift in the host's speed falls on both sides alike.  The
-file, rewritten after each workload, holds every run's end-to-end metrics and
+with S the ``run_seconds`` of BENCHMARK.json.  The change side is this
+checkout's working tree; the parent side is a ``git worktree`` of ``--parent``
+made for the run and removed after it.  Pairs alternate which side runs
+first, so a drift in the host's speed falls on both sides alike.  The file,
+rewritten after each workload, holds every run's end-to-end metrics and
 ``failed`` count and, for each metric of each workload, both sides' medians
 and quartiles, how many pairs the change won (ties count for neither) and the
 ratio of the medians.
@@ -32,6 +33,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+PAIRS = 10
 
 
 def git(*args: str, cwd: Path = ROOT) -> str:
@@ -39,10 +41,7 @@ def git(*args: str, cwd: Path = ROOT) -> str:
 
 
 @contextmanager
-def parent_checkout(rev: str, parent_dir: str | None):
-    if parent_dir:
-        yield Path(parent_dir).resolve()
-        return
+def parent_checkout(rev: str):
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
         path = Path(tmp) / "parent"
         git("worktree", "add", "--detach", str(path), rev)
@@ -67,7 +66,7 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
 
 
 def spread(values: list[float]) -> dict:
-    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": statistics.median(values), "q1": q1, "q3": q3}
 
 
@@ -92,17 +91,13 @@ def summarize(pairs: list[dict], better: dict) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="git revision of the parent commit")
-    parser.add_argument("--parent-dir", default=None, help="existing checkout of the parent, instead of a worktree")
     parser.add_argument("--pr", required=True, help="names the output file BENCH_<pr>.json")
-    parser.add_argument("--workloads", nargs="+", default=None, help="default: every workload of BENCHMARK.json")
-    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--first-seed", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=None, help="default: run_seconds of BENCHMARK.json")
     args = parser.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    workloads = args.workloads or [w["name"] for w in spec["workloads"]]
-    seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
+    workloads = [w["name"] for w in spec["workloads"]]
+    seconds = spec["run_seconds"]
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     doc = {
         "parent": git("rev-parse", args.parent),
@@ -114,11 +109,11 @@ def main(argv=None) -> int:
         "workloads": {},
     }
     out = ROOT / f"BENCH_{args.pr}.json"
-    with parent_checkout(args.parent, args.parent_dir) as parent:
+    with parent_checkout(args.parent) as parent:
         checkouts = {"parent": parent, "change": ROOT}
         for workload in workloads:
             pairs = []
-            for k in range(args.pairs):
+            for k in range(PAIRS):
                 seed = args.first_seed + k
                 order = SIDES if k % 2 == 0 else SIDES[::-1]
                 pair = {"seed": seed, "first": order[0]}
