@@ -53,21 +53,23 @@ def transition_matrix(kernel, states=None) -> sp.csr_matrix:
         states = kernel.space()
     if len(states) > STATE_CAP:
         raise CapExceeded(f"{len(states)} states exceed the cap {STATE_CAP}")
+    return rows_matrix(states, map(kernel.transition_distribution, states))
+
+
+def rows_matrix(states, rows) -> sp.csr_matrix:
+    """Sparse matrix of exact rows (dicts successor -> probability), one per state."""
     idx = state_index(states)
-    rows, cols, vals = [], [], []
-    for i, s in enumerate(states):
-        for t, p in kernel.transition_distribution(s).items():
-            rows.append(i)
+    r, cols, vals = [], [], []
+    for i, row in enumerate(rows):
+        for t, p in row.items():
+            r.append(i)
             cols.append(idx[t])
             vals.append(float(p))
-    m = sp.csr_matrix((vals, (rows, cols)), shape=(len(states), len(states)))
-    return m
+    return sp.csr_matrix((vals, (r, cols)), shape=(len(states), len(states)))
 
 
-def stationary_weights_exact(kernel, states=None) -> list[Fraction]:
-    if states is None:
-        states = kernel.space()
-    weights = [kernel.stationary_weight(s) for s in states]
+def normalized(weights) -> list[Fraction]:
+    """Exact weights over their total."""
     total = sum(weights)
     if total == 0:
         raise ValueError("all states have zero weight")
@@ -76,7 +78,14 @@ def stationary_weights_exact(kernel, states=None) -> list[Fraction]:
 
 def stationary_exact(kernel, states=None) -> np.ndarray:
     """Normalized stationary distribution from the weight formula."""
-    return np.array([float(x) for x in stationary_weights_exact(kernel, states)])
+    if states is None:
+        states = kernel.space()
+    return distribution([kernel.stationary_weight(s) for s in states])
+
+
+def distribution(weights) -> np.ndarray:
+    """Floats of exact weights over their total."""
+    return np.array([float(x) for x in normalized(weights)])
 
 
 def is_fixed_point_exact(kernel, states=None, pi: list[Fraction] | None = None) -> bool:
@@ -84,7 +93,7 @@ def is_fixed_point_exact(kernel, states=None, pi: list[Fraction] | None = None) 
     if states is None:
         states = kernel.space()
     if pi is None:
-        pi = stationary_weights_exact(kernel, states)
+        pi = normalized([kernel.stationary_weight(s) for s in states])
     idx = state_index(states)
     acc = [Fraction(0)] * len(states)
     for i, s in enumerate(states):
@@ -100,7 +109,7 @@ def detailed_balance_violations(kernel, states=None, tol: Fraction = Fraction(0)
     if states is None:
         states = kernel.space()
     idx = state_index(states)
-    pi = stationary_weights_exact(kernel, states)
+    pi = normalized([kernel.stationary_weight(s) for s in states])
     rows = [kernel.transition_distribution(s) for s in states]
     bad = []
     for i, s in enumerate(states):

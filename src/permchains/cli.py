@@ -12,8 +12,9 @@ an ``--n`` that contradicts a sized model is a usage error, and rows report
 the kernel's own ``n``.  ``exact`` and ``scan`` check the counted size of the
 state space against the cap before enumerating it.
 
-Exit codes: 0 success, 1 invariant failure, 2 usage error, 3 resource cap
-exceeded, 4 internal soundness failure.
+Exit codes: 0 success, 1 invariant failure, 2 usage error (an ``--eps`` outside
+(0, 1), or (0, 1/2) for ``paths``, checked first), 3 resource cap exceeded,
+4 internal soundness failure.
 """
 from __future__ import annotations
 
@@ -36,7 +37,7 @@ from .analysis import (
     transition_matrix,
 )
 from .bias import parse_model_spec
-from .chains import KERNELS, NearestNeighborChain, build, run
+from .chains import KERNELS, build, run
 from .paths import comparison_bound, congestion_A
 from .verify import run_suite
 
@@ -127,8 +128,14 @@ def cmd_sample(args) -> int:
     return 0
 
 
+def _check_eps(eps: float, top: float):
+    if not 0 < eps < top:
+        raise UsageError(f"--eps must lie strictly between 0 and {top}, got {eps}")
+
+
 def _exact_rows(args, ns: list[int | None]):
     """One row per size; a size of None takes the model's own."""
+    _check_eps(args.eps, 1)
     model = parse_model_spec(args.model)
     rows = []
     for requested in ns:
@@ -154,12 +161,12 @@ def _exact_rows(args, ns: list[int | None]):
             caveat = "extreme-starts"
         res = mixing_time_exact(matrix, pi, args.eps, starts=starts)
         gap = spectral_gap(matrix, pi) if len(states) <= 2000 else float("nan")
-        # any explicit cut lower-bounds the mixing time; check a few
+        # any explicit cut lower-bounds the mixing time: tau >= (1/2 - eps)/phi - 1/2
         for cut in level_cuts_by_weight(pi, count=4):
             phi = conductance_of_cut(matrix, pi, cut)
-            if phi > 0 and res.tau is not None and res.tau < 1 / (4 * phi) - 0.5 - 1e-9:
+            if phi > 0 and res.tau is not None and res.tau < (0.5 - args.eps) / phi - 0.5 - 1e-9:
                 raise SoundnessError(
-                    f"tau={res.tau} violates the conductance bound {1/(4*phi)-0.5:.2f}"
+                    f"tau={res.tau} violates the conductance bound {(0.5 - args.eps) / phi - 0.5:.2f}"
                 )
         rows.append([n, args.chain, args.model, args.eps, res.tau, gap, float(pi.min()), caveat])
     return rows
@@ -215,32 +222,23 @@ def cmd_slowmix(args) -> int:
 
 
 def cmd_paths(args) -> int:
-    model = parse_model_spec(args.model)
-    need = {"inv": "cyw", "tree": "league"}[args.kind]
-    if model.kind != need:
-        raise UsageError(f"paths --kind {args.kind} needs a {need} model")
-    aux = build(args.kind, model, args.n)
-    n = aux.n
-
-    result = congestion_A(args.kind, model.cyw if args.kind == "inv" else model.tree, n)
+    _check_eps(args.eps, 0.5)
+    aux = build(args.kind, parse_model_spec(args.model), args.n)
+    result = congestion_A(aux)
     if result.failure and (not result.legal or result.failure[2]):
         what = "illegal canonical path" if not result.legal else "weight floor violated"
         raise SoundnessError(f"{what}; first failing move {result.failure[0]} -> {result.failure[1]}")
     if not result.within_witness_caps:
         raise SoundnessError("path witness bounds violated")
 
-    kernel = NearestNeighborChain(aux.table)
-    states = kernel.space()
-    matrix = transition_matrix(kernel, states)
-    pi = stationary_exact(kernel, states)
-    tau_nn = mixing_time_exact(matrix, pi, args.eps).tau
-    tau_aux = mixing_time_exact(transition_matrix(aux, states), pi, args.eps).tau
-    bound = comparison_bound(result.congestion, tau_aux, float(pi.min()), args.eps)
+    tau_nn = mixing_time_exact(result.nn, result.pi, args.eps).tau
+    tau_aux = mixing_time_exact(result.aux, result.pi, args.eps).tau
+    bound = comparison_bound(result.congestion, tau_aux, float(result.pi.min()), args.eps)
     if tau_nn is not None and bound < tau_nn:
         raise SoundnessError(f"comparison bound {bound:.1f} below exact tau {tau_nn}")
 
     rows = [[
-        args.kind, n, args.model, result.edge_count, result.max_paths_per_edge,
+        args.kind, aux.n, args.model, result.edge_count, result.max_paths_per_edge,
         result.max_path_length, result.congestion, "pass" if result.floors_held else "not-guaranteed",
         tau_aux, bound, tau_nn,
     ]]

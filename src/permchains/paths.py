@@ -18,9 +18,10 @@ min(weight(start), weight(end)):
   be weakly monotone; the column-monotone flavor is handled by mirroring the
   instance, building the row-monotone path, and mirroring back.
 
-``congestion_A`` routes each move once, checks its legality and floor with
-``verify_path``, and adds its load to the nearest-neighbor edges it uses; the
-congestion A feeds the comparison bound 4 ln(1/(eps pi_min)) / ln(1/(2 eps)) * A * tau_aux.
+``congestion_A(aux)`` takes the auxiliary kernel itself and picks the route
+from its kind.  It builds each exact row and weight once, checks every route
+with ``verify_path``, and returns A with the float pi and both matrices, which
+feed the comparison bound 4 ln(1/(eps pi_min)) / ln(1/(2 eps)) * A * tau_aux.
 ``witness_caps`` is the one table of the caps each construction meets: at
 most n^2 (inv) or 4n^2 (tree) paths share an edge, and no path is longer than
 2n (inv) or 4n (tree) swaps.
@@ -30,17 +31,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+import numpy as np
+import scipy.sparse as sp
+
 from . import perms
-from .analysis import CapExceeded
-from .bias import (
-    BiasTable,
-    MonotonicityReport,
-    choose_your_weapon,
-    is_weakly_monotone,
-    league_hierarchy,
-    weight_exact,
-)
-from .chains import KERNELS, NearestNeighborChain
+from .analysis import CapExceeded, distribution, rows_matrix
+from .bias import BiasTable, MonotonicityReport, is_weakly_monotone, league_hierarchy, weight_exact
+from .chains import NearestNeighborChain
 from .trees import LeagueTree
 
 
@@ -116,7 +113,7 @@ class _Builder:
             pos -= 1
 
 
-def path_inv_to_nn(sigma, beta, table: BiasTable | None = None) -> NnPath:
+def path_inv_to_nn(sigma, beta) -> NnPath:
     """Two-stage route for an inversion-chain move.
 
     Stage 1 marches the earlier endpoint right until it has passed the later
@@ -129,15 +126,11 @@ def path_inv_to_nn(sigma, beta, table: BiasTable | None = None) -> NnPath:
     b = _Builder(sigma)
     for pos in range(lo, hi):
         b.swap(pos, 1)
-    b.milestone_after_stage1 = tuple(b.cur)
+    after_stage1 = tuple(b.cur)
     for pos in range(hi - 1, lo, -1):
         b.swap(pos - 1, 2)
     path = NnPath(states=b.states, stages=b.stages, origin=(lo, hi))
-    path.milestones = {
-        "start": tuple(sigma),
-        "after-stage-1": b.milestone_after_stage1,
-        "end": tuple(b.cur),
-    }
+    path.milestones = {"start": tuple(sigma), "after-stage-1": after_stage1, "end": tuple(b.cur)}
     if path.states[-1] != tuple(beta):
         raise AssertionError("path did not terminate at the target state")
     return path
@@ -300,6 +293,9 @@ class CongestionResult:
     legal: bool                  # every path is a chain of positive-probability adjacent swaps
     floors_held: bool            # no path dips below min(weight(sigma), weight(beta))
     failure: tuple | None        # (sigma, beta, floor_guaranteed) of the first path failing either
+    pi: np.ndarray               # the float stationary law, in ``aux.space()`` order
+    nn: sp.csr_matrix            # the nearest-neighbor chain's matrix
+    aux: sp.csr_matrix           # the auxiliary chain's matrix
 
     @property
     def within_witness_caps(self) -> bool:
@@ -307,40 +303,40 @@ class CongestionResult:
         return self.max_paths_per_edge <= per_edge and self.max_path_length <= length
 
 
-def _aux_edges(kind: str, model):
-    """Directed moves (sigma, beta, P'(sigma, beta)) of the auxiliary chain."""
-    kernel = KERNELS[kind](model)
-    for sigma in kernel.space():
-        for beta, prob in kernel.transition_distribution(sigma).items():
-            if beta != sigma and prob > 0:
-                yield sigma, beta, prob
+def _aux_edges(aux):
+    """Directed moves (sigma, beta, P'(sigma, beta)) of the auxiliary kernel."""
+    return _moves({s: aux.transition_distribution(s) for s in aux.space()})
 
 
-def congestion_A(kind: str, model, n: int) -> CongestionResult:
-    """Route every auxiliary move once: legality, weight floors and congestion.
+def _moves(rows: dict):
+    """The off-diagonal entries (sigma, beta, P(sigma, beta)) of exact rows."""
+    return ((s, t, p) for s, row in rows.items() for t, p in row.items() if t != s and p > 0)
 
-    Enumerates all directed auxiliary edges at size n (capped at 6), builds
-    each canonical path, records its ``verify_path`` outcome against the floor
-    min(weight(sigma), weight(beta)), and adds len * pi(sigma) * P'(sigma, beta)
-    to every nearest-neighbor edge a legal path uses; A is the worst load over
-    edges divided by the edge's own flow pi * P.
+
+def congestion_A(aux) -> CongestionResult:
+    """Route every move of ``aux`` (inv or tree, n <= 6) once: legality,
+    weight floors and congestion.
+
+    Each exact row of ``aux`` and of the nearest-neighbor chain, and each
+    exact weight, is built once.  A legal path adds
+    len * weight(sigma) * P'(sigma, beta) to each nearest-neighbor edge it
+    uses; A is the worst load over the edge's flow weight * P (the total
+    weight cancels).  pi and both matrices come from the same rows and weights.
     """
+    n, table = aux.n, aux.table
     if n > 6:
         raise CapExceeded(f"path enumeration is capped at n = 6, got {n}")
-    if kind == "inv":
-        table = choose_your_weapon(model)
-        build = lambda s, t: path_inv_to_nn(s, t, table)
+    if aux.kind == "inv":
+        build = path_inv_to_nn
     else:
-        table = league_hierarchy(model)
         monotone = is_weakly_monotone(table)
-        build = lambda s, t: path_tree_to_nn(s, t, model, monotone)
-    if table.n != n:
-        raise ValueError(f"model size {table.n} != n = {n}")
+        build = lambda s, t: path_tree_to_nn(s, t, aux.tree, monotone)
 
     nn = NearestNeighborChain(table)
-    weight = {s: weight_exact(s, table) for s in nn.space()}
-    z = sum(weight.values())
-    pi = {s: w / z for s, w in weight.items()}
+    states = aux.space()
+    aux_rows = {s: aux.transition_distribution(s) for s in states}
+    nn_rows = {s: nn.transition_distribution(s) for s in states}
+    weight = {s: weight_exact(s, table) for s in states}
 
     loads: dict = {}
     owners: dict = {}
@@ -348,7 +344,7 @@ def congestion_A(kind: str, model, n: int) -> CongestionResult:
     edge_count = 0
     legal = floors_held = True
     failure = None
-    for sigma, beta, prob in _aux_edges(kind, model):
+    for sigma, beta, prob in _moves(aux_rows):
         path = build(sigma, beta)
         edge_count += 1
         max_len = max(max_len, len(path))
@@ -359,36 +355,24 @@ def congestion_A(kind: str, model, n: int) -> CongestionResult:
             failure = failure or (sigma, beta, path.floor_guaranteed)
         if not check.legal:
             continue  # its steps are not nearest-neighbor edges
-        contribution = len(path) * pi[sigma] * prob
-        for k in range(len(path)):
-            edge = (path.states[k], path.states[k + 1])
-            loads[edge] = loads.get(edge, Fraction(0)) + contribution
-            owners.setdefault(edge, []).append(
-                ((sigma, beta), path.stages[k], path.origin)
-            )
+        contribution = len(path) * weight[sigma] * prob
+        for edge, stage in zip(zip(path.states, path.states[1:]), path.stages):
+            loads[edge] = loads.get(edge, 0) + contribution
+            owners.setdefault(edge, set()).add(((sigma, beta), stage, path.origin))
 
-    collision_free = True
-    max_paths = 0
-    for edge, entries in owners.items():
-        max_paths = max(max_paths, len({owner for owner, _, _ in entries}))
-        seen = {}
-        for owner, stage, origin in entries:
-            key = (stage, origin)
-            if seen.setdefault(key, owner) != owner:
-                collision_free = False
-
-    rows: dict = {}  # each loaded state's nearest-neighbor row, built once
+    max_paths = max((len({owner for owner, _, _ in entries}) for entries in owners.values()), default=0)
+    # collision-free: on each edge, no (stage, origin) is shared by two paths
+    collision_free = all(
+        len(entries) == len({(stage, origin) for _, stage, origin in entries}) for entries in owners.values()
+    )
     best = Fraction(0)
     for (u, v), load in loads.items():
-        row = rows.get(u)
-        if row is None:
-            row = rows[u] = nn.transition_distribution(u)
-        flow = pi[u] * row.get(v, Fraction(0))
+        flow = weight[u] * nn_rows[u].get(v, Fraction(0))
         if flow == 0:
             raise AssertionError("path used a zero-probability edge")
         best = max(best, load / flow)
     return CongestionResult(
-        kind=kind,
+        kind=aux.kind,
         n=n,
         congestion=float(best),
         congestion_exact=best,
@@ -399,6 +383,9 @@ def congestion_A(kind: str, model, n: int) -> CongestionResult:
         legal=legal,
         floors_held=floors_held,
         failure=failure,
+        pi=distribution(list(weight.values())),
+        nn=rows_matrix(states, nn_rows.values()),
+        aux=rows_matrix(states, aux_rows.values()),
     )
 
 

@@ -225,10 +225,10 @@ def check_path_floors(fast: bool, seed: int):
     top = 4 if fast else 6
     checked = 0
     for n in range(3, top + 1):
-        for kind, model in (("inv", _cyw(n)), ("tree", truncate_tree(demo_tree(), n))):
-            result = congestion_A(kind, model, n)
+        for aux in (InversionChain(_cyw(n)), TreeChain(truncate_tree(demo_tree(), n))):
+            result = congestion_A(aux)
             if not (result.legal and result.floors_held and result.within_witness_caps):
-                return False, f"{kind} paths failed at n={n}: first failing move {result.failure}"
+                return False, f"{aux.kind} paths failed at n={n}: first failing move {result.failure}"
             checked += result.edge_count
     return True, f"{checked} canonical paths legal, within length bounds, floors hold (n <= {top})"
 

@@ -215,8 +215,8 @@ def test_criterion_7_canonical_paths(demo_tree):
         tree = truncate_tree(demo_tree, n)
         assert is_weakly_monotone(league_hierarchy(tree)).weakly_monotone
         # one pass routes every move: legality, exact floors and congestion
-        inv_res = congestion_A("inv", spec, n)
-        tree_res = congestion_A("tree", tree, n)
+        inv_res = congestion_A(InversionChain(spec))
+        tree_res = congestion_A(TreeChain(tree))
         for res in (inv_res, tree_res):
             assert res.legal and res.floors_held and res.failure is None
             assert res.collision_free

@@ -158,8 +158,8 @@ def test_paths_broken_route_is_soundness_failure(capsys, monkeypatch):
 
     route = paths.path_inv_to_nn
 
-    def skip_a_swap(sigma, beta, table=None):
-        path = route(sigma, beta, table)
+    def skip_a_swap(sigma, beta):
+        path = route(sigma, beta)
         if len(path) > 1:
             del path.states[1], path.stages[1]
         return path
@@ -359,3 +359,39 @@ def test_walk_rows_report_the_half_size(capsys, chain, n):
     assert code == 0
     rows = [l.split(",") for l in out.splitlines() if l and not l.startswith("#")]
     assert rows[1][0] == "4"
+
+
+@pytest.mark.parametrize("args", [
+    ["scan", "--chain", "nn", "--model", "constant:0.75", "--n-range", "3:3", "--eps", "0"],
+    ["exact", "--chain", "nn", "--model", "constant:0.75", "--n", "3", "--eps", "1.5"],
+    ["exact", "--chain", "nn", "--model", "constant:0.75", "--n", "3", "--eps", "nan"],
+    ["paths", "--kind", "inv", "--model", "cyw:0.6,0.7", "--eps", "0"],
+    ["paths", "--kind", "inv", "--model", "cyw:0.6,0.7", "--eps", "0.5"],
+])
+def test_eps_out_of_range_is_usage_error_before_any_work(capsys, monkeypatch, args):
+    from permchains import cli
+
+    def parse(text):
+        raise AssertionError("the model was parsed before --eps was checked")
+
+    monkeypatch.setattr(cli, "parse_model_spec", parse)
+    code, out, err = run_cli(args, capsys)
+    assert code == 2
+    assert out == ""
+    assert "--eps must lie strictly between 0 and" in err
+
+
+def test_conductance_check_uses_the_given_eps(capsys):
+    # tau(0.99) = 0 is sound: the cut bound (1/2 - eps)/phi - 1/2 is negative
+    code, out, err = run_cli(["exact", "--chain", "nn", "--model", "constant:0.75", "--n", "3", "--eps", "0.99"], capsys)
+    assert code == 0, err
+    rows = [l.split(",") for l in out.splitlines() if l and not l.startswith("#")]
+    assert rows[1][3:5] == ["0.99", "0"]
+
+
+def test_paths_coerces_a_constant_model_like_the_other_commands(capsys):
+    code, constant, err = run_cli(["paths", "--kind", "inv", "--model", "constant:0.7", "--n", "4"], capsys)
+    assert code == 0 and "coerced to cyw" in err
+    code, cyw, _ = run_cli(["paths", "--kind", "inv", "--model", "cyw:0.7,0.7,0.7"], capsys)
+    assert code == 0
+    assert dict(_paths_record(constant), model=None) == dict(_paths_record(cyw), model=None)

@@ -23,7 +23,8 @@ from permchains.bias import (
     league_hierarchy,
     weight_exact,
 )
-from permchains.chains import InversionChain, NearestNeighborChain, TreeChain
+from permchains.chains import KERNELS, InversionChain, NearestNeighborChain, TreeChain
+from permchains.cli import main
 from permchains.paths import (
     NotAnEdge,
     _aux_edges,
@@ -130,8 +131,8 @@ def test_empty_big_set_route():
 def test_inv_floors_exhaustive(n):
     spec = cyw_spec(n)
     table = choose_your_weapon(spec)
-    for sigma, beta, _ in _aux_edges("inv", spec):
-        path = path_inv_to_nn(sigma, beta, table)
+    for sigma, beta, _ in _aux_edges(InversionChain(spec)):
+        path = path_inv_to_nn(sigma, beta)
         assert len(path) <= witness_caps("inv", n)[1]
         floor = min(weight_exact(sigma, table), weight_exact(beta, table))
         report = verify_path(path, table, floor)
@@ -149,7 +150,7 @@ def test_inv_floors_exhaustive(n):
 def test_tree_floors_exhaustive(n):
     tree = truncate_tree_demo(n)
     table = league_hierarchy(tree)
-    for sigma, beta, _ in _aux_edges("tree", tree):
+    for sigma, beta, _ in _aux_edges(TreeChain(tree)):
         path = path_tree_to_nn(sigma, beta, tree)
         assert len(path) <= witness_caps("tree", n)[1]
         assert path.floor_guaranteed
@@ -163,7 +164,7 @@ def test_tree_stage2_weight_bound():
     n = 5
     tree = truncate_tree_demo(n)
     table = league_hierarchy(tree)
-    for sigma, beta, _ in _aux_edges("tree", tree):
+    for sigma, beta, _ in _aux_edges(TreeChain(tree)):
         path = path_tree_to_nn(sigma, beta, tree)
         mid = path.milestones["after-stage-2"]
         lo, hi = path.origin
@@ -180,7 +181,7 @@ def test_mirrored_clause_routes():
     table = league_hierarchy(tree)
     report = is_weakly_monotone(table)
     assert report.cols_down and not report.rows_up
-    for sigma, beta, _ in _aux_edges("tree", tree):
+    for sigma, beta, _ in _aux_edges(TreeChain(tree)):
         path = path_tree_to_nn(sigma, beta, tree)
         assert path.floor_guaranteed
         floor = min(weight_exact(sigma, table), weight_exact(beta, table))
@@ -192,7 +193,7 @@ def test_non_monotone_path_flagged():
     # move, but without the floor guarantee
     report = is_weakly_monotone(league_hierarchy(UNGUARANTEED_TREE))
     assert not report.rows_up and not report.cols_down
-    routed = [path_tree_to_nn(s, t, UNGUARANTEED_TREE) for s, t, _ in _aux_edges("tree", UNGUARANTEED_TREE)]
+    routed = [path_tree_to_nn(s, t, UNGUARANTEED_TREE) for s, t, _ in _aux_edges(TreeChain(UNGUARANTEED_TREE))]
     assert len(routed) == 96
     assert not any(path.floor_guaranteed for path in routed)
 
@@ -201,13 +202,13 @@ def _reference_outcome(kind, model):
     """Per-move loop: (every path legal, every floor held, first failing move)."""
     if kind == "inv":
         table = choose_your_weapon(model)
-        route = lambda s, t: path_inv_to_nn(s, t, table)
+        route = path_inv_to_nn
     else:
         table = league_hierarchy(model)
         route = lambda s, t: path_tree_to_nn(s, t, model)
     legal = floors_held = True
     failure = None
-    for sigma, beta, _ in _aux_edges(kind, model):
+    for sigma, beta, _ in _aux_edges(KERNELS[kind](model)):
         path = route(sigma, beta)
         floor = min(weight_exact(sigma, table), weight_exact(beta, table))
         report = verify_path(path, table, floor)
@@ -229,7 +230,7 @@ PASS_CASES = {
 @pytest.mark.parametrize("case", sorted(PASS_CASES))
 def test_pass_outcome_matches_reference_loop(case):
     kind, model = PASS_CASES[case]
-    result = congestion_A(kind, model, model.n)
+    result = congestion_A(KERNELS[kind](model))
     assert (result.legal, result.floors_held, result.failure) == _reference_outcome(kind, model)
     if case == "tree-floor-failing":
         assert not result.floors_held and result.failure[2] is False
@@ -237,9 +238,34 @@ def test_pass_outcome_matches_reference_loop(case):
         assert result.legal and result.floors_held and result.failure is None
 
 
+def _reference_congestion(kind, model):
+    """A from the normalized law pi = w / z, the way the routing pass once summed it."""
+    aux = KERNELS[kind](model)
+    table = aux.table
+    route = path_inv_to_nn if kind == "inv" else (lambda s, t: path_tree_to_nn(s, t, model))
+    nn = NearestNeighborChain(table)
+    weight = {s: weight_exact(s, table) for s in nn.space()}
+    z = sum(weight.values())
+    pi = {s: w / z for s, w in weight.items()}
+    loads: dict = {}
+    for sigma, beta, prob in _aux_edges(aux):
+        path = route(sigma, beta)
+        if not verify_path(path, table, 0).legal:
+            continue
+        for edge in zip(path.states, path.states[1:]):
+            loads[edge] = loads.get(edge, Fraction(0)) + len(path) * pi[sigma] * prob
+    return max(load / (pi[u] * nn.transition_distribution(u)[v]) for (u, v), load in loads.items())
+
+
+@pytest.mark.parametrize("case", sorted(PASS_CASES))
+def test_congestion_from_weights_equals_normalized_reference(case):
+    kind, model = PASS_CASES[case]
+    assert congestion_A(KERNELS[kind](model)).congestion_exact == _reference_congestion(kind, model)
+
+
 def test_verify_path_negative_control():
     table = choose_your_weapon(cyw_spec(4))
-    path = path_inv_to_nn((3, 1, 2, 4), (4, 1, 2, 3), table)
+    path = path_inv_to_nn((3, 1, 2, 4), (4, 1, 2, 3))
     shuffled = type(path)(
         states=[path.states[0], path.states[-1]],
         stages=[1],
@@ -252,16 +278,16 @@ def test_verify_path_negative_control():
 
 def test_congestion_pinned_value():
     # exhaustive routing of every inversion move at n=3 with all ranks 0.7
-    result = congestion_A("inv", CywSpec(r=("0.7", "0.7")), 3)
+    result = congestion_A(InversionChain(CywSpec(r=("0.7", "0.7"))))
     assert result.congestion_exact == Fraction(5, 3)
     assert result.collision_free
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_congestion_witnesses(n):
-    for kind, model in (("inv", cyw_spec(n)), ("tree", truncate_tree_demo(n))):
-        result = congestion_A(kind, model, n)
-        per_edge, length = witness_caps(kind, n)
+    for aux in (InversionChain(cyw_spec(n)), TreeChain(truncate_tree_demo(n))):
+        result = congestion_A(aux)
+        per_edge, length = witness_caps(aux.kind, n)
         assert result.max_paths_per_edge <= per_edge
         assert result.max_path_length <= length
         assert result.collision_free
@@ -269,8 +295,8 @@ def test_congestion_witnesses(n):
 
 def test_congestion_growth_trend():
     ns = [3, 4, 5, 6]
-    a_inv = [congestion_A("inv", cyw_spec(n), n).congestion for n in ns]
-    a_tree = [congestion_A("tree", truncate_tree_demo(n), n).congestion for n in ns]
+    a_inv = [congestion_A(InversionChain(cyw_spec(n))).congestion for n in ns]
+    a_tree = [congestion_A(TreeChain(truncate_tree_demo(n))).congestion for n in ns]
     slope_inv = _slope(ns, a_inv)
     slope_tree = _slope(ns, a_tree)
     assert slope_inv <= 3.5  # within the cubic regime
@@ -285,7 +311,7 @@ def _slope(ns, ys):
 
 def test_congestion_cap():
     with pytest.raises(ValueError):
-        congestion_A("inv", cyw_spec(7), 7)
+        congestion_A(InversionChain(cyw_spec(7)))
 
 
 def test_comparison_bound_arithmetic():
@@ -315,6 +341,61 @@ def test_comparison_bound_dominates_exact(n):
         pi = stationary_exact(nn, states)
         tau_nn = mixing_time_exact(transition_matrix(nn, states), pi, eps).tau
         tau_aux = mixing_time_exact(transition_matrix(aux, states), pi, eps).tau
-        a_const = congestion_A(kind, model, n).congestion
+        a_const = congestion_A(aux).congestion
         bound = comparison_bound(a_const, tau_aux, float(pi.min()), eps)
         assert bound >= tau_nn
+
+
+def _paths_cli(kind, n, tmp_path):
+    if kind == "inv":
+        model = cyw_spec(n)
+        return InversionChain(model), ["--model", "cyw:" + ",".join(map(str, model.r))]
+    tree = truncate_tree_demo(n)
+    tree_file = tmp_path / "tree.json"
+    tree_file.write_text(tree.to_json())
+    return TreeChain(tree), ["--model", f"league:{tree_file}"]
+
+
+@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("kind", ["inv", "tree"])
+def test_paths_report_matches_the_oracle_pipeline(kind, n, tmp_path, capsys):
+    import csv
+
+    aux, model_args = _paths_cli(kind, n, tmp_path)
+    assert main(["paths", "--kind", kind, *model_args]) == 0
+    lines = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
+    record = dict(zip(*csv.reader(lines)))
+    eps = 0.25
+    nn = NearestNeighborChain(aux.table)
+    states = nn.space()
+    pi = stationary_exact(nn, states)
+    tau_nn = mixing_time_exact(transition_matrix(nn, states), pi, eps).tau
+    tau_aux = mixing_time_exact(transition_matrix(aux, states), pi, eps).tau
+    bound = comparison_bound(float(record["A"]), tau_aux, float(pi.min()), eps)
+    assert (record["tau-aux"], record["exact-tau"]) == (str(tau_aux), str(tau_nn))
+    assert record["comparison-bound"] == repr(bound)
+
+
+@pytest.mark.parametrize("kind", ["inv", "tree"])
+def test_paths_builds_each_table_row_and_weight_once(kind, tmp_path, capsys, monkeypatch):
+    from collections import Counter
+
+    from permchains import bias, chains, paths
+
+    counts = Counter()
+
+    def counting(name, fn):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return call
+
+    _, model_args = _paths_cli(kind, 5, tmp_path)
+    monkeypatch.setattr(bias.BiasTable, "__init__", counting("tables", bias.BiasTable.__init__))
+    for cls in (NearestNeighborChain, InversionChain, TreeChain):
+        monkeypatch.setattr(cls, "transition_distribution", counting(cls.kind, cls.transition_distribution))
+    for module in (chains, paths):
+        monkeypatch.setattr(module, "weight_exact", counting("weights", bias.weight_exact))
+    assert main(["paths", "--kind", kind, *model_args]) == 0
+    assert counts == {"tables": 1, kind: 120, "nn": 120, "weights": 120}

@@ -10,8 +10,8 @@ on each side,
     python3 perfbench/run.py --workload W --seed <first-seed + k> --seconds S --trace 0
 
 with S the ``run_seconds`` of BENCHMARK.json.  The change side is this
-checkout's working tree; the parent side is a ``git worktree`` of ``--parent``
-made for the run and removed after it.  Pairs alternate which side runs
+checkout's working tree; the parent side is a ``git archive`` export of
+``--parent`` into a temporary directory, removed after the run.  Pairs alternate which side runs
 first, so a drift in the host's speed falls on both sides alike.  The file,
 rewritten after each workload, holds every run's end-to-end metrics and
 ``failed`` count and, for each metric of each workload, both sides' medians
@@ -43,12 +43,9 @@ def git(*args: str, cwd: Path = ROOT) -> str:
 @contextmanager
 def parent_checkout(rev: str):
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
-        path = Path(tmp) / "parent"
-        git("worktree", "add", "--detach", str(path), rev)
-        try:
-            yield path
-        finally:
-            git("worktree", "remove", "--force", str(path))
+        archive = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True, capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
+        yield Path(tmp)
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
