@@ -80,12 +80,13 @@ def stationary_exact(kernel, states=None) -> np.ndarray:
     """Normalized stationary distribution from the weight formula."""
     if states is None:
         states = kernel.space()
-    return distribution([kernel.stationary_weight(s) for s in states])
+    return distribution(kernel.stationary_weight(s) for s in states)
 
 
 def distribution(weights) -> np.ndarray:
     """Floats of exact weights over their total."""
-    return np.array([float(x) for x in normalized(weights)])
+    # the list of raw weights is freed before the floats are made
+    return np.array([float(x) for x in normalized(list(weights))])
 
 
 def is_fixed_point_exact(kernel, states=None, pi: list[Fraction] | None = None) -> bool:

@@ -12,9 +12,9 @@ an ``--n`` that contradicts a sized model is a usage error, and rows report
 the kernel's own ``n``.  ``exact`` and ``scan`` check the counted size of the
 state space against the cap before enumerating it.
 
-Exit codes: 0 success, 1 invariant failure, 2 usage error (an ``--eps`` outside
-(0, 1), or (0, 1/2) for ``paths``, checked first), 3 resource cap exceeded,
-4 internal soundness failure.
+Exit codes: 0 success, 1 invariant failure, 2 usage error (``--eps`` outside
+(0, 1), or (0, 1/2) for ``paths``), 3 resource cap exceeded, 4 internal
+soundness failure.
 """
 from __future__ import annotations
 
@@ -164,10 +164,9 @@ def _exact_rows(args, ns: list[int | None]):
         # any explicit cut lower-bounds the mixing time: tau >= (1/2 - eps)/phi - 1/2
         for cut in level_cuts_by_weight(pi, count=4):
             phi = conductance_of_cut(matrix, pi, cut)
-            if phi > 0 and res.tau is not None and res.tau < (0.5 - args.eps) / phi - 0.5 - 1e-9:
-                raise SoundnessError(
-                    f"tau={res.tau} violates the conductance bound {(0.5 - args.eps) / phi - 0.5:.2f}"
-                )
+            bound = (0.5 - args.eps) / phi - 0.5 if phi > 0 else 0.0
+            if res.tau is not None and res.tau < bound - 1e-9:
+                raise SoundnessError(f"tau={res.tau} violates the conductance bound {bound:.2f}")
         rows.append([n, args.chain, args.model, args.eps, res.tau, gap, float(pi.min()), caveat])
     return rows
 

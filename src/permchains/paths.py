@@ -18,10 +18,9 @@ min(weight(start), weight(end)):
   be weakly monotone; the column-monotone flavor is handled by mirroring the
   instance, building the row-monotone path, and mirroring back.
 
-``congestion_A(aux)`` takes the auxiliary kernel itself and picks the route
-from its kind.  It builds each exact row and weight once, checks every route
-with ``verify_path``, and returns A with the float pi and both matrices, which
-feed the comparison bound 4 ln(1/(eps pi_min)) / ln(1/(2 eps)) * A * tau_aux.
+``congestion_A(aux)`` takes the auxiliary kernel and picks the route from its
+kind; it builds each exact row and weight once and returns A (for the bound
+4 ln(1/(eps pi_min)) / ln(1/(2 eps)) * A * tau_aux), pi and both matrices.
 ``witness_caps`` is the one table of the caps each construction meets: at
 most n^2 (inv) or 4n^2 (tree) paths share an edge, and no path is longer than
 2n (inv) or 4n (tree) swaps.
@@ -31,12 +30,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+
 import numpy as np
 import scipy.sparse as sp
 
 from . import perms
 from .analysis import CapExceeded, distribution, rows_matrix
-from .bias import BiasTable, MonotonicityReport, is_weakly_monotone, league_hierarchy, weight_exact
+from .bias import BiasTable, MonotonicityReport, is_weakly_monotone, weight_exact
 from .chains import NearestNeighborChain
 from .trees import LeagueTree
 
@@ -129,8 +129,8 @@ def path_inv_to_nn(sigma, beta) -> NnPath:
     after_stage1 = tuple(b.cur)
     for pos in range(hi - 1, lo, -1):
         b.swap(pos - 1, 2)
-    path = NnPath(states=b.states, stages=b.stages, origin=(lo, hi))
-    path.milestones = {"start": tuple(sigma), "after-stage-1": after_stage1, "end": tuple(b.cur)}
+    milestones = {"start": tuple(sigma), "after-stage-1": after_stage1, "end": tuple(b.cur)}
+    path = NnPath(states=b.states, stages=b.stages, origin=(lo, hi), milestones=milestones)
     if path.states[-1] != tuple(beta):
         raise AssertionError("path did not terminate at the target state")
     return path
@@ -200,14 +200,12 @@ def transposition_path(sigma, beta) -> NnPath:
     return path
 
 
-def path_tree_to_nn(sigma, beta, tree: LeagueTree, monotone: MonotonicityReport | None = None) -> NnPath:
+def path_tree_to_nn(sigma, beta, tree: LeagueTree, monotone: MonotonicityReport) -> NnPath:
     """Four-stage route for a tree-chain move, mirrored when only the
     column-monotone clause of weak monotonicity holds; ``monotone`` is the
-    tree's ``is_weakly_monotone`` report, computed here when not given."""
+    ``is_weakly_monotone`` report of the tree's bias table."""
     if not is_tree_edge(sigma, beta, tree):
         raise NotAnEdge(f"not a tree-chain move: {sigma} -> {beta}")
-    if monotone is None:
-        monotone = is_weakly_monotone(league_hierarchy(tree))
     if monotone.rows_up or not monotone.cols_down:
         # default construction; also the fallback when neither clause holds
         path = transposition_path(sigma, beta)
@@ -318,10 +316,9 @@ def congestion_A(aux) -> CongestionResult:
     weight floors and congestion.
 
     Each exact row of ``aux`` and of the nearest-neighbor chain, and each
-    exact weight, is built once.  A legal path adds
-    len * weight(sigma) * P'(sigma, beta) to each nearest-neighbor edge it
-    uses; A is the worst load over the edge's flow weight * P (the total
-    weight cancels).  pi and both matrices come from the same rows and weights.
+    exact weight w, is built once; pi and both matrices come from them.  A
+    legal path adds len * w(sigma) * P'(sigma, beta) to each nearest-neighbor
+    edge it uses; A is the worst load over the edge's flow w * P.
     """
     n, table = aux.n, aux.table
     if n > 6:
@@ -356,15 +353,23 @@ def congestion_A(aux) -> CongestionResult:
         if not check.legal:
             continue  # its steps are not nearest-neighbor edges
         contribution = len(path) * weight[sigma] * prob
-        for edge, stage in zip(zip(path.states, path.states[1:]), path.stages):
-            loads[edge] = loads.get(edge, 0) + contribution
-            owners.setdefault(edge, set()).add(((sigma, beta), stage, path.origin))
+        for k in range(len(path)):
+            edge = (path.states[k], path.states[k + 1])
+            loads[edge] = loads.get(edge, Fraction(0)) + contribution
+            owners.setdefault(edge, []).append(
+                ((sigma, beta), path.stages[k], path.origin)
+            )
 
-    max_paths = max((len({owner for owner, _, _ in entries}) for entries in owners.values()), default=0)
-    # collision-free: on each edge, no (stage, origin) is shared by two paths
-    collision_free = all(
-        len(entries) == len({(stage, origin) for _, stage, origin in entries}) for entries in owners.values()
-    )
+    collision_free = True
+    max_paths = 0
+    for edge, entries in owners.items():
+        max_paths = max(max_paths, len({owner for owner, _, _ in entries}))
+        seen = {}
+        for owner, stage, origin in entries:
+            key = (stage, origin)
+            if seen.setdefault(key, owner) != owner:
+                collision_free = False
+
     best = Fraction(0)
     for (u, v), load in loads.items():
         flow = weight[u] * nn_rows[u].get(v, Fraction(0))
@@ -383,7 +388,7 @@ def congestion_A(aux) -> CongestionResult:
         legal=legal,
         floors_held=floors_held,
         failure=failure,
-        pi=distribution(list(weight.values())),
+        pi=distribution(weight.values()),
         nn=rows_matrix(states, nn_rows.values()),
         aux=rows_matrix(states, aux_rows.values()),
     )

@@ -98,7 +98,7 @@ def test_adjacent_move_is_single_step():
     sigma, beta = (1, 3, 2, 4), (1, 2, 3, 4)
     assert len(path_inv_to_nn(sigma, beta)) == 1
     tree = truncate_tree_demo(4)
-    assert len(path_tree_to_nn(sigma, beta, tree)) == 1
+    assert len(path_tree_to_nn(sigma, beta, tree, is_weakly_monotone(league_hierarchy(tree)))) == 1
 
 
 def test_edge_predicates():
@@ -151,7 +151,7 @@ def test_tree_floors_exhaustive(n):
     tree = truncate_tree_demo(n)
     table = league_hierarchy(tree)
     for sigma, beta, _ in _aux_edges(TreeChain(tree)):
-        path = path_tree_to_nn(sigma, beta, tree)
+        path = path_tree_to_nn(sigma, beta, tree, is_weakly_monotone(table))
         assert len(path) <= witness_caps("tree", n)[1]
         assert path.floor_guaranteed
         floor = min(weight_exact(sigma, table), weight_exact(beta, table))
@@ -165,7 +165,7 @@ def test_tree_stage2_weight_bound():
     tree = truncate_tree_demo(n)
     table = league_hierarchy(tree)
     for sigma, beta, _ in _aux_edges(TreeChain(tree)):
-        path = path_tree_to_nn(sigma, beta, tree)
+        path = path_tree_to_nn(sigma, beta, tree, is_weakly_monotone(table))
         mid = path.milestones["after-stage-2"]
         lo, hi = path.origin
         a, b = sigma[lo], sigma[hi]
@@ -182,7 +182,7 @@ def test_mirrored_clause_routes():
     report = is_weakly_monotone(table)
     assert report.cols_down and not report.rows_up
     for sigma, beta, _ in _aux_edges(TreeChain(tree)):
-        path = path_tree_to_nn(sigma, beta, tree)
+        path = path_tree_to_nn(sigma, beta, tree, report)
         assert path.floor_guaranteed
         floor = min(weight_exact(sigma, table), weight_exact(beta, table))
         assert verify_path(path, table, floor).ok
@@ -193,7 +193,7 @@ def test_non_monotone_path_flagged():
     # move, but without the floor guarantee
     report = is_weakly_monotone(league_hierarchy(UNGUARANTEED_TREE))
     assert not report.rows_up and not report.cols_down
-    routed = [path_tree_to_nn(s, t, UNGUARANTEED_TREE) for s, t, _ in _aux_edges(TreeChain(UNGUARANTEED_TREE))]
+    routed = [path_tree_to_nn(s, t, UNGUARANTEED_TREE, report) for s, t, _ in _aux_edges(TreeChain(UNGUARANTEED_TREE))]
     assert len(routed) == 96
     assert not any(path.floor_guaranteed for path in routed)
 
@@ -205,7 +205,7 @@ def _reference_outcome(kind, model):
         route = path_inv_to_nn
     else:
         table = league_hierarchy(model)
-        route = lambda s, t: path_tree_to_nn(s, t, model)
+        route = lambda s, t: path_tree_to_nn(s, t, model, is_weakly_monotone(table))
     legal = floors_held = True
     failure = None
     for sigma, beta, _ in _aux_edges(KERNELS[kind](model)):
@@ -242,7 +242,7 @@ def _reference_congestion(kind, model):
     """A from the normalized law pi = w / z, the way the routing pass once summed it."""
     aux = KERNELS[kind](model)
     table = aux.table
-    route = path_inv_to_nn if kind == "inv" else (lambda s, t: path_tree_to_nn(s, t, model))
+    route = path_inv_to_nn if kind == "inv" else (lambda s, t: path_tree_to_nn(s, t, model, is_weakly_monotone(table)))
     nn = NearestNeighborChain(table)
     weight = {s: weight_exact(s, table) for s in nn.space()}
     z = sum(weight.values())
