@@ -19,8 +19,11 @@ law and the long-swap conductance are numpy builds that call the kernel's own
 The Fraction path (``transition_distribution``, ``transition_matrix``,
 ``stationary_exact``) stays the oracle; the array builds equal it bit for bit.
 
-The worst-start TV distances of ``mixing_time_exact`` equal the tests'
-reference loop bit for bit.
+``mixing_time_exact`` steps the start distributions in cache-sized chunks of
+columns, or one vector per explicit start, each run only as far as the first
+t at which every start is within eps: its distances and tau equal stepping
+the whole (states, starts) block, which the tests keep as the reference, bit
+for bit.
 """
 from __future__ import annotations
 
@@ -37,6 +40,7 @@ from .chains import WalkChain, WalkTranspositionChain, make_rng
 
 STATE_CAP = 100_000
 DENSE_CAP = 10_000
+CHUNK = 128  # start columns stepped together by mixing_time_exact
 
 
 class CapExceeded(ValueError):
@@ -84,9 +88,21 @@ def stationary_exact(kernel, states=None) -> np.ndarray:
 
 
 def distribution(weights) -> np.ndarray:
-    """Floats of exact weights over their total."""
-    # the list of raw weights is freed before the floats are made
-    return np.array([float(x) for x in normalized(list(weights))])
+    """Floats of exact weights over their total.
+
+    The weights are scaled to integers W over their common denominator, and
+    each float is the int quotient W / sum(W): correctly rounded, so it is
+    float(w / total) without a Fraction division per state.
+    """
+    weights = list(weights)
+    common = math.lcm(*{w.denominator for w in weights})
+    # the raw weights are freed before the floats are made
+    scaled = [w.numerator * (common // w.denominator) for w in weights]
+    del weights
+    total = sum(scaled)
+    if total == 0:
+        raise ValueError("all states have zero weight")
+    return np.array([w / total for w in scaled])
 
 
 def is_fixed_point_exact(kernel, states=None, pi: list[Fraction] | None = None) -> bool:
@@ -146,44 +162,79 @@ def mixing_time_exact(
     starts=None,
     horizon: int = 200_000,
 ) -> MixingResult:
-    """Smallest t with worst-start TV <= eps.
+    """Smallest t with worst-start TV <= eps, and the worst-start TV at each t.
 
-    Worst-start TV is non-increasing in t, so the first crossing is the
-    mixing time; the recorded trajectory lets callers verify monotonicity.
-    starts=None uses every state (distributions tracked as a dense block).
+    starts=None uses every state ("all-starts"); explicit starts are the
+    "extreme-starts" caveat.  The starts are stepped in chunks, each with its
+    own curve of worst TV per step: with starts=None, (states, w) blocks of
+    w <= CHUNK columns, small enough to stay in cache; with explicit starts,
+    one vector per start.  Each chunk runs to its own first crossing of eps;
+    every chunk is then brought up to the largest step count T reached, and
+    the chunks still above eps at T run on.  Once all chunks stand at T, each
+    t < T has a chunk above eps (one that stepped on from t), and no chunk is
+    above eps at T: T is the first t whose worst start is within eps, found
+    without assuming that the distances fall monotonically.  No chunk steps
+    past T, so each start column takes exactly the steps that stepping the
+    whole block would, and distances[t] is the largest of the chunks' values.
     """
+    pi = np.asarray(pi)
     m = matrix.shape[0]
     if starts is None:
-        block = np.eye(m)
+        groups = [range(a, min(a + CHUNK, m)) for a in range(0, m, CHUNK)]
         caveat = "all-starts"
     else:
-        block = np.zeros((len(starts), m))
-        for r, s in enumerate(starts):
-            block[r, s] = 1.0
+        groups = [[s] for s in starts]
         caveat = "extreme-starts"
-    distances = [float(np.abs(block - pi).sum(axis=1).max() * 0.5)]
+    xs = []
+    worst0 = []
+    for group in groups:
+        rows = np.zeros((len(group), m))
+        rows[np.arange(len(group)), group] = 1.0
+        worst0.append(np.abs(rows - pi).sum(axis=1).max())
+        # a C-contiguous (states, w) block: scipy would copy a strided one in
+        # the product, which returns that layout, so nothing is transposed per
+        # step.  One column split off a wider block is a vector; a single
+        # start keeps its (states, 1) block (see _worst_column).
+        split = len(group) == 1 and len(groups) > 1
+        xs.append(rows[0] if split else np.ascontiguousarray(rows.T))
+    distances = [float(max(worst0) * 0.5)]
     if distances[-1] <= eps:
         return MixingResult(0, eps, distances, True, caveat)
-    # Step the (states, starts) block with the CSC transpose formed once; the
-    # product returns that C-ordered layout, so nothing is transposed per step.
-    # |x - pi| goes through one buffer whose sum over axis 0 adds the states in
-    # sequence: summed pairwise (a contiguous (starts, states) buffer), the
-    # distances would change in their last bits.
-    transposed = matrix.T
-    column = np.asarray(pi)[:, None]
-    # a C-contiguous x: scipy would copy a strided one inside the product
-    x = np.ascontiguousarray(block.T)
-    del block
-    buf = np.empty(x.shape)
-    for t in range(1, horizon + 1):
-        x = transposed @ x
-        np.subtract(x, column, out=buf)
-        np.abs(buf, out=buf)
-        d = float(buf.sum(axis=0).max() * 0.5)
-        distances.append(d)
-        if d <= eps:
-            return MixingResult(t, eps, distances, True, caveat)
+    transposed = matrix.T  # CSC, formed once
+    curves = [[] for _ in xs]  # curves[k][t - 1]: chunk k's worst TV at step t
+    reached = 1
+    while True:
+        for k, x in enumerate(xs):
+            curve = curves[k]
+            centre = pi if x.ndim == 1 else pi[:, None]
+            buf = np.empty(x.shape)
+            while len(curve) < horizon and (len(curve) < reached or curve[-1] > eps):
+                x = transposed @ x
+                np.subtract(x, centre, out=buf)
+                np.abs(buf, out=buf)
+                curve.append(float(_worst_column(buf) * 0.5))
+            xs[k] = x
+            reached = len(curve)
+        if all(len(curve) == reached for curve in curves):
+            break
+    distances.extend(map(max, zip(*curves)))
+    if distances[-1] <= eps:
+        return MixingResult(reached, eps, distances, True, caveat)
     return MixingResult(None, eps, distances, False, caveat)
+
+
+def _worst_column(buf: np.ndarray):
+    """The largest column sum of |x - pi|, as the whole (states, starts) block
+    gives it.
+
+    numpy adds a block's states in sequence when it has two or more columns,
+    and pairwise when it has one.  A vector split off a wider block therefore
+    takes a running total: its pairwise sum would change the distances in
+    their last bits.
+    """
+    if buf.ndim == 1:
+        return np.add.accumulate(buf, out=buf)[-1]
+    return buf.sum(axis=0).max()
 
 
 def spectral_gap(matrix: sp.csr_matrix, pi: np.ndarray, tol: float = 1e-9) -> float:

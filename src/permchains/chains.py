@@ -217,8 +217,8 @@ class InversionChain(PermutationKernel):
 
     def __init__(self, spec: CywSpec):
         self.n = n = spec.n
-        self._mirror = spec.variant == "max"
-        r = (spec.mirrored() if self._mirror else spec).r
+        self.variant = spec.variant
+        r = (spec.mirrored() if self.variant == "max" else spec).r
         self.table = choose_your_weapon(spec)
         # slot (i, direction, acceptance) with mass (n-i)/C(n,2) * 1/2; label n
         # is never selected
@@ -254,7 +254,7 @@ class InversionChain(PermutationKernel):
         return self._slots[2 * i - 2 + down][0]
 
     def _law(self, sigma, slot):
-        if self._mirror:
+        if self.variant == "max":
             p, yes, no = self._min_law(perms.mirror(sigma), slot)
             return p, perms.mirror(yes), perms.mirror(no)
         return self._min_law(sigma, slot)

@@ -9,7 +9,8 @@ min(weight(start), weight(end)):
 * inversion moves: march the earlier endpoint right until it passes the
   other, then march the other back to the vacated position.  Every skipped
   label is smaller than both endpoints, so skipping is weight-neutral under
-  a choose-your-weapon table.
+  a choose-your-weapon table.  The max variant's moves skip larger labels;
+  they are routed by mirroring the move, routing it, and mirroring back.
 * tree moves: a four-stage route.  Stage 1 parks one small label to the left
   of each large in-between label (processing small labels right to left);
   stage 2 marches the earlier endpoint right and swaps it past the other;
@@ -211,16 +212,21 @@ def path_tree_to_nn(sigma, beta, tree: LeagueTree, monotone: MonotonicityReport)
         path = transposition_path(sigma, beta)
         path.floor_guaranteed = monotone.weakly_monotone
         return path
-    flipped = transposition_path(perms.mirror(sigma), perms.mirror(beta))
+    return _mirrored_path(transposition_path, sigma, beta)
+
+
+def _mirrored_path(route, sigma, beta) -> NnPath:
+    """``route`` conjugated with ``perms.mirror``: built for the mirrored move,
+    then mapped back state by state, with the stages kept."""
+    flipped = route(perms.mirror(sigma), perms.mirror(beta))
     n = len(sigma)
-    states = [perms.mirror(s) for s in flipped.states]
-    path = NnPath(
-        states=states,
+    return NnPath(
+        states=[perms.mirror(s) for s in flipped.states],
         stages=flipped.stages,
         origin=(n - 1 - flipped.origin[1], n - 1 - flipped.origin[0]),
+        milestones={k: perms.mirror(v) for k, v in flipped.milestones.items()},
+        floor_guaranteed=flipped.floor_guaranteed,
     )
-    path.milestones = {k: perms.mirror(v) for k, v in flipped.milestones.items()}
-    return path
 
 
 # -- path verification ------------------------------------------------------------
@@ -323,7 +329,10 @@ def congestion_A(aux) -> CongestionResult:
     n, table = aux.n, aux.table
     if n > 6:
         raise CapExceeded(f"path enumeration is capped at n = 6, got {n}")
-    if aux.kind == "inv":
+    if aux.kind == "inv" and aux.variant == "max":
+        # the max law is the min law conjugated with the mirror; so is its route
+        build = lambda s, t: _mirrored_path(path_inv_to_nn, s, t)
+    elif aux.kind == "inv":
         build = path_inv_to_nn
     else:
         monotone = is_weakly_monotone(table)

@@ -4,9 +4,11 @@ Exact analysis machinery:
 - transition matrices are row stochastic with the hand-enumerated 2-state law
 - weight-derived stationary vectors are matrix fixed points
 - TV distance, mixing times, spectral gaps, and conductance match small
-  hand-computed oracles; the mixing-time iteration's distances equal a
-  ``block @ matrix`` reference and the former transposed-block loop step for
-  step (720-state all-starts runs, walk extreme starts at n = 7)
+  hand-computed oracles; the chunked mixing-time iteration's distances and
+  tau equal a ``block @ matrix`` reference and the former transposed-block
+  loop step for step (720-state all-starts runs, extreme starts at 5,040
+  permutations and 3,432 and 12,870 walks, a single-column chunk, a horizon
+  that runs out, eps met at t = 0, a single start)
 - every explicit cut lower-bounds the exact mixing time
 - the product bound is sound on a 4-state toy and reproduces the plug-in form
 - coupling and hitting-time estimates agree with birth-death formulas
@@ -22,6 +24,7 @@ import pytest
 import scipy.sparse as sp
 
 from permchains.analysis import (
+    CHUNK,
     CapExceeded,
     GapScan,
     conductance_of_cut,
@@ -161,7 +164,7 @@ def test_mixing_iteration_matches_rmatmul(chain):
     assert res.distances == _distances_by_rmatmul(matrix, pi, 0.25, starts)
 
 
-def _distances_by_transposed_block(matrix, pi, eps, starts):
+def _distances_by_transposed_block(matrix, pi, eps, starts, horizon=200_000):
     """The former stepping loop, kept as the reference: a (starts, states) block
     stepped through ``(matrix.T @ block.T).T``, a new |block - pi| every step."""
     block = np.eye(matrix.shape[0])
@@ -169,29 +172,60 @@ def _distances_by_transposed_block(matrix, pi, eps, starts):
         block = block[starts]
     distances = [float(np.abs(block - pi).sum(axis=1).max() * 0.5)]
     transposed = matrix.T
-    while distances[-1] > eps:
+    while distances[-1] > eps and len(distances) <= horizon:
         block = (transposed @ block.T).T
         distances.append(float(np.abs(block - pi).sum(axis=1).max() * 0.5))
     return distances
 
 
-@pytest.mark.parametrize("kind, model", [
-    ("nn", "cyw:0.6,0.7,0.8,0.9,0.75"),
-    ("inv", "constant:0.75"),
-    ("tree", "constant:0.75"),
-    ("walk", "slowmix:7"),
-])
-def test_mixing_distances_equal_the_former_loop(kind, model):
-    # the 720-state all-starts runs of exact/scan at n = 6, and the extreme
-    # starts of the fluctuating walk at n = 7
-    kernel = build(kind, parse_model_spec(model), None if kind in ("nn", "walk") else 6)
+def _kernel_case(kind, model, n=None, extreme=False):
+    kernel = build(kind, parse_model_spec(model), n)
     states = kernel.space()
-    starts = None if kind != "walk" else [0, len(states) - 1]
-    matrix = transition_matrix(kernel, states)
-    pi = stationary_exact(kernel, states)
-    res = mixing_time_exact(matrix, pi, 0.25, starts=starts)
-    assert res.tau > 1
-    assert res.distances == _distances_by_transposed_block(matrix, pi, 0.25, starts)
+    starts = [0, len(states) - 1] if extreme else None
+    return transition_matrix(kernel, states), stationary_exact(kernel, states), starts
+
+
+def _walk_case(chain):
+    arrays = walks.walk_arrays(chain.n)
+    starts = [0, len(arrays.codes) - 1]
+    return walk_transition_matrix(chain, arrays), walk_stationary(chain, arrays), starts
+
+
+# id: (matrix, pi, starts), eps, horizon
+FORMER_LOOP_CASES = {
+    # the 720-state all-starts runs of exact/scan at n = 6: six chunks
+    "nn-cyw:0.6,0.7,0.8,0.9,0.75": (lambda: _kernel_case("nn", "cyw:0.6,0.7,0.8,0.9,0.75"), 0.25, 200_000),
+    "inv-constant:0.75": (lambda: _kernel_case("inv", "constant:0.75", 6), 0.25, 200_000),
+    "tree-constant:0.75": (lambda: _kernel_case("tree", "constant:0.75", 6), 0.25, 200_000),
+    # extreme starts, one vector each: exact at n = 7 and the slowmix walks
+    "nn-5040": (lambda: _kernel_case("nn", "constant:0.75", 7, extreme=True), 0.25, 200_000),
+    "inv-5040": (lambda: _kernel_case("inv", "constant:0.75", 7, extreme=True), 0.25, 200_000),
+    "tree-5040": (lambda: _kernel_case("tree", "constant:0.75", 7, extreme=True), 0.25, 200_000),
+    "walk-slowmix:7": (lambda: _kernel_case("walk", "slowmix:7", extreme=True), 0.25, 200_000),
+    "slowmix-comparison-8": (lambda: _walk_case(WalkChain.constant(8, Fraction(3, 4))), 0.25, 200_000),
+    # CHUNK + 1 states: the last chunk is a single column, stepped as a vector
+    "chunk-plus-one": (lambda: _kernel_case("oned", f"oned:0.6,{CHUNK}"), 0.25, 200_000),
+    "horizon-runs-out": (lambda: _kernel_case("oned", f"oned:0.6,{CHUNK}"), 0.25, 10),
+    "eps-met-at-0": (lambda: _kernel_case("tree", "constant:0.75", 6), 1.0, 200_000),
+    "single-start": (lambda: _kernel_case("tree", "constant:0.75", 6)[:2] + ([719],), 0.25, 200_000),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FORMER_LOOP_CASES))
+def test_mixing_distances_equal_the_former_loop(case):
+    build_case, eps, horizon = FORMER_LOOP_CASES[case]
+    matrix, pi, starts = build_case()
+    res = mixing_time_exact(matrix, pi, eps, starts=starts, horizon=horizon)
+    expected = _distances_by_transposed_block(matrix, pi, eps, starts, horizon)
+    assert res.distances == expected
+    tau = len(expected) - 1 if expected[-1] <= eps else None
+    assert (res.tau, res.converged) == (tau, tau is not None)
+    if case == "horizon-runs-out":
+        assert res.tau is None and len(res.distances) == horizon + 1
+    elif case == "eps-met-at-0":
+        assert res.tau == 0
+    else:
+        assert res.tau > 1
 
 
 def test_spectral_gap_two_state():

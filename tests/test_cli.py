@@ -9,6 +9,7 @@ CLI behavior:
   included), 3 cap exceeded (checked before the state space is enumerated),
   4 soundness failure
 - each row reports the kernel's own size; for walks, the half size
+- paths routes a max-variant inversion model (exit 0)
 - n-range scans emit one row per size with monotone mixing times
 """
 import json
@@ -135,6 +136,14 @@ def test_paths_inv_pass(capsys):
     assert record["floor-check"] == "pass"
     assert int(record["max-paths-per-edge"]) <= 25
     assert float(record["comparison-bound"]) >= float(record["exact-tau"])
+
+
+def test_paths_inv_max_variant_pass(capsys):
+    # routed through the mirror; once exited 2 with "not an inversion-chain move"
+    code, out, _ = run_cli(["paths", "--kind", "inv", "--model", "cyw:0.6,0.7,0.8:max"], capsys)
+    assert code == 0
+    record = _paths_record(out)
+    assert (record["n"], record["edge-count"], record["A"], record["floor-check"]) == ("4", "92", "3.0", "pass")
 
 
 NON_MONOTONE_TREE = (

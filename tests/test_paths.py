@@ -6,6 +6,9 @@ Canonical paths and congestion:
 - inversion routes are legal, short, and never dip below the endpoint floor
 - the four-stage route handles empty small/big sets and the mirrored clause
 - congestion constants carry collision-free witnesses within n^2 / 4n^2
+- a max-variant inversion chain is routed through the mirror: its congestion
+  equals the mirrored min variant's, with legal, floor-holding,
+  collision-free paths
 - the routing pass reports the same legality and floor outcome as a
   per-move reference loop, including on trees without the floor guarantee
 - the comparison bound evaluates correctly and dominates exact mixing times
@@ -291,6 +294,21 @@ def test_congestion_witnesses(n):
         assert result.max_paths_per_edge <= per_edge
         assert result.max_path_length <= length
         assert result.collision_free
+
+
+@pytest.mark.parametrize("r, expected", [
+    (("0.6", "0.7", "0.8"), Fraction(3)),
+    (("0.6", "0.7", "0.8", "0.9"), Fraction(44, 9)),
+    (("0.6", "0.7", "0.8", "0.9", "0.95"), Fraction(15, 2)),
+    (("0.9", "0.6", "0.75", "0.55", "0.8"), Fraction(5033, 528)),
+])
+def test_max_variant_congestion_equals_the_mirrored_min_variant(r, expected):
+    spec = CywSpec(r=r, variant="max")
+    result = congestion_A(InversionChain(spec))
+    assert result.congestion_exact == congestion_A(InversionChain(spec.mirrored())).congestion_exact
+    assert result.congestion_exact == expected
+    assert result.legal and result.floors_held and result.failure is None
+    assert result.collision_free and result.within_witness_caps
 
 
 def test_congestion_growth_trend():
