@@ -202,7 +202,7 @@ def mixing_time_exact(
         return MixingResult(0, eps, distances, True, caveat)
     transposed = matrix.T  # CSC, formed once
     curves = [[] for _ in xs]  # curves[k][t - 1]: chunk k's worst TV at step t
-    reached = 1
+    reached = 1  # distances[0] > eps: every chunk takes step 1
     while True:
         for k, x in enumerate(xs):
             curve = curves[k]
