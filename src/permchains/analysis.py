@@ -15,7 +15,9 @@ hard cap on materialized spaces is 10^5 states.
 The staircase-walk spaces of the bottleneck report are array-backed: walks are
 integer codes (``walks.walk_arrays``), and the walk matrices, the stationary
 law and the long-swap conductance are numpy builds that call the kernel's own
-``_law`` and ``stationary_weight`` once per class of walks sharing the value.
+``_law`` and ``stationary_weight`` once per class of walks sharing the value;
+a ``chains.WalkKernel`` is set by two swap probabilities, so the classes hold
+by construction.
 The Fraction path (``transition_distribution``, ``transition_matrix``,
 ``stationary_exact``) stays the oracle; the array builds equal it bit for bit.
 
@@ -41,6 +43,7 @@ from .chains import WalkChain, WalkTranspositionChain, make_rng
 STATE_CAP = 100_000
 DENSE_CAP = 10_000
 CHUNK = 128  # start columns stepped together by mixing_time_exact
+COMPARISON_P = Fraction(3, 4)  # bias of the slowmix report's constant-bias chain
 
 
 class CapExceeded(ValueError):
@@ -309,19 +312,17 @@ class SlowMixReport:
 
 def _class_masses(n: int, spec: SlowMixSpec, widened: bool) -> dict[int, Fraction]:
     tables = walks.height_profile(n).class_table(widened=widened)
-    return {
-        cls: walks.class_weight(tables[cls], spec.gamma, spec.xi) for cls in (1, 2, 3)
-    }
+    return {cls: walks.class_weight(table, spec.gamma, spec.xi) for cls, table in tables.items()}
 
 
-def slowmix_cut_report(n: int, comparison_p=Fraction(3, 4), compute_comparison: bool = True) -> SlowMixReport:
+def slowmix_cut_report(n: int, compute_comparison: bool = True) -> SlowMixReport:
     """Exact bottleneck quantities for the fluctuating-bias walk chain at size n.
 
     The balance point makes the low and high sides carry equal mass; the cut
     class at the bottleneck level is exponentially lighter, which the
     conductance bound converts into a mixing-time floor.  For contrast, the
-    report optionally includes the exact tau(1/4) of a constant-bias walk
-    chain on the same space, measured from the two extreme walks.
+    report optionally includes the exact tau(1/4) of the ``COMPARISON_P``
+    constant-bias walk chain, measured from the two extreme walks.
     """
     spec = SlowMixSpec(n=n, delta=solve_delta(n))
     masses = _class_masses(n, spec, widened=False)
@@ -338,13 +339,13 @@ def slowmix_cut_report(n: int, comparison_p=Fraction(3, 4), compute_comparison: 
     tau_cmp = None
     label = ""
     if compute_comparison:
-        cmp_chain = WalkChain.constant(n, comparison_p)
+        cmp_chain = WalkChain.constant(n, COMPARISON_P)
         cmp_matrix = walk_transition_matrix(cmp_chain, arrays)
         cmp_pi = walk_stationary(cmp_chain, arrays)
         # the lowest and the highest walk have the smallest and the largest code
         res = mixing_time_exact(cmp_matrix, cmp_pi, 0.25, starts=[0, len(arrays.codes) - 1])
         tau_cmp = res.tau
-        label = f"constant:{Fraction(comparison_p)}"
+        label = f"constant:{COMPARISON_P}"
 
     return SlowMixReport(
         n=n,
@@ -381,8 +382,8 @@ def _running_total(values: np.ndarray):
 def walk_stationary(chain, arrays: walks.WalkArrays) -> np.ndarray:
     """stationary_exact over all walks, one weight per (flat, steep) class.
 
-    Valid for walk chains whose weight depends on the tile counts only, as
-    the fluctuating and the constant-bias walk weights do.
+    A walk kernel's weight gamma^flat * xi^steep depends on the tile counts
+    alone, so one walk stands for its class.
     """
     keys = np.stack([arrays.flat, arrays.steep], axis=1)
     _, first, inverse, sizes = np.unique(
@@ -398,11 +399,11 @@ def walk_stationary(chain, arrays: walks.WalkArrays) -> np.ndarray:
 def walk_transition_matrix(chain: WalkChain, arrays: walks.WalkArrays) -> sp.csr_matrix:
     """transition_matrix of an adjacent-swap walk chain over all walks.
 
-    Slot ``pos`` swaps steps pos and pos+1.  Its law depends on the walk only
-    through the pair's orientation and the number of up-steps through pos+1,
-    so ``_law`` runs once per (pos, ones, orientation) class.  A row's hold
-    entry is the exact 1 - sum of its off-diagonal masses, computed once per
-    distinct count of each exact mass.
+    Slot ``pos`` swaps steps pos and pos+1.  Its law picks ``flat`` or
+    ``steep`` by the number of up-steps through pos+1, so ``_law`` runs once
+    per (pos, ones, orientation) class.  A row's hold entry is the exact
+    1 - sum of its off-diagonal masses, computed once per distinct count of
+    each exact mass.
     """
     codes, steps = arrays.codes, arrays.steps
     m, length = steps.shape

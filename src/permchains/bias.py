@@ -82,10 +82,6 @@ class BiasTable:
             raise ValueError(f"bad label pair ({i}, {j}) for n={self.n}")
         return self._p[i][j]
 
-    def ratio(self, i: int, j: int) -> Fraction:
-        """Odds p(i,j)/p(j,i) of the in-order vs out-of-order arrangement."""
-        return self.p(i, j) / self.p(j, i)
-
     def is_positively_biased(self) -> bool:
         return all(
             self._p[i][j] >= HALF
@@ -257,10 +253,11 @@ def is_weakly_monotone(table: BiasTable) -> MonotonicityReport:
 class SlowMixSpec:
     """Parameters of the fluctuating-bias family on 2n labels.
 
-    eps = 1/(16n+2), so gamma = (1/2+eps)/(1/2-eps) = 1 + 1/(4n) exactly.
-    delta is the solved balance point, xi = (1-delta)/delta its swap ratio.
-    The bottleneck sits at walk height n - sqrt(n), integer level
-    cut_level = n - isqrt(n).
+    A cross-half pair on a steep tile is ordered with probability ``steep`` =
+    1 - delta, any other with ``flat`` = 1/2 + eps.  eps = 1/(16n+2), so the
+    flat odds are gamma = 1 + 1/(4n) exactly; delta is the solved balance
+    point, xi = (1-delta)/delta the steep odds.  The bottleneck sits at walk
+    height n - sqrt(n), integer level cut_level = n - isqrt(n).
     """
 
     n: int
@@ -269,6 +266,14 @@ class SlowMixSpec:
     @property
     def eps(self) -> Fraction:
         return Fraction(1, 16 * self.n + 2)
+
+    @property
+    def flat(self) -> Fraction:
+        return HALF + self.eps
+
+    @property
+    def steep(self) -> Fraction:
+        return 1 - self.delta
 
     @property
     def gamma(self) -> Fraction:
@@ -285,9 +290,7 @@ class SlowMixSpec:
     def cross_prob(self, small: int, large: int) -> Fraction:
         """p[small][large] for small <= n < large, by the exact diagonal test."""
         t = small - (large - self.n) + 1
-        if walks.exceeds_diag(t, self.n):
-            return 1 - self.delta
-        return HALF + self.eps
+        return self.steep if walks.exceeds_diag(t, self.n) else self.flat
 
     def pair_prob(self, i: int, j: int) -> Fraction:
         """p[i][j] for any i < j over the 2n labels."""
@@ -296,13 +299,12 @@ class SlowMixSpec:
         return self.cross_prob(i, j)
 
 
-def _balance_gap(n: int, xi, tables) -> Fraction:
-    """Mass(S3) - mass(S1) at swap ratio xi, unnormalized.
+def _balance_gap(gamma: Fraction, xi, tables) -> Fraction:
+    """Mass(S3) - mass(S1) at flat odds gamma and steep odds xi, unnormalized.
 
     Increasing xi only raises the steep-tile weights, so the gap is monotone
     in xi and a sign change brackets the balance point.
     """
-    gamma = 1 + Fraction(1, 4 * n)
     return walks.class_weight(tables[3], gamma, xi) - walks.class_weight(
         tables[1], gamma, xi
     )
@@ -323,13 +325,11 @@ def solve_delta(n: int) -> Fraction:
     gamma = 1 + Fraction(1, 4 * n)
     lo = gamma
     hi = Fraction(2957, 100)
-    f_lo = _balance_gap(n, lo, tables)
-    f_hi = _balance_gap(n, hi, tables)
-    if not (f_lo < 0 < f_hi):
+    if not (_balance_gap(gamma, lo, tables) < 0 < _balance_gap(gamma, hi, tables)):
         raise RuntimeError(f"no sign change on the xi bracket for n={n}")
     for _ in range(200):
         mid = (lo + hi) / 2
-        if _balance_gap(n, mid, tables) < 0:
+        if _balance_gap(gamma, mid, tables) < 0:
             lo = mid
         else:
             hi = mid

@@ -13,7 +13,8 @@ otherwise to ``no``.  The base class derives both views from it:
   law ``(1, state, state)``, so it still spends its acceptance draw, and
   trajectories are reproducible from (kernel, start, steps, seed) alone.
   The acceptance test is exact and cheap: u is k / 2**53 for an integer k,
-  so u < p is compared on integers, never through a float rounding of p.
+  so u < p is compared on integers, never through a float rounding of p;
+  a uniform slot pick is floor(k * count / 2**53), also on integers.
 * ``transition_distribution(state)`` returns the exact one-step distribution
   as a dict of successor -> Fraction, which the analysis code turns into
   matrices.  Self-loops are folded into one hold entry, inserted last.
@@ -29,8 +30,8 @@ Kernels:
                              node string of the league-tree encoding.
 * ``OnedChain``              biased walk on 0..k with holding boundaries.
 * ``AsepChain``              adjacent exclusion moves on a binary string.
-* ``WalkChain``              adjacent (+1, -1) swaps on staircase walks with
-                             position-dependent bias (fluctuating or constant).
+* ``WalkChain``              adjacent (+1, -1) swaps on staircase walks, by
+                             two swap probabilities (flat and steep tiles).
 * ``WalkTranspositionChain`` arbitrary (+1, -1) swaps with Metropolis
                              acceptance under the same walk weights.
 
@@ -93,8 +94,8 @@ def _notice(text: str):
 
 
 def _pick_uniform(u: float, count: int) -> int:
-    k = int(u * count)
-    return min(k, count - 1)  # guard u == 1.0 edge
+    # floor(k * count / 2**53) for u = k / 2**53: each slot gets floor or ceil of 2**53 / count values of k
+    return (int(u * UNIT) * count) >> UNIT_BITS
 
 
 class Kernel:
@@ -443,9 +444,20 @@ class AsepChain(Kernel):
 
 
 class WalkKernel(Kernel):
-    """A kernel on the staircase walks with n up-steps and n down-steps."""
+    """A kernel on the staircase walks with n up-steps and n down-steps.
+
+    A (+1, -1) pair whose tile is steep is ordered with probability ``steep``,
+    any other with ``flat``; their odds ``gamma`` and ``xi`` give the one
+    stationary weight gamma^#flat * xi^#steep, so law and weight agree.
+    """
 
     observable = "max-height"
+
+    def __init__(self, n: int, flat: Fraction, steep: Fraction):
+        self.n = n
+        self.flat, self.steep = flat, steep
+        self.gamma = flat / (1 - flat)
+        self.xi = steep / (1 - steep)
 
     def space(self):
         return walks.all_walks(self.n)
@@ -456,51 +468,35 @@ class WalkKernel(Kernel):
     def default_start(self) -> tuple:
         return (-1,) * self.n + (1,) * self.n
 
+    def stationary_weight(self, w) -> Fraction:
+        return walks.walk_weight(w, self.gamma, self.xi)
+
 
 class WalkChain(WalkKernel):
     """Adjacent (+1, -1) swaps on staircase walks.
 
-    The orientation probability of each unequal adjacent pair comes from
-    ``bias_at(ones_before, downs_before)``: the probability of the (+1, -1)
-    arrangement for the pair formed by the l-th up-step and m-th down-step.
-    Use :meth:`fluctuating` for the slow-mixing family and :meth:`constant`
-    for a uniform-bias reference chain of the same size.  Each pair's bias is
-    taken from ``bias_at`` once per kernel.
+    The pair of the l-th up-step and the m-th down-step has a steep tile when
+    ``walks.exceeds_diag(l - m + 1, n)``.  Use :meth:`fluctuating` for the
+    slow-mixing family and :meth:`constant` for a uniform-bias reference
+    chain of the same size, whose two probabilities are equal.
     """
 
     kind = "walk"
 
-    def __init__(
-        self,
-        n: int,
-        bias_at: Callable[[int, int], Fraction],
-        weight_of: Callable[[tuple], Fraction],
-    ):
-        self.n = n
-        self.bias_at = bias_at
-        self._weight_of = weight_of
+    def __init__(self, n: int, flat: Fraction, steep: Fraction):
+        super().__init__(n, flat, steep)
         self._slots = self._uniform(range(2 * n - 1))
-        self._bias: dict[tuple[int, int], Fraction] = {}
 
     @classmethod
     def fluctuating(cls, spec: SlowMixSpec) -> "WalkChain":
-        return cls(
-            spec.n,
-            lambda l, m: spec.cross_prob(l, spec.n + m),
-            lambda w: walks.walk_weight(w, spec.gamma, spec.xi),
-        )
+        return cls(spec.n, spec.flat, spec.steep)
 
     @classmethod
     def constant(cls, n: int, p) -> "WalkChain":
         q = as_probability(p)
         if q in (0, 1):
             raise ValueError(f"constant walk bias {q} is degenerate: every swap goes one way; use 0 < p < 1")
-        lam = q / (1 - q)
-
-        def weight(w) -> Fraction:
-            return lam ** walks.tile_count_total(w)
-
-        return cls(n, lambda l, m: q, weight)
+        return cls(n, q, q)
 
     @classmethod
     def from_model(cls, model: Model, n: int | None) -> "WalkChain":
@@ -512,22 +508,14 @@ class WalkChain(WalkKernel):
             return cls.constant(n, model.p)
         raise ValueError("chain walk requires a slowmix or constant model")
 
-    def stationary_weight(self, w) -> Fraction:
-        return self._weight_of(w)
-
-    def _pair_bias(self, w, pos: int) -> Fraction:
-        ones = w[: pos + 2].count(1)
-        pair = (ones, pos + 2 - ones)
-        bias = self._bias.get(pair)
-        if bias is None:
-            bias = self._bias[pair] = self.bias_at(*pair)
-        return bias
-
     def _law(self, w, pos: int):
         if w[pos] == w[pos + 1]:
             return 1, w, w
+        ups = w[: pos + 2].count(1)
+        downs = pos + 2 - ups
+        p = self.steep if walks.exceeds_diag(ups - downs + 1, self.n) else self.flat
         head, tail = w[:pos], w[pos + 2 :]
-        return self._pair_bias(w, pos), head + (1, -1) + tail, head + (-1, 1) + tail
+        return p, head + (1, -1) + tail, head + (-1, 1) + tail
 
 
 class WalkTranspositionChain(WalkKernel):
@@ -543,8 +531,9 @@ class WalkTranspositionChain(WalkKernel):
     kind = "walk-transposition"
 
     def __init__(self, spec: SlowMixSpec):
+        super().__init__(spec.n, spec.flat, spec.steep)
         self.spec = spec
-        self.n = n = spec.n
+        n = spec.n
         self._slots = self._uniform([divmod(idx, n) for idx in range(n * n)])
         self._accept: dict[tuple[int, int], Fraction | int] = {}
 
@@ -554,25 +543,19 @@ class WalkTranspositionChain(WalkKernel):
             raise ValueError("chain walk-transposition requires a slowmix model")
         return cls(model.slowmix)
 
-    def stationary_weight(self, w) -> Fraction:
-        return walks.walk_weight(w, self.spec.gamma, self.spec.xi)
-
-    def _swapped(self, w, which_up: int, which_down: int):
-        ups = [k for k, s in enumerate(w) if s == 1]
-        downs = [k for k, s in enumerate(w) if s == -1]
-        new = list(w)
-        a, b = ups[which_up], downs[which_down]
-        new[a], new[b] = new[b], new[a]
-        return tuple(new)
-
     def _law(self, w, slot):
-        new = self._swapped(w, *slot)
+        which_up, which_down = slot
+        a = [k for k, s in enumerate(w) if s == 1][which_up]
+        b = [k for k, s in enumerate(w) if s == -1][which_down]
+        new = list(w)
+        new[a], new[b] = new[b], new[a]
+        new = tuple(new)
         f0, s0 = walks.tile_counts(w)
         f1, s1 = walks.tile_counts(new)
         change = (f1 - f0, s1 - s0)
         accept = self._accept.get(change)
         if accept is None:
-            accept = self._accept[change] = min(1, self.spec.gamma ** change[0] * self.spec.xi ** change[1])
+            accept = self._accept[change] = min(1, self.gamma ** change[0] * self.xi ** change[1])
         return accept, new, w
 
 

@@ -184,7 +184,7 @@ def exceeds_diag(t: int, n: int) -> bool:
     Used both for classifying tiles (t = x + y - n) and for picking the swap
     probability of a (small, large) label pair (t = small - (large - n) + 1).
     """
-    return t >= n - math.isqrt(n)
+    return t >= cut_level(n)
 
 
 def tile_counts(w: Sequence[int]) -> tuple[int, int]:
@@ -207,16 +207,10 @@ def tile_counts(w: Sequence[int]) -> tuple[int, int]:
             col += 1
             height = n - downs_seen
             total += height
-            # steep tiles in this column: y >= 2n - level... y + x - n >= level
-            y_min = n + level - col
+            y_min = n + level - col  # the lowest steep tile: col + y - n >= level
             if height >= y_min:
                 steep += height - max(y_min, 1) + 1
     return total - steep, steep
-
-
-def tile_count_total(w: Sequence[int]) -> int:
-    flat, steep = tile_counts(w)
-    return flat + steep
 
 
 def walk_weight(w: Sequence[int], gamma: Fraction, xi: Fraction) -> Fraction:
@@ -224,19 +218,22 @@ def walk_weight(w: Sequence[int], gamma: Fraction, xi: Fraction) -> Fraction:
     return gamma**flat * xi**steep
 
 
-def cut_class(w: Sequence[int], widened: bool = False) -> int:
-    """1, 2, or 3 by max height below / at / above the bottleneck level.
+def height_class(h: int, n: int, widened: bool = False) -> int:
+    """1, 2, or 3 by max height h below / at / above the bottleneck level.
 
     The widened variant counts level+1 as part of the middle class, which is
     the right cut for chains that can change the max height by 2 per move.
     """
-    n = len(w) // 2
     level = cut_level(n)
-    h = max_height(w)
     top = level + 1 if widened else level
     if h < level:
         return 1
     return 2 if h <= top else 3
+
+
+def cut_class(w: Sequence[int], widened: bool = False) -> int:
+    """The :func:`height_class` of the walk's max height."""
+    return height_class(max_height(w), len(w) // 2, widened)
 
 
 @dataclass(frozen=True)
@@ -248,12 +245,9 @@ class HeightProfile:
 
     def class_table(self, widened: bool = False) -> dict[int, dict]:
         """Merge heights into cut classes 1, 2, 3."""
-        level = cut_level(self.n)
-        top = level + 1 if widened else level
         out = {1: {}, 2: {}, 3: {}}
         for h, table in self.counts.items():
-            cls = 1 if h < level else (2 if h <= top else 3)
-            bucket = out[cls]
+            bucket = out[height_class(h, self.n, widened)]
             for key, cnt in table.items():
                 bucket[key] = bucket.get(key, 0) + cnt
         return out

@@ -300,8 +300,8 @@ def test_solve_delta_bracket_signs():
     n = 5
     tables = walks.height_profile(n).class_table()
     gamma = 1 + Fraction(1, 4 * n)
-    assert _balance_gap(n, gamma, tables) < 0
-    assert _balance_gap(n, Fraction(2957, 100), tables) > 0
+    assert _balance_gap(gamma, gamma, tables) < 0
+    assert _balance_gap(gamma, Fraction(2957, 100), tables) > 0
 
 
 def test_solve_delta_regression():

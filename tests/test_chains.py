@@ -48,6 +48,7 @@ from permchains.chains import (
     TreeChain,
     WalkChain,
     WalkTranspositionChain,
+    _pick_uniform,
     build,
     make_rng,
     run,
@@ -264,8 +265,9 @@ def test_walk_ratio_classes():
     spec = SlowMixSpec(n=n, delta=solve_delta(n))
     k = WalkChain.fluctuating(spec)
     # the flat region has swap-odds gamma, the steep region xi
-    flat_pair = k.bias_at(1, n)      # far below the diagonal
-    steep_pair = k.bias_at(n, 1)     # at the corner
+    low, high = (-1,) * n + (1,) * n, (1,) * n + (-1,) * n
+    flat_pair, _, _ = k._law(low, n - 1)    # 1st up-step, n-th down-step: far below the diagonal
+    steep_pair, _, _ = k._law(high, n - 1)  # n-th up-step, 1st down-step: at the corner
     assert flat_pair / (1 - flat_pair) == spec.gamma
     assert steep_pair / (1 - steep_pair) == spec.xi
 
@@ -441,6 +443,29 @@ def test_integer_acceptance_at_the_rounded_probability(p):
     u = float(p)
     assert Fraction(u) < p and not u < float(p)
     assert _accepts(u, p)
+
+
+def _first_k(j: int, count: int) -> int:
+    """The smallest 53-bit k whose slot among count is j or above: ceil(j * 2**53 / count)."""
+    return -(-j * UNIT // count)
+
+
+@given(st.integers(2, 2**40), st.data())
+def test_uniform_pick_is_exact_at_slot_boundaries(count, data):
+    j = data.draw(st.integers(1, count - 1))
+    start, end = _first_k(j, count), _first_k(j + 1, count)
+    assert _pick_uniform(start / UNIT, count) == j
+    assert _pick_uniform((start - 1) / UNIT, count) == j - 1
+    assert _pick_uniform((end - 1) / UNIT, count) == j
+    assert end - start in (UNIT // count, -(-UNIT // count))
+    assert _pick_uniform((UNIT - 1) / UNIT, count) == count - 1
+
+
+def test_uniform_pick_where_the_float_product_rounds_up():
+    # u * 3 = 2 - 2**-53 rounds to 2.0, so int(u * 3) would pick slot 2
+    k = _first_k(2, 3) - 1
+    assert int(k / UNIT * 3) == 2
+    assert _pick_uniform(k / UNIT, 3) == 1
 
 
 def test_integer_acceptance_for_int_probabilities():

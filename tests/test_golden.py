@@ -1,6 +1,7 @@
 """
 Golden pins: sha256 fingerprints of seeded trajectories, exact one-step rows,
-the slow-mixing bottleneck report and the canonical-path reports.
+exact stationary weights, the slow-mixing bottleneck report and the
+canonical-path reports.
 
 The sample configs are the seven ``sample`` jobs of the benchmark; the row
 configs are small spaces of every kernel.  A change to the kernels that keeps
@@ -107,6 +108,23 @@ ROW_PINS = {
 }
 
 
+WEIGHT_PINS = {
+    "asep": "e60915a6a86a23c4d28591f6952e2d6e3021e3039f077b3eeef91385dd9ad16f",
+    "inv-max": "94ca79542a5813ea62982e13a2ac7e282b5d7cf45142f46e851d4c011f46c65b",
+    "inv-min": "63944aa9dd8c6042d43f69efd543f8d365abf8466fb33c02efa5f2ffde21eca0",
+    "nn-constant": "7c108112bfe542b2fa4caf8c67cf045d174e2a2b675438dd11c52b5cfa2ef715",
+    "nn-cyw": "4ff4e1b286ded8e5ed248061091c552ccdc12594f612295364c77b359345fd9b",
+    "nn-deterministic": "e2f136ee3bf5cef9064090d6bfd5ffd088815de1c5e8b25f3c7f3cf8f481591b",
+    "oned-deterministic": "184293b0c4d9f9a184632794e3057d7c3382711b1872bd705ad822ecdd6483d9",
+    "oned-interior": "50d9454a56b1e2ad505588da36a6322676086034cc730a8a257d0933bf06b9f5",
+    "tree-complete": "c1bb2ef1fb85f88b69aacb0d48604ee2f6851a9841fcefe175bc486caa6c20bf",
+    "tree-demo": "b1286dd32147bf2a05789fa81d2ebcff94c316617df43c312a60d7f4b0055739",
+    "walk-constant": "ed93907fc0c7a491248bd8b0856b02c13a40342afa7eccf47178dabe4cb2830e",
+    "walk-fluctuating": "84eeebaf8589d86325bd01ddc8db344446b1fb6344d6c65b3319daaefe785249",
+    "walk-transposition": "84eeebaf8589d86325bd01ddc8db344446b1fb6344d6c65b3319daaefe785249",
+}
+
+
 def rows_digest(name: str) -> str:
     kernel = ROW_KERNELS[name]()
     rows = [
@@ -114,6 +132,11 @@ def rows_digest(name: str) -> str:
         for s in kernel.space()
     ]
     return _digest(rows)
+
+
+def weights_digest(name: str) -> str:
+    kernel = ROW_KERNELS[name]()
+    return _digest([kernel.stationary_weight(s) for s in kernel.space()])
 
 
 @pytest.mark.parametrize("kind", sorted(SAMPLE_CONFIGS))
@@ -125,6 +148,11 @@ def test_sample_trajectory_pinned(kind, seed):
 @pytest.mark.parametrize("name", sorted(ROW_KERNELS))
 def test_exact_rows_pinned(name):
     assert rows_digest(name) == ROW_PINS[name]
+
+
+@pytest.mark.parametrize("name", sorted(ROW_KERNELS))
+def test_exact_weights_pinned(name):
+    assert weights_digest(name) == WEIGHT_PINS[name]
 
 
 SLOWMIX_PIN = "cb7f06eacfbc99edbeaf8e5016f51822a66735d7f906637565140e321a285984"

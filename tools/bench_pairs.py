@@ -1,6 +1,6 @@
 """Interleaved parent/change pairs of the benchmark, written to BENCH_<pr>.json.
 
-Run from anywhere inside a checkout of the change:
+Run from anywhere inside a checkout of the change, with the change committed:
 
     python3 tools/bench_pairs.py --parent HEAD~1 --pr <number> --first-seed <seed>
 
@@ -9,14 +9,15 @@ on each side,
 
     python3 perfbench/run.py --workload W --seed <first-seed + k> --seconds S --trace 0
 
-with S the ``run_seconds`` of BENCHMARK.json.  The change side is this
-checkout's working tree; the parent side is a ``git archive`` export of
-``--parent`` into a temporary directory, removed after the run.  Pairs alternate which side runs
-first, so a drift in the host's speed falls on both sides alike.  The file,
-rewritten after each workload, holds every run's end-to-end metrics and
-``failed`` count and, for each metric of each workload, both sides' medians
-and quartiles, how many pairs the change won (ties count for neither) and the
-ratio of the medians.
+with S the ``run_seconds`` of BENCHMARK.json.  Both sides run alike from
+``git archive`` exports into temporary directories, removed after the run:
+the change is ``HEAD``, the parent ``--parent``.  A checkout whose tracked
+files differ from ``HEAD`` is refused, since its edits would not be measured.
+Pairs alternate which side runs first, so a drift in the host's speed falls
+on both sides alike.  The file, rewritten after each workload, holds every
+run's end-to-end metrics and ``failed`` count and, for each metric of each
+workload, both sides' medians and quartiles, how many pairs the change won
+(ties count for neither) and the ratio of the medians.
 """
 from __future__ import annotations
 
@@ -41,8 +42,8 @@ def git(*args: str, cwd: Path = ROOT) -> str:
 
 
 @contextmanager
-def parent_checkout(rev: str):
-    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
+def exported(rev: str, side: str):
+    with tempfile.TemporaryDirectory(prefix=f"bench-{side}-") as tmp:
         archive = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True, capture_output=True).stdout
         subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
         yield Path(tmp)
@@ -91,6 +92,8 @@ def main(argv=None) -> int:
     parser.add_argument("--pr", required=True, help="names the output file BENCH_<pr>.json")
     parser.add_argument("--first-seed", type=int, required=True)
     args = parser.parse_args(argv)
+    if git("status", "--porcelain", "--untracked-files=no"):
+        parser.error("tracked files differ from HEAD; commit the change first")
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in spec["workloads"]]
@@ -99,15 +102,14 @@ def main(argv=None) -> int:
     doc = {
         "parent": git("rev-parse", args.parent),
         "change": git("rev-parse", "HEAD"),
-        "change_tree_dirty": bool(git("status", "--porcelain", "--untracked-files=no")),
         "command": "python3 perfbench/run.py --workload W --seed N --seconds S --trace 0",
         "seconds": seconds,
         "host": {"python": platform.python_version(), "machine": platform.machine(), "cpus": os.cpu_count()},
         "workloads": {},
     }
     out = ROOT / f"BENCH_{args.pr}.json"
-    with parent_checkout(args.parent) as parent:
-        checkouts = {"parent": parent, "change": ROOT}
+    with exported(args.parent, "parent") as parent, exported("HEAD", "change") as change:
+        checkouts = {"parent": parent, "change": change}
         for workload in workloads:
             pairs = []
             for k in range(PAIRS):
