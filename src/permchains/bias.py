@@ -255,7 +255,7 @@ class SlowMixSpec:
 
     A cross-half pair on a steep tile is ordered with probability ``steep`` =
     1 - delta, any other with ``flat`` = 1/2 + eps.  eps = 1/(16n+2), so the
-    flat odds are gamma = 1 + 1/(4n) exactly; delta is the solved balance
+    flat odds are gamma = (4n+1)/(4n) exactly; delta is the solved balance
     point, xi = (1-delta)/delta the steep odds.  The bottleneck sits at walk
     height n - sqrt(n), integer level cut_level = n - isqrt(n).
     """
