@@ -20,6 +20,8 @@ a ``chains.WalkKernel`` is set by two swap probabilities, so the classes hold
 by construction.
 The Fraction path (``transition_distribution``, ``transition_matrix``,
 ``stationary_exact``) stays the oracle; the array builds equal it bit for bit.
+Its rows come from memoized slot products with the hold summed on integers,
+equal to a per-slot Fraction loop, which the tests keep as the reference.
 
 ``mixing_time_exact`` steps the start distributions in cache-sized chunks of
 columns, or one vector per explicit start, each run only as far as the first
@@ -277,14 +279,12 @@ def conductance_of_cut(matrix: sp.csr_matrix, pi: np.ndarray, cut) -> float:
     if mass > 0.5:
         inside = ~inside
         mass = 1.0 - mass
-    rows = np.where(inside)[0]
-    flow = 0.0
-    sub = matrix[rows]
-    coo = sub.tocoo()
-    for r, c, v in zip(coo.row, coo.col, coo.data):
-        if not inside[c]:
-            flow += pi[rows[r]] * v
-    return flow / mass
+    rows = np.flatnonzero(inside)
+    coo = matrix[rows].tocoo()
+    out = ~inside[coo.col]
+    # a sequential sum in COO order, as a loop over the entries would add them
+    flows = np.add.accumulate(pi[rows[coo.row[out]]] * coo.data[out])
+    return (flows[-1] if flows.size else 0.0) / mass
 
 
 # -- slow-mixing bottleneck report ---------------------------------------------

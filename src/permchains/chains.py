@@ -18,7 +18,11 @@ otherwise to ``no``.  The base class derives both views from it:
 * ``transition_distribution(state)`` returns the exact one-step distribution
   as a dict of successor -> Fraction, which the analysis code turns into
   matrices.  Self-loops are folded into one hold entry, inserted last.
-  Probabilities sum to exactly 1.
+  Probabilities sum to exactly 1.  Each kernel memoizes its slot products
+  mass * p and mass * (1 - p) by (slot index, p) (``SlotTerms``), and sums
+  the hold on their integer numerators over the lcm of the memoized
+  denominators: one Fraction per row for the hold, and the same rows, in the
+  same order, as the per-slot Fraction loop the tests keep as the oracle.
 
 Kernels:
 
@@ -52,6 +56,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from itertools import accumulate, chain, combinations
 from typing import Callable, NamedTuple
@@ -124,23 +129,63 @@ class Kernel:
         new = yes if int(rng.random() * UNIT) * p.denominator < p.numerator << UNIT_BITS else no
         return StepOutcome(new, new != state)
 
+    @cached_property
+    def _terms(self) -> SlotTerms:
+        return SlotTerms()
+
     def transition_distribution(self, state) -> dict:
         out: dict = {}
-        hold = Fraction(0)
-        for slot, mass in self._slots:
+        terms = self._terms
+        entries = terms.entries
+        hold = 0  # numerator over terms.common
+        for k, (slot, mass) in enumerate(self._slots):
             p, yes, no = self._law(state, slot)
-            for target, prob in ((yes, p), (no, 1 - p)):
-                if not prob:
+            key = (k, p.numerator, p.denominator)
+            entry = entries.get(key)
+            if entry is None:
+                common = terms.common
+                entry = terms.add(key, mass, p)
+                hold *= terms.common // common  # the partial hold, over a grown denominator
+            for target, (w, num) in zip((yes, no), entry):
+                if w is None:
                     continue
-                w = mass if prob == 1 else mass * prob
                 if target == state:
-                    hold += w
+                    hold += num
                 elif target in out:
                     out[target] += w
                 else:
                     out[target] = w
-        out[state] = hold
+        out[state] = Fraction(hold, terms.common)
         return out
+
+
+class SlotTerms:
+    """Memoized slot products of one kernel, for ``transition_distribution``.
+
+    An entry, keyed by (slot index, p.numerator, p.denominator), holds the
+    branch terms mass * p and mass * (1 - p), each as (Fraction, its numerator
+    over ``common``), or (None, 0) for a zero branch.  ``common`` is the lcm
+    of every memoized denominator, so holds are summed on integers.
+    """
+
+    def __init__(self):
+        self.entries: dict[tuple[int, int, int], tuple] = {}
+        self.common = 1
+
+    def add(self, key, mass: Fraction, p) -> tuple:
+        """Memoize a new key; when ``common`` grows, every entry's numerators
+        are rescaled, and a caller's partial sums must be too."""
+        ws = [(mass if prob == 1 else mass * prob) if prob else None for prob in (p, 1 - p)]
+        common = math.lcm(self.common, *(w.denominator for w in ws if w is not None))
+        if common != self.common:
+            scale = common // self.common
+            for k, entry in self.entries.items():
+                self.entries[k] = tuple((w, num * scale) for w, num in entry)
+            self.common = common
+        entry = self.entries[key] = tuple(
+            (None, 0) if w is None else (w, w.numerator * (common // w.denominator)) for w in ws
+        )
+        return entry
 
 
 class PermutationKernel(Kernel):

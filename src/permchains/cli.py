@@ -135,7 +135,6 @@ def _check_eps(eps: float, top: float):
 
 def _exact_rows(args, ns: list[int | None]):
     """One row per size; a size of None takes the model's own."""
-    _check_eps(args.eps, 1)
     model = parse_model_spec(args.model)
     rows = []
     for requested in ns:
@@ -172,13 +171,18 @@ def _exact_rows(args, ns: list[int | None]):
 
 
 def cmd_exact(args) -> int:
-    rows = _exact_rows(args, _sizes(args))
+    ns = _sizes(args)
+    _check_eps(args.eps, 1)
+    rows = _exact_rows(args, ns)
     _write_table(args, ["n", "chain", "model", "eps", "tau", "gap", "pi_min", "caveat"], rows)
     return 0
 
 
 def cmd_scan(args) -> int:
     ns = _parse_n_range(args.n_range)
+    _check_eps(args.eps, 1)
+    if len(ns) < 2:
+        raise UsageError("scan needs at least two sizes")
     rows = _exact_rows(args, ns)
     taus = [r[4] for r in rows]
     slope = loglog_slope(ns, taus)

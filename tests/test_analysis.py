@@ -9,7 +9,8 @@ Exact analysis machinery:
   loop step for step (720-state all-starts runs, extreme starts at 5,040
   permutations and 3,432 and 12,870 walks, a single-column chunk, a horizon
   that runs out, eps met at t = 0, a single start)
-- every explicit cut lower-bounds the exact mixing time
+- every explicit cut lower-bounds the exact mixing time; the vectorised cut
+  flow equals the former loop over COO entries
 - the product bound is sound on a 4-state toy and reproduces the plug-in form
 - coupling and hitting-time estimates agree with birth-death formulas
 - the n=4 monotone grid has no gap below the uniform table
@@ -277,6 +278,56 @@ def test_conductance_large_cut_uses_complement():
     m = transition_matrix(k)
     pi = stationary_exact(k)
     assert conductance_of_cut(m, pi, [0]) == pytest.approx(0.7)
+
+
+def reference_conductance(matrix, pi, cut) -> float:
+    """The former COO loop of ``conductance_of_cut``, kept as the reference."""
+    cut = sorted(set(cut))
+    mass = float(pi[cut].sum())
+    inside = np.zeros(matrix.shape[0], dtype=bool)
+    inside[cut] = True
+    if mass > 0.5:
+        inside = ~inside
+        mass = 1.0 - mass
+    rows = np.where(inside)[0]
+    flow = 0.0
+    coo = matrix[rows].tocoo()
+    for r, c, v in zip(coo.row, coo.col, coo.data):
+        if not inside[c]:
+            flow += pi[rows[r]] * v
+    return flow / mass
+
+
+@pytest.mark.parametrize("kind, model, n", [
+    *((kind, "constant:0.75", n) for kind in ("nn", "inv", "tree") for n in (3, 4, 5, 6)),
+    ("nn", "cyw:0.6,0.7,0.8,0.9,0.95", None),
+    ("inv", "cyw:0.6,0.7,0.8,0.9,0.95:max", None),
+])
+def test_conductance_equals_the_entry_loop_on_weight_cuts(kind, model, n):
+    kernel = build(kind, parse_model_spec(model), n)
+    m = transition_matrix(kernel)
+    pi = stationary_exact(kernel)
+    for cut in level_cuts_by_weight(pi):
+        assert conductance_of_cut(m, pi, cut) == reference_conductance(m, pi, cut)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_conductance_equals_the_entry_loop_on_the_slowmix_level_cut(n):
+    spec = SlowMixSpec(n=n, delta=solve_delta(n))
+    arrays = walks.walk_arrays(n)
+    chain = WalkChain.fluctuating(spec)
+    m = walk_transition_matrix(chain, arrays)
+    pi = walk_stationary(chain, arrays)
+    cut = np.flatnonzero(arrays.max_height < spec.level).tolist()
+    assert conductance_of_cut(m, pi, cut) == reference_conductance(m, pi, cut) > 0
+
+
+def test_conductance_without_outgoing_flow_equals_the_entry_loop():
+    m = sp.csr_matrix(np.array([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 1.0]]))
+    pi = np.array([0.25, 0.25, 0.5])
+    for cut in ([0, 1], [2], [0, 2]):
+        assert conductance_of_cut(m, pi, cut) == reference_conductance(m, pi, cut)
+    assert conductance_of_cut(m, pi, [2]) == 0.0
 
 
 @pytest.mark.parametrize("n", [3, 4])

@@ -6,6 +6,9 @@ Kernel behavior:
 - hold probabilities respect the documented floors
 - trajectories are deterministic given a seed and track the stationary law
 - each kernel's sampler follows its own exact one-step row
+- exact rows equal the per-slot Fraction loop in entries, order and value
+  types, cold or warm, when the memo's common denominator grows inside a row,
+  and on random rational nn tables
 - the integer acceptance test equals u < p exactly, block-served uniforms
   equal scalar draws, and ``run`` reproduces the scalar-draw sampler
 - the walk kernels obey the ratio and height-jump claims
@@ -14,6 +17,7 @@ Kernel behavior:
 """
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -27,10 +31,12 @@ from permchains.analysis import (
     tv_distance,
 )
 from permchains.bias import (
+    BiasTable,
     CywSpec,
     SlowMixSpec,
     choose_your_weapon,
     constant_bias,
+    league_hierarchy,
     parse_model_spec,
     slow_mixing_bias,
     solve_delta,
@@ -54,7 +60,7 @@ from permchains.chains import (
     run,
 )
 from permchains.perms import all_permutations, identity, inversion_count, reversal
-from permchains.trees import truncate_tree
+from permchains.trees import LeagueTree, complete_tree, truncate_tree
 
 from support import cyw_spec, truncate_tree_demo
 
@@ -500,6 +506,107 @@ def test_run_matches_scalar_reference_loop(name):
     start = states[0]
     traj = run(make(), start, 3_000, seed=17, stride=1)
     assert (traj.final_state, traj.moves, traj.records) == _reference_run(make(), start, 3_000, 17)
+
+
+# -- exact rows against the per-slot Fraction loop ----------------------------------
+
+
+def reference_row(kernel, state) -> dict:
+    """The former per-slot Fraction loop of ``transition_distribution``, kept as the oracle."""
+    out: dict = {}
+    hold = Fraction(0)
+    for slot, mass in kernel._slots:
+        p, yes, no = kernel._law(state, slot)
+        for target, prob in ((yes, p), (no, 1 - p)):
+            if not prob:
+                continue
+            w = mass if prob == 1 else mass * prob
+            if target == state:
+                hold += w
+            elif target in out:
+                out[target] += w
+            else:
+                out[target] = w
+    out[state] = hold
+    return out
+
+
+def _typed(row: dict) -> list:
+    """Entries in insertion order, with each value's type."""
+    return [(t, type(p), p) for t, p in row.items()]
+
+
+LEAGUE6 = LeagueTree.from_json(
+    '{"q": 0.9, "left": {"q": 0.8, "left": {"q": 0.6, "left": 1, "right": {"q": 0.5, "left": 2, "right": 3}},'
+    ' "right": 4}, "right": {"q": 0.7, "left": 5, "right": 6}}'
+)
+# adjacent pairs with coprime denominators: the common denominator grows mid-row
+COPRIME = dict(zip(combinations(range(1, 5), 2), map(Fraction, ("3/5", "2/3", "13/17", "5/7", "11/13", "7/11"))))
+
+ROW_ORACLE_KERNELS = {
+    "nn-constant": lambda: NearestNeighborChain(constant_bias(6, "0.75")),
+    "nn-cyw": lambda: NearestNeighborChain(choose_your_weapon(cyw_spec(6))),
+    "nn-league": lambda: NearestNeighborChain(league_hierarchy(LEAGUE6)),
+    "nn-deterministic": lambda: NearestNeighborChain(constant_bias(4, 1)),
+    "nn-coprime": lambda: NearestNeighborChain(BiasTable(4, lambda i, j: COPRIME[i, j])),
+    "inv-min": lambda: InversionChain(cyw_spec(6)),
+    "inv-max": lambda: InversionChain(CywSpec(r=cyw_spec(6).r, variant="max")),
+    "tree-constant": lambda: TreeChain(complete_tree(6, "0.75")),
+    "tree-league6": lambda: TreeChain(LEAGUE6),
+    "oned": lambda: OnedChain("0.6", 6),
+    "asep": lambda: AsepChain("0.7", 3, 3),
+    "walk": lambda: WalkChain.fluctuating(_slowmix(4)),
+    "walk-constant": lambda: WalkChain.constant(4, "0.75"),
+    "walk-transposition": lambda: WalkTranspositionChain(_slowmix(4)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROW_ORACLE_KERNELS))
+def test_rows_equal_the_fraction_loop(name):
+    kernel = ROW_ORACLE_KERNELS[name]()
+    for s in kernel.space():
+        assert _typed(kernel.transition_distribution(s)) == _typed(reference_row(kernel, s))
+
+
+@pytest.mark.parametrize("name", sorted(ROW_ORACLE_KERNELS))
+def test_cold_rows_equal_warm_rows(name):
+    """A kernel's first row equals the row of one whose memo other rows filled."""
+    make = ROW_ORACLE_KERNELS[name]
+    warm = make()
+    states = warm.space()
+    for s in reversed(states):
+        warm.transition_distribution(s)
+    for s in states[:: max(1, len(states) // 40)]:
+        cold = make().transition_distribution(s)
+        assert _typed(cold) == _typed(warm.transition_distribution(s)) == _typed(reference_row(warm, s))
+
+
+@pytest.mark.parametrize("name", ["nn-coprime", "tree-league6"])
+def test_common_denominator_grows_inside_a_row(name):
+    """The memo's denominator grows between two hold terms of a cold kernel's row."""
+    kernel = ROW_ORACLE_KERNELS[name]()
+    state = kernel.default_start()
+    grown = []
+    add = kernel._terms.add
+
+    def recording_add(key, mass, p):
+        before = kernel._terms.common
+        entry = add(key, mass, p)
+        grown.append(kernel._terms.common != before)
+        return entry
+
+    kernel._terms.add = recording_add
+    row = kernel.transition_distribution(state)
+    assert sum(grown[1:]) >= 1
+    assert _typed(row) == _typed(reference_row(kernel, state))
+
+
+@given(st.lists(st.fractions(0, 1, max_denominator=30), min_size=6, max_size=6))
+def test_rows_equal_the_fraction_loop_on_rational_tables(ps):
+    upper = dict(zip(combinations(range(1, 5), 2), ps))
+    kernel = NearestNeighborChain(BiasTable(4, lambda i, j: upper[i, j]))
+    for s in all_permutations(4):
+        assert _typed(kernel.transition_distribution(s)) == _typed(reference_row(kernel, s))
 
 
 # -- the kernel registry ----------------------------------------------------------

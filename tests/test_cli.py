@@ -5,8 +5,8 @@ CLI behavior:
 - model/chain pairings validate, with the documented constant-model coercions
 - exit codes: 0 success, 1 invariant failure, 2 usage error (degenerate
   sizes, one-state spaces, zero-mass stationary laws, negative step counts,
-  an --n that contradicts a sized model and --n given with --n-range
-  included), 3 cap exceeded (checked before the state space is enumerated),
+  an --n that contradicts a sized model, --n given with --n-range and a
+  scan over one size included), 3 cap exceeded (checked before the state space is enumerated),
   4 soundness failure
 - each row reports the kernel's own size; for walks, the half size
 - paths routes a max-variant inversion model (exit 0)
@@ -388,6 +388,20 @@ def test_eps_out_of_range_is_usage_error_before_any_work(capsys, monkeypatch, ar
     assert code == 2
     assert out == ""
     assert "--eps must lie strictly between 0 and" in err
+
+
+@pytest.mark.parametrize("n_range", ["3:3", "7:7", "4"])
+def test_scan_over_one_size_is_usage_error_before_any_work(capsys, monkeypatch, n_range):
+    from permchains import cli
+
+    def parse(text):
+        raise AssertionError("the model was parsed before the sizes were checked")
+
+    monkeypatch.setattr(cli, "parse_model_spec", parse)
+    code, out, err = run_cli(["scan", "--chain", "nn", "--model", "constant:0.75", "--n-range", n_range], capsys)
+    assert code == 2
+    assert out == ""
+    assert "scan needs at least two sizes" in err and "Traceback" not in err
 
 
 def test_conductance_check_uses_the_given_eps(capsys):
