@@ -27,16 +27,24 @@ equal to a per-slot Fraction loop, which the tests keep as the reference.
 columns, or one vector per explicit start, each run only as far as the first
 t at which every start is within eps: its distances and tau equal stepping
 the whole (states, starts) block, which the tests keep as the reference, bit
-for bit.
+for bit.  With every state a start, the chunks run on a thread pool with one
+worker per usable CPU (``WORKERS``), each stepping into buffers that the
+calling thread made; a column's steps depend on that column alone, so the
+results do not depend on the number of cores.
 """
 from __future__ import annotations
 
 import math
+import os
+import queue
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from . import walks
 from .bias import SlowMixSpec, solve_delta
@@ -45,6 +53,9 @@ from .chains import WalkChain, WalkTranspositionChain, make_rng
 STATE_CAP = 100_000
 DENSE_CAP = 10_000
 CHUNK = 128  # start columns stepped together by mixing_time_exact
+LOG = 512  # steps a chunk may take per pass of mixing_time_exact
+# threads for mixing_time_exact's all-starts chunks: the CPUs this process may use
+WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 COMPARISON_P = Fraction(3, 4)  # bias of the slowmix report's constant-bias chain
 
 
@@ -173,14 +184,23 @@ def mixing_time_exact(
     "extreme-starts" caveat.  The starts are stepped in chunks, each with its
     own curve of worst TV per step: with starts=None, (states, w) blocks of
     w <= CHUNK columns, small enough to stay in cache; with explicit starts,
-    one vector per start.  Each chunk runs to its own first crossing of eps;
-    every chunk is then brought up to the largest step count T reached, and
-    the chunks still above eps at T run on.  Once all chunks stand at T, each
-    t < T has a chunk above eps (one that stepped on from t), and no chunk is
-    above eps at T: T is the first t whose worst start is within eps, found
-    without assuming that the distances fall monotonically.  No chunk steps
-    past T, so each start column takes exactly the steps that stepping the
-    whole block would, and distances[t] is the largest of the chunks' values.
+    one vector per start.  Each pass runs every chunk up to the largest step
+    count T reached so far and then on to its first crossing of eps; passes
+    repeat until all chunks stand at one T.  Then each t < T has a chunk above
+    eps (one that stepped on from t), and no chunk is above eps at T: T is the
+    first t whose worst start is within eps, found without assuming that the
+    distances fall monotonically.  No chunk steps past T, so each start column
+    takes exactly the steps that stepping the whole block would, and
+    distances[t] is the largest of the chunks' values.
+
+    A column's steps depend on that column alone, so the chunks of a pass run
+    in any order: with starts=None and two or more chunks, on a pool of
+    ``WORKERS`` threads, which the sparse products and array reductions let
+    run at once.  The result is the same T and the same values on any number
+    of cores.  Each step writes into buffers that the calling thread
+    allocates, once per worker and once per chunk (see ``_run_chunk``); a
+    chunk takes at most ``LOG`` steps per pass.  Explicit starts stay on
+    the calling thread: one vector per step is too little work to share.
     """
     pi = np.asarray(pi)
     m = matrix.shape[0]
@@ -196,41 +216,91 @@ def mixing_time_exact(
         rows = np.zeros((len(group), m))
         rows[np.arange(len(group)), group] = 1.0
         worst0.append(np.abs(rows - pi).sum(axis=1).max())
-        # a C-contiguous (states, w) block: scipy would copy a strided one in
-        # the product, which returns that layout, so nothing is transposed per
-        # step.  One column split off a wider block is a vector; a single
-        # start keeps its (states, 1) block (see _worst_column).
+        # a C-contiguous (states, w) block, the layout the sparsetools kernel
+        # reads and writes, so nothing is transposed per step.  One column
+        # split off a wider block is a vector; a single start keeps its
+        # (states, 1) block (see _worst_column).
         split = len(group) == 1 and len(groups) > 1
         xs.append(rows[0] if split else np.ascontiguousarray(rows.T))
     distances = [float(max(worst0) * 0.5)]
     if distances[-1] <= eps:
         return MixingResult(0, eps, distances, True, caveat)
-    transposed = matrix.T  # CSC, formed once
+    transposed = sp.csc_matrix(matrix.T, dtype=float)  # formed once
+    workers = min(WORKERS, len(xs)) if starts is None else 1
+    # every buffer the workers write is made here (see _run_chunk)
+    spares: queue.SimpleQueue = queue.SimpleQueue()
+    width = max(x.size for x in xs)
+    for _ in range(workers):
+        spares.put((np.empty(width), np.empty(CHUNK)))
+    logs = np.empty((len(xs), LOG))
     curves = [[] for _ in xs]  # curves[k][t - 1]: chunk k's worst TV at step t
     reached = 1  # distances[0] > eps: every chunk takes step 1
-    while True:
-        for k, x in enumerate(xs):
-            curve = curves[k]
-            centre = pi if x.ndim == 1 else pi[:, None]
-            buf = np.empty(x.shape)
-            while len(curve) < horizon and (len(curve) < reached or curve[-1] > eps):
-                x = transposed @ x
-                np.subtract(x, centre, out=buf)
-                np.abs(buf, out=buf)
-                curve.append(float(_worst_column(buf) * 0.5))
-            xs[k] = x
-            reached = len(curve)
-        if all(len(curve) == reached for curve in curves):
-            break
+
+    def run(k):
+        spare = spares.get()
+        curve = curves[k]
+        last = curve[-1] if curve else math.inf
+        taken = _run_chunk(transposed, pi, xs[k], spare, logs[k], len(curve), last, reached, eps, horizon)
+        spares.put(spare)
+        return taken
+
+    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        spread = map if pool is None else pool.map
+        while True:
+            for curve, log, taken in zip(curves, logs, spread(run, range(len(xs)))):
+                curve.extend(log[:taken].tolist())
+            reached = max(map(len, curves))
+            if all(len(curve) == reached and (reached == horizon or curve[-1] <= eps) for curve in curves):
+                break
     distances.extend(map(max, zip(*curves)))
     if distances[-1] <= eps:
         return MixingResult(reached, eps, distances, True, caveat)
     return MixingResult(None, eps, distances, False, caveat)
 
 
-def _worst_column(buf: np.ndarray):
+def _run_chunk(transposed, pi, x, spare, log, t, last, reached, eps, horizon) -> int:
+    """Step chunk x on from step t (worst TV ``last``) to the first step at or
+    past ``reached`` within eps, to horizon, or until ``log`` is full; write
+    each step's worst TV into ``log`` and return the number of steps taken.
+
+    Each step zeroes y and calls the sparsetools kernel that ``transposed @ x``
+    calls into its own zeroed result, so the values are those of ``@``; then
+    x and y swap, and the former x takes |x - pi|.  The chunk's last values
+    are copied back into its own array.
+
+    Nothing a step writes is allocated in the worker thread: y and the column
+    sums are views of the worker's ``spare``, and the values go into ``log``,
+    all made by the calling thread.  A block that a worker allocates and the
+    calling thread frees enters the calling thread's malloc cache; reused and
+    grown by realloc there, it draws that thread's later allocations into the
+    worker's arena, which raised peak RSS.
+    """
+    own = x
+    block, sums = spare
+    y = block[: x.size].reshape(x.shape)
+    centre = pi if x.ndim == 1 else pi[:, None]
+    rows, cols = transposed.shape
+    args = (transposed.indptr, transposed.indices, transposed.data)
+    taken = 0
+    while taken < len(log) and t + taken < horizon and (t + taken < reached or last > eps):
+        y.fill(0.0)
+        if x.ndim == 1 or x.shape[1] == 1:
+            _sparsetools.csc_matvec(rows, cols, *args, x.ravel(), y.ravel())
+        else:
+            _sparsetools.csc_matvecs(rows, cols, x.shape[1], *args, x.ravel(), y.ravel())
+        x, y = y, x
+        np.subtract(x, centre, out=y)
+        np.abs(y, out=y)
+        last = log[taken] = _worst_column(y, sums) * 0.5
+        taken += 1
+    if x is not own:
+        own[...] = x
+    return taken
+
+
+def _worst_column(buf: np.ndarray, sums: np.ndarray):
     """The largest column sum of |x - pi|, as the whole (states, starts) block
-    gives it.
+    gives it; a block's column sums go into ``sums``.
 
     numpy adds a block's states in sequence when it has two or more columns,
     and pairwise when it has one.  A vector split off a wider block therefore
@@ -239,7 +309,7 @@ def _worst_column(buf: np.ndarray):
     """
     if buf.ndim == 1:
         return np.add.accumulate(buf, out=buf)[-1]
-    return buf.sum(axis=0).max()
+    return buf.sum(axis=0, out=sums[: buf.shape[1]]).max()
 
 
 def spectral_gap(matrix: sp.csr_matrix, pi: np.ndarray, tol: float = 1e-9) -> float:

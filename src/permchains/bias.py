@@ -299,15 +299,35 @@ class SlowMixSpec:
         return self.cross_prob(i, j)
 
 
-def _balance_gap(gamma: Fraction, xi, tables) -> Fraction:
-    """Mass(S3) - mass(S1) at flat odds gamma and steep odds xi, unnormalized.
+def _gap_coefficients(n: int, tables) -> list[int]:
+    """Integer coefficients C_s of the balance gap mass(S3) - mass(S1) in xi.
+
+    With gamma = (4n+1)/(4n), (4n)^F * gap(xi) = sum_s C_s xi^s, where F is
+    the largest flat count and C_s = sum_f +-cnt (4n+1)^f (4n)^(F-f): plus
+    for the high class S3, minus for the low class S1.
+    """
+    top = max(f for cls in (1, 3) for f, _ in tables[cls])
+    coeffs = [0] * (1 + max(s for cls in (1, 3) for _, s in tables[cls]))
+    for sign, cls in ((1, 3), (-1, 1)):
+        for (flat, steep), cnt in tables[cls].items():
+            coeffs[steep] += sign * cnt * (4 * n + 1) ** flat * (4 * n) ** (top - flat)
+    return coeffs
+
+
+def _gap_sign(coeffs: list[int], xi: Fraction) -> int:
+    """The sign of the balance gap at xi = a/b, b > 0: that of the homogeneous
+    Horner sum sum_s C_s a^s b^(S-s), all on integers.
 
     Increasing xi only raises the steep-tile weights, so the gap is monotone
     in xi and a sign change brackets the balance point.
     """
-    return walks.class_weight(tables[3], gamma, xi) - walks.class_weight(
-        tables[1], gamma, xi
-    )
+    a, b = xi.numerator, xi.denominator
+    total = 0
+    scale = 1  # b^(S-s)
+    for c in reversed(coeffs):
+        total = total * a + c * scale
+        scale *= b
+    return (total > 0) - (total < 0)
 
 
 @lru_cache(maxsize=None)
@@ -317,19 +337,19 @@ def solve_delta(n: int) -> Fraction:
     Bisection on xi over (gamma, 29.57], which brackets a sign change: at
     xi = gamma the high side is far lighter than the entropy-rich low side,
     while 29.57 > 4e^2 where the corner state alone outweighs the low side.
-    Relative tolerance 1e-11; everything is exact rational arithmetic.
+    Relative tolerance 1e-11; everything is exact rational arithmetic, and
+    each sign is taken on integers (``_gap_sign``).
     """
     if n < 4:
         raise ValueError(f"slow-mixing construction needs n >= 4, got {n}")
-    tables = walks.height_profile(n).class_table()
-    gamma = 1 + Fraction(1, 4 * n)
-    lo = gamma
+    coeffs = _gap_coefficients(n, walks.height_profile(n).class_table())
+    lo = 1 + Fraction(1, 4 * n)  # gamma
     hi = Fraction(2957, 100)
-    if not (_balance_gap(gamma, lo, tables) < 0 < _balance_gap(gamma, hi, tables)):
+    if not (_gap_sign(coeffs, lo) < 0 < _gap_sign(coeffs, hi)):
         raise RuntimeError(f"no sign change on the xi bracket for n={n}")
     for _ in range(200):
         mid = (lo + hi) / 2
-        if _balance_gap(gamma, mid, tables) < 0:
+        if _gap_sign(coeffs, mid) < 0:
             lo = mid
         else:
             hi = mid

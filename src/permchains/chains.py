@@ -276,6 +276,7 @@ class InversionChain(PermutationKernel):
         if not self._slots:
             raise ValueError(f"{self.kind} kernel has no move at this size")
         self._edges = list(accumulate((n - i) / (n * (n - 1) // 2) for i in range(1, n)))
+        self._mirrored = (None, None)  # the last max-variant sigma and its mirror
 
     @classmethod
     def from_model(cls, model: Model, n: int | None) -> "InversionChain":
@@ -300,10 +301,14 @@ class InversionChain(PermutationKernel):
         return self._slots[2 * i - 2 + down][0]
 
     def _law(self, sigma, slot):
-        if self.variant == "max":
-            p, yes, no = self._min_law(perms.mirror(sigma), slot)
-            return p, perms.mirror(yes), perms.mirror(no)
-        return self._min_law(sigma, slot)
+        if self.variant == "min":
+            return self._min_law(sigma, slot)
+        # a row asks once per slot: mirror sigma once, kept with sigma
+        if self._mirrored[0] is not sigma:
+            self._mirrored = (sigma, perms.mirror(sigma))
+        p, yes, _ = self._min_law(self._mirrored[1], slot)
+        # the min law's "no" is its input, whose mirror is sigma
+        return p, perms.mirror(yes), sigma
 
     @staticmethod
     def _min_law(sigma, slot):
@@ -595,8 +600,9 @@ class WalkTranspositionChain(WalkKernel):
         new = list(w)
         new[a], new[b] = new[b], new[a]
         new = tuple(new)
-        f0, s0 = walks.tile_counts(w)
-        f1, s1 = walks.tile_counts(new)
+        # unchecked: w comes from default_start, space() or swaps of them
+        f0, s0 = walks.count_tiles(w)
+        f1, s1 = walks.count_tiles(new)
         change = (f1 - f0, s1 - s0)
         accept = self._accept.get(change)
         if accept is None:

@@ -193,7 +193,11 @@ def tile_counts(w: Sequence[int]) -> tuple[int, int]:
     Column x (1-based) holds tiles y = 1..H(x) where H(x) is the path height
     over that column; the tile (x, y) is steep iff x + y - n >= n - sqrt(n).
     """
-    w = check_walk(w)
+    return count_tiles(check_walk(w))
+
+
+def count_tiles(w: Sequence[int]) -> tuple[int, int]:
+    """:func:`tile_counts` of a walk already known to be valid, unchecked."""
     n = len(w) // 2
     level = cut_level(n)
     total = 0

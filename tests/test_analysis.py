@@ -8,7 +8,10 @@ Exact analysis machinery:
   tau equal a ``block @ matrix`` reference and the former transposed-block
   loop step for step (720-state all-starts runs, extreme starts at 5,040
   permutations and 3,432 and 12,870 walks, a single-column chunk, a horizon
-  that runs out, eps met at t = 0, a single start)
+  that runs out, eps met at t = 0, a single start), with one worker and with
+  two, and with a chunk stepping at most five steps per pass; only all-starts
+  runs of two or more chunks start a thread pool, and no thread outlives the
+  call
 - every explicit cut lower-bounds the exact mixing time; the vectorised cut
   flow equals the former loop over COO entries
 - the product bound is sound on a 4-state toy and reproduces the plug-in form
@@ -18,6 +21,8 @@ Exact analysis machinery:
   height profile equal their Fraction-oracle builds bit for bit at n = 4..7
 """
 import math
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -49,7 +54,7 @@ from permchains.analysis import (
     walk_stationary,
     walk_transition_matrix,
 )
-from permchains import walks
+from permchains import analysis, walks
 from permchains.bias import SlowMixSpec, solve_delta
 from permchains.chains import WalkChain, WalkTranspositionChain
 from permchains.bias import choose_your_weapon, constant_bias, parse_model_spec
@@ -213,20 +218,62 @@ FORMER_LOOP_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(FORMER_LOOP_CASES))
-def test_mixing_distances_equal_the_former_loop(case):
+def test_mixing_distances_equal_the_former_loop(case, monkeypatch):
     build_case, eps, horizon = FORMER_LOOP_CASES[case]
     matrix, pi, starts = build_case()
-    res = mixing_time_exact(matrix, pi, eps, starts=starts, horizon=horizon)
     expected = _distances_by_transposed_block(matrix, pi, eps, starts, horizon)
-    assert res.distances == expected
     tau = len(expected) - 1 if expected[-1] <= eps else None
-    assert (res.tau, res.converged) == (tau, tau is not None)
+    for workers in (1, 2):  # the chunks on the calling thread, then on a pool
+        monkeypatch.setattr(analysis, "WORKERS", workers)
+        res = mixing_time_exact(matrix, pi, eps, starts=starts, horizon=horizon)
+        assert res.distances == expected
+        assert (res.tau, res.converged) == (tau, tau is not None)
     if case == "horizon-runs-out":
         assert res.tau is None and len(res.distances) == horizon + 1
     elif case == "eps-met-at-0":
         assert res.tau == 0
     else:
         assert res.tau > 1
+
+
+@pytest.mark.parametrize("case", ["tree-constant:0.75", "chunk-plus-one", "horizon-runs-out"])
+def test_mixing_distances_hold_across_many_passes(case, monkeypatch):
+    # five steps per chunk and pass: tau 172 and 672 take 35 and 135 passes
+    build_case, eps, horizon = FORMER_LOOP_CASES[case]
+    matrix, pi, starts = build_case()
+    monkeypatch.setattr(analysis, "WORKERS", 2)
+    monkeypatch.setattr(analysis, "LOG", 5)
+    res = mixing_time_exact(matrix, pi, eps, starts=starts, horizon=horizon)
+    assert res.distances == _distances_by_transposed_block(matrix, pi, eps, starts, horizon)
+
+
+@pytest.mark.parametrize("horizon", [200_000, 10])
+def test_all_starts_pool_leaves_no_thread(horizon, monkeypatch):
+    # CHUNK + 1 states: two chunks, so two workers; horizon 10 runs out
+    monkeypatch.setattr(analysis, "WORKERS", 2)
+    matrix, pi, _ = _kernel_case("oned", f"oned:0.6,{CHUNK}")
+    before = threading.active_count()
+    res = mixing_time_exact(matrix, pi, 0.25, horizon=horizon)
+    assert res.converged == (horizon > 10)
+    assert threading.active_count() == before
+
+
+def test_pool_only_for_two_or_more_all_starts_chunks(monkeypatch):
+    pools = []
+
+    class Recording(ThreadPoolExecutor):
+        def __init__(self, workers):
+            pools.append(workers)
+            super().__init__(workers)
+
+    monkeypatch.setattr(analysis, "ThreadPoolExecutor", Recording)
+    monkeypatch.setattr(analysis, "WORKERS", 2)
+    matrix, pi, _ = _kernel_case("tree", "constant:0.75", 6)
+    mixing_time_exact(matrix, pi, 0.25, starts=[0, 719])  # explicit starts
+    mixing_time_exact(*_kernel_case("oned", f"oned:0.6,{CHUNK - 1}")[:2], 0.25)  # one chunk
+    assert pools == []
+    mixing_time_exact(matrix, pi, 0.25)  # six chunks
+    assert pools == [2]
 
 
 def test_spectral_gap_two_state():

@@ -8,7 +8,9 @@ Bias tables and model constructors:
   complements over their denominators (hypothesis)
 - choose-your-weapon and league constructors match their pair rules
 - weak monotonicity clauses report correctly
-- the slow-mixing family freezes within-half pairs and balances the cut
+- the slow-mixing family freezes within-half pairs and balances the cut; the
+  integer signs of its bisection equal the Fraction gap's (the reference) at
+  both bracket ends and every midpoint for n = 4..9
 """
 import itertools
 import math
@@ -294,14 +296,36 @@ def test_solve_delta_balances_cut(n):
     assert abs(low - high) / low <= Fraction(1, 10**8)
 
 
-def test_solve_delta_bracket_signs():
-    from permchains.bias import _balance_gap
+def _balance_gap(gamma: Fraction, xi, tables) -> Fraction:
+    """Mass(S3) - mass(S1) at flat odds gamma and steep odds xi, in Fractions:
+    the reference for the integer signs of solve_delta."""
+    return walks.class_weight(tables[3], gamma, xi) - walks.class_weight(tables[1], gamma, xi)
 
-    n = 5
-    tables = walks.height_profile(n).class_table()
-    gamma = 1 + Fraction(1, 4 * n)
-    assert _balance_gap(gamma, gamma, tables) < 0
-    assert _balance_gap(gamma, Fraction(2957, 100), tables) > 0
+
+def _sign(x) -> int:
+    return (x > 0) - (x < 0)
+
+
+def test_solve_delta_bracket_signs():
+    # the integer sign equals the Fraction gap's at both bracket ends and at
+    # every midpoint of the bisection, replayed here
+    from permchains.bias import _gap_coefficients, _gap_sign
+
+    for n in range(4, 10):
+        tables = walks.height_profile(n).class_table()
+        coeffs = _gap_coefficients(n, tables)
+        gamma = 1 + Fraction(1, 4 * n)
+        lo, hi = gamma, Fraction(2957, 100)
+        assert _gap_sign(coeffs, lo) == _sign(_balance_gap(gamma, lo, tables)) == -1
+        assert _gap_sign(coeffs, hi) == _sign(_balance_gap(gamma, hi, tables)) == 1
+        for _ in range(200):
+            mid = (lo + hi) / 2
+            sign = _gap_sign(coeffs, mid)
+            assert sign == _sign(_balance_gap(gamma, mid, tables))
+            lo, hi = (mid, hi) if sign < 0 else (lo, mid)
+            if (hi - lo) / mid <= Fraction(1, 10**11):
+                break
+        assert solve_delta(n) == 1 / ((lo + hi) / 2 + 1)
 
 
 def test_solve_delta_regression():
