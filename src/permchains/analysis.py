@@ -28,9 +28,9 @@ columns, or one vector per explicit start, each run only as far as the first
 t at which every start is within eps: its distances and tau equal stepping
 the whole (states, starts) block, which the tests keep as the reference, bit
 for bit.  With every state a start, the chunks run on a thread pool with one
-worker per usable CPU (``WORKERS``), each stepping into buffers that the
-calling thread made; a column's steps depend on that column alone, so the
-results do not depend on the number of cores.
+worker per usable CPU (``WORKERS``), each bound to a CPU of its own and
+stepping into buffers that the calling thread made; a column's steps depend
+on that column alone, so the results do not depend on the number of cores.
 """
 from __future__ import annotations
 
@@ -195,9 +195,9 @@ def mixing_time_exact(
 
     A column's steps depend on that column alone, so the chunks of a pass run
     in any order: with starts=None and two or more chunks, on a pool of
-    ``WORKERS`` threads, which the sparse products and array reductions let
-    run at once.  The result is the same T and the same values on any number
-    of cores.  Each step writes into buffers that the calling thread
+    ``WORKERS`` threads, each bound to a CPU of its own (see ``_pool``),
+    which the sparse products and array reductions let run at once.  The
+    result is the same T and the same values on any number of cores.  Each step writes into buffers that the calling thread
     allocates, once per worker and once per chunk (see ``_run_chunk``); a
     chunk takes at most ``LOG`` steps per pass.  Explicit starts stay on
     the calling thread: one vector per step is too little work to share.
@@ -244,7 +244,7 @@ def mixing_time_exact(
         spares.put(spare)
         return taken
 
-    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+    with _pool(workers) as pool:
         spread = map if pool is None else pool.map
         while True:
             for curve, log, taken in zip(curves, logs, spread(run, range(len(xs)))):
@@ -256,6 +256,34 @@ def mixing_time_exact(
     if distances[-1] <= eps:
         return MixingResult(reached, eps, distances, True, caveat)
     return MixingResult(None, eps, distances, False, caveat)
+
+
+def _pool(workers: int):
+    """A pool of ``workers`` threads, each bound to a CPU of its own from the
+    calling thread's affinity mask; for one worker, no pool.
+
+    The binding is what makes the pool's speed repeatable.  Where the kernel
+    does not move running threads between CPUs (a cpuset with load balancing
+    off), new threads start on the CPU of the thread that made them and stay
+    there: unbound, the workers shared one CPU in some calls and not in
+    others, and a call took the serial time or about 0.6 of it by chance.
+    """
+    if workers == 1:
+        return nullcontext()
+    cpus: queue.SimpleQueue = queue.SimpleQueue()
+    if hasattr(os, "sched_setaffinity"):
+        for cpu in sorted(os.sched_getaffinity(0))[:workers]:
+            cpus.put(cpu)
+    return ThreadPoolExecutor(workers, initializer=_bind_worker, initargs=(cpus,))
+
+
+def _bind_worker(cpus: queue.SimpleQueue) -> None:
+    """Bind the calling worker thread to the next CPU of ``cpus``; with none
+    left (more workers than CPUs) or the binding refused, it runs unbound."""
+    try:
+        os.sched_setaffinity(0, {cpus.get_nowait()})
+    except (queue.Empty, OSError):
+        pass
 
 
 def _run_chunk(transposed, pi, x, spare, log, t, last, reached, eps, horizon) -> int:

@@ -262,9 +262,9 @@ def test_pool_only_for_two_or_more_all_starts_chunks(monkeypatch):
     pools = []
 
     class Recording(ThreadPoolExecutor):
-        def __init__(self, workers):
+        def __init__(self, workers, **kwargs):
             pools.append(workers)
-            super().__init__(workers)
+            super().__init__(workers, **kwargs)
 
     monkeypatch.setattr(analysis, "ThreadPoolExecutor", Recording)
     monkeypatch.setattr(analysis, "WORKERS", 2)
@@ -274,6 +274,34 @@ def test_pool_only_for_two_or_more_all_starts_chunks(monkeypatch):
     assert pools == []
     mixing_time_exact(matrix, pi, 0.25)  # six chunks
     assert pools == [2]
+
+
+def test_pool_binds_each_worker_to_its_own_cpu(monkeypatch):
+    # the calling thread keeps its mask; each worker takes one CPU of it
+    bound = []
+    monkeypatch.setattr(analysis.os, "sched_getaffinity", lambda pid: {3, 5, 7})
+    monkeypatch.setattr(analysis.os, "sched_setaffinity", lambda pid, cpus: bound.append((threading.get_ident(), cpus)))
+    monkeypatch.setattr(analysis, "WORKERS", 2)
+    matrix, pi, _ = _kernel_case("tree", "constant:0.75", 6)
+    mixing_time_exact(matrix, pi, 0.25, starts=[0, 719])
+    assert bound == []
+    mixing_time_exact(matrix, pi, 0.25)
+    assert sorted(cpus for _, cpus in bound) == [{3}, {5}]
+    assert len({thread for thread, _ in bound}) == 2
+    assert threading.get_ident() not in {thread for thread, _ in bound}
+
+
+def test_pool_runs_unbound_past_the_mask(monkeypatch):
+    # more workers than CPUs (a patched WORKERS), or a refused binding
+    def refuse(pid, cpus):
+        raise OSError("binding refused")
+
+    monkeypatch.setattr(analysis.os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(analysis.os, "sched_setaffinity", refuse)
+    monkeypatch.setattr(analysis, "WORKERS", 2)
+    matrix, pi, _ = _kernel_case("tree", "constant:0.75", 6)
+    res = mixing_time_exact(matrix, pi, 0.25)
+    assert res.distances == _distances_by_transposed_block(matrix, pi, 0.25, None)
 
 
 def test_spectral_gap_two_state():
