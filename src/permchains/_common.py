@@ -1,7 +1,20 @@
-"""Shared numeric helpers."""
+"""Shared numeric helpers and size caps."""
 from __future__ import annotations
 
 from fractions import Fraction
+
+# a bias table or league tree fills one entry per ordered label pair
+LABEL_CAP = 1_000
+
+
+class CapExceeded(ValueError):
+    """A size larger than the configured materialization cap."""
+
+
+def check_label_count(n: int) -> None:
+    """Refuse more labels than ``LABEL_CAP``, before any per-pair entry is made."""
+    if n > LABEL_CAP:
+        raise CapExceeded(f"{n} labels exceed the label cap {LABEL_CAP}")
 
 
 def as_probability(value) -> Fraction:

@@ -17,11 +17,19 @@ integer codes (``walks.walk_arrays``), and the walk matrices, the stationary
 law and the long-swap conductance are numpy builds that call the kernel's own
 ``_law`` and ``stationary_weight`` once per class of walks sharing the value;
 a ``chains.WalkKernel`` is set by two swap probabilities, so the classes hold
-by construction.
-The Fraction path (``transition_distribution``, ``transition_matrix``,
-``stationary_exact``) stays the oracle; the array builds equal it bit for bit.
-Its rows come from memoized slot products with the hold summed on integers,
-equal to a per-slot Fraction loop, which the tests keep as the reference.
+by construction.  The ``inv`` and ``tree`` kernels (``ARRAY_ROWS``) build
+their matrices the same way over S_n as an int8 array
+(``perm_transition_matrix``): per slot, a vectorised rule finds the states
+that move and the two positions they swap, and ``_law`` runs once per class,
+a slot for ``inv`` and a (slot, whether a stands before b) pair for ``tree``.
+Both builders share one assembly (``class_rows_matrix``).  A permutation
+kernel's stationary law is one object-dtype column product per label pair
+(``perm_weights``).
+The Fraction path (``transition_distribution``, ``transition_matrix``, and the
+kernels' ``stationary_weight``) stays the oracle; the array builds equal it
+bit for bit.  Its rows come from memoized slot products with the hold summed
+on integers, equal to a per-slot Fraction loop, which the tests keep as the
+reference.  ``nn`` keeps the Fraction rows in ``exact`` and ``scan``.
 
 ``mixing_time_exact`` steps the start distributions in cache-sized chunks of
 columns, or one vector per explicit start, each run only as far as the first
@@ -47,8 +55,9 @@ import scipy.sparse as sp
 from scipy.sparse import _sparsetools
 
 from . import walks
-from .bias import SlowMixSpec, solve_delta
-from .chains import WalkChain, WalkTranspositionChain, make_rng
+from ._common import CapExceeded
+from .bias import BiasTable, SlowMixSpec, solve_delta
+from .chains import PermutationKernel, WalkChain, WalkTranspositionChain, make_rng
 
 STATE_CAP = 100_000
 DENSE_CAP = 10_000
@@ -57,10 +66,6 @@ LOG = 512  # steps a chunk may take per pass of mixing_time_exact
 # threads for mixing_time_exact's all-starts chunks: the CPUs this process may use
 WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 COMPARISON_P = Fraction(3, 4)  # bias of the slowmix report's constant-bias chain
-
-
-class CapExceeded(ValueError):
-    """State space larger than the configured materialization cap."""
 
 
 def state_index(states) -> dict:
@@ -97,9 +102,15 @@ def normalized(weights) -> list[Fraction]:
 
 
 def stationary_exact(kernel, states=None) -> np.ndarray:
-    """Normalized stationary distribution from the weight formula."""
+    """Normalized stationary distribution from the weight formula.
+
+    A permutation kernel's weights are taken as array products
+    (``perm_weights``), equal to ``distribution`` of its Fraction weights.
+    """
     if states is None:
         states = kernel.space()
+    if isinstance(kernel, PermutationKernel):
+        return _shares(perm_weights(kernel.table, np.array(states, dtype=np.int8)).tolist())
     return distribution(kernel.stationary_weight(s) for s in states)
 
 
@@ -115,10 +126,15 @@ def distribution(weights) -> np.ndarray:
     # the raw weights are freed before the floats are made
     scaled = [w.numerator * (common // w.denominator) for w in weights]
     del weights
-    total = sum(scaled)
+    return _shares(scaled)
+
+
+def _shares(weights: list[int]) -> np.ndarray:
+    """Each integer weight over their sum, as a correctly rounded int quotient."""
+    total = sum(weights)
     if total == 0:
         raise ValueError("all states have zero weight")
-    return np.array([w / total for w in scaled])
+    return np.array([w / total for w in weights])
 
 
 def is_fixed_point_exact(kernel, states=None, pi: list[Fraction] | None = None) -> bool:
@@ -352,12 +368,18 @@ def spectral_gap(matrix: sp.csr_matrix, pi: np.ndarray, tol: float = 1e-9) -> fl
     if not pi.all():
         raise ValueError("pi has zero entries; the symmetrization needs pi > 0")
     dense = matrix.toarray()
+    # in place where the values allow, so that at most three (m, m) arrays
+    # are alive at once; the symmetrized matrix is the same, bit for bit
     flows = pi[:, None] * dense
-    if not np.allclose(flows, flows.T, atol=tol, rtol=0):
+    flows -= flows.T
+    if not np.abs(flows, out=flows).max() <= tol:
         raise ValueError("kernel is not reversible with respect to pi")
+    del flows
     root = np.sqrt(pi)
-    sym = dense * (root[:, None] / root[None, :])
-    eigs = np.linalg.eigvalsh((sym + sym.T) / 2)
+    dense *= root[:, None] / root[None, :]
+    dense += dense.T
+    dense /= 2
+    eigs = np.linalg.eigvalsh(dense)
     mods = np.sort(np.abs(eigs))[::-1]
     return float(1.0 - mods[1])
 
@@ -499,17 +521,14 @@ def walk_transition_matrix(chain: WalkChain, arrays: walks.WalkArrays) -> sp.csr
 
     Slot ``pos`` swaps steps pos and pos+1.  Its law picks ``flat`` or
     ``steep`` by the number of up-steps through pos+1, so ``_law`` runs once
-    per (pos, ones, orientation) class.  A row's hold entry is the exact
-    1 - sum of its off-diagonal masses, computed once per distinct count of
-    each exact mass.
+    per (pos, ones, orientation) class.
     """
     codes, steps = arrays.codes, arrays.steps
     m, length = steps.shape
     ups = np.cumsum(steps, axis=1, dtype=np.int64)
     masses: dict[Fraction, int] = {}  # exact off-diagonal mass -> id
-    mass_id = np.full((m, length), -1)  # per slot; -1 where the walk stays
-    cols = np.empty((m, length), dtype=np.int64)  # the last column is the hold
-    cols[:, -1] = np.arange(m)
+    mass_id = np.full((m, length - 1), -1)  # per slot; -1 where the walk stays
+    cols = np.empty((m, length - 1), dtype=np.int64)
     for pos, mass in chain._slots:
         cols[:, pos] = np.searchsorted(codes, codes ^ (3 << (length - 2 - pos)))
         moving = np.flatnonzero(steps[:, pos] != steps[:, pos + 1])
@@ -523,19 +542,28 @@ def walk_transition_matrix(chain: WalkChain, arrays: walks.WalkArrays) -> sp.csr
             prob = p if no == w else 1 - p
             ids.append(masses.setdefault(mass * prob, len(masses)) if prob else -1)
         mass_id[moving, pos] = np.asarray(ids, dtype=np.int64)[inverse.reshape(-1)]
+    return class_rows_matrix(mass_id, cols, list(masses))
 
-    exact = list(masses)
+
+def class_rows_matrix(mass_id: np.ndarray, cols: np.ndarray, exact: list) -> sp.csr_matrix:
+    """The CSR matrix of rows given per slot, with each row's hold last.
+
+    ``mass_id[row, slot]`` indexes ``exact``, the exact off-diagonal masses,
+    or is -1 where the state stays; ``cols[row, slot]`` is the successor.  A
+    row's hold is the exact 1 - sum of its masses, taken on integers over the
+    masses' common denominator and rounded once, as an int quotient.  Entries
+    go in the oracle's order (row by row, slots ascending, hold last) through
+    the oracle's COO route.
+    """
+    m = mass_id.shape[0]
+    common = math.lcm(*(x.denominator for x in exact))
+    numerators = np.array([x.numerator * (common // x.denominator) for x in exact], dtype=object)
     counts = np.stack([(mass_id == k).sum(axis=1) for k in range(len(exact))], axis=1)
-    patterns, inverse = np.unique(counts, axis=0, return_inverse=True)
-    holds = [float(1 - sum(c * x for c, x in zip(row, exact))) for row in patterns.tolist()]
-    vals = np.append([float(x) for x in exact], 0.0)[mass_id]
-    vals[:, -1] = np.asarray(holds)[inverse.reshape(-1)]
-    keep = mass_id >= 0
-    keep[:, -1] = True
-    # entries in the oracle's order: row by row, slots ascending, hold last
-    return sp.csr_matrix(
-        (vals[keep], (np.nonzero(keep)[0], cols[keep])), shape=(m, m)
-    )
+    holds = [(common - moved) / common for moved in (counts.astype(object) @ numerators).tolist()]
+    vals = np.column_stack([np.append([float(x) for x in exact], 0.0)[mass_id], holds])
+    keep = np.column_stack([mass_id >= 0, np.ones(m, dtype=bool)])
+    cols = np.column_stack([cols, np.arange(m)])
+    return sp.csr_matrix((vals[keep], (np.nonzero(keep)[0], cols[keep])), shape=(m, m))
 
 
 def long_swap_conductance(chain: WalkTranspositionChain, arrays: walks.WalkArrays, pi: np.ndarray) -> float:
@@ -571,6 +599,115 @@ def long_swap_conductance(chain: WalkTranspositionChain, arrays: walks.WalkArray
         probs.append(float(slot_mass * p))
     terms = pi[source] * np.asarray(probs)[inverse.reshape(-1)]
     return _running_total(terms) / mass
+
+
+# -- array-backed permutation spaces ----------------------------------------------
+#
+# S_n is an (n!, n) int8 array in lexicographic order, so a permutation's row
+# is its Lehmer rank.  The builders equal their Fraction-oracle builds bit for
+# bit.
+
+
+def lehmer_ranks(perms: np.ndarray) -> np.ndarray:
+    """Lexicographic ranks in S_n of the rows of an (m, n) permutation array."""
+    n = perms.shape[1]
+    later_smaller = (perms[:, None, :] < perms[:, :, None]) & np.triu(np.ones((n, n), dtype=bool), 1)
+    factorials = np.array([math.factorial(n - 1 - k) for k in range(n)], dtype=np.int64)
+    return later_smaller.sum(axis=2, dtype=np.int64) @ factorials
+
+
+def perm_weights(table: BiasTable, perms: np.ndarray) -> np.ndarray:
+    """``weight_exact``'s numerators over D, one Python int per row of ``perms``.
+
+    W(sigma) is the product over label pairs i < j of a[i][j] where i stands
+    before j and a[j][i] otherwise, from ``table.integer_pairs``: one
+    object-dtype column product per pair.
+    """
+    if perms.shape[1] != table.n:
+        raise ValueError(f"permutation size {perms.shape[1]} != table size {table.n}")
+    a, _ = table.integer_pairs
+    pos = np.argsort(perms, axis=1)
+    weights = np.ones(len(perms), dtype=object)
+    for i in range(1, table.n + 1):
+        for j in range(i + 1, table.n + 1):
+            before = (pos[:, i - 1] < pos[:, j - 1]).astype(np.intp)
+            weights *= np.array([a[j][i], a[i][j]], dtype=object)[before]
+    return weights
+
+
+def perm_transition_matrix(kernel, states) -> sp.csr_matrix:
+    """transition_matrix of an inv or tree kernel (a kind of ``ARRAY_ROWS``).
+
+    ``states`` is S_n in lexicographic order, as ``kernel.space()`` lists it.
+    Every move swaps two positions: the kernel's finder in ``ARRAY_ROWS``
+    gives, per slot and vectorised, the states that move and the two
+    positions, in classes that share the move's probability.  ``_law`` runs
+    on one state per class, and the move is the branch whose target differs
+    from sigma, as in ``walk_transition_matrix``.
+    """
+    perms = np.array(states, dtype=np.int8)
+    m, n = perms.shape
+    if m != math.factorial(n) or not np.array_equal(lehmer_ranks(perms), np.arange(m)):
+        raise ValueError("states must list S_n in lexicographic order")
+    masses: dict[Fraction, int] = {}  # exact off-diagonal mass -> id
+    mass_id = np.full((m, len(kernel._slots)), -1)  # per slot; -1 where the state stays
+    cols = np.zeros((m, len(kernel._slots)), dtype=np.int64)
+    for k, rows, first, second in ARRAY_ROWS[kernel.kind](kernel, perms):
+        if not rows.size:
+            continue
+        slot, mass = kernel._slots[k]
+        sigma = states[rows[0]]
+        p, _, no = kernel._law(sigma, slot)
+        prob = p if no == sigma else 1 - p
+        if not prob:
+            continue
+        moved = perms[rows]
+        at = np.arange(len(rows))
+        moved[at, first], moved[at, second] = perms[rows, second], perms[rows, first]
+        mass_id[rows, k] = masses.setdefault(mass * prob, len(masses))
+        cols[rows, k] = lehmer_ranks(moved)
+    return class_rows_matrix(mass_id, cols, list(masses))
+
+
+def _inv_swaps(kernel, perms: np.ndarray):
+    """Slot (i, +1) swaps label i with the first larger label after it, slot
+    (i, -1) with the last larger label before it; the max variant runs this
+    rule on the mirrored permutations and maps the positions back.  A slot is
+    one class."""
+    n = perms.shape[1]
+    mirrored = kernel.variant == "max"
+    if mirrored:
+        perms = n + 1 - perms[:, ::-1]
+    places = np.arange(n)
+    for k, ((i, b, _), _) in enumerate(kernel._slots):
+        at = np.argmax(perms == i, axis=1)
+        side = places > at[:, None] if b == 1 else places < at[:, None]
+        larger = (perms > i) & side
+        j = np.argmax(larger, axis=1) if b == 1 else n - 1 - np.argmax(larger[:, ::-1], axis=1)
+        rows = np.flatnonzero(larger.any(axis=1))
+        first, second = at[rows], j[rows]
+        if mirrored:
+            first, second = n - 1 - first, n - 1 - second
+        yield k, rows, first, second
+
+
+def _tree_swaps(kernel, perms: np.ndarray):
+    """Slot (a, b, q, under) swaps a and b where no other label of ``under``
+    stands between them, in two classes: a before b, and b before a."""
+    n = perms.shape[1]
+    pos = np.argsort(perms, axis=1)
+    places = np.arange(n)
+    for k, ((a, b, _, under), _) in enumerate(kernel._slots):
+        pa, pb = pos[:, a - 1], pos[:, b - 1]
+        between = (places > np.minimum(pa, pb)[:, None]) & (places < np.maximum(pa, pb)[:, None])
+        free = ~(between & np.isin(perms, list(under))).any(axis=1)
+        for order in (pa < pb, pa > pb):
+            rows = np.flatnonzero(free & order)
+            yield k, rows, pa[rows], pb[rows]
+
+
+# kinds with array rows -> their swap finder; nn keeps the Fraction rows
+ARRAY_ROWS = {"inv": _inv_swaps, "tree": _tree_swaps}
 
 
 # -- product chains ------------------------------------------------------------

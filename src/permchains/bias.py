@@ -36,7 +36,7 @@ from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 from . import walks
-from ._common import as_probability
+from ._common import as_probability, check_label_count
 from .perms import check_permutation
 from .trees import LeagueTree
 
@@ -47,7 +47,12 @@ class BiasTable:
     """Dense table of pair probabilities over labels 1..n, exact complement."""
 
     def __init__(self, n: int, upper: Callable[[int, int], Fraction]):
-        """upper(i, j) supplies p[i][j] for i < j; the complement is derived."""
+        """upper(i, j) supplies p[i][j] for i < j; the complement is derived.
+
+        More than ``LABEL_CAP`` labels raise ``CapExceeded`` before any entry
+        is filled: the table holds (n + 1)**2 of them.
+        """
+        check_label_count(n)
         self.n = n
         self._p = [[None] * (n + 1) for _ in range(n + 1)]
         for i in range(1, n + 1):

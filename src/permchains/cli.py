@@ -13,8 +13,10 @@ the kernel's own ``n``.  ``exact`` and ``scan`` check the counted size of the
 state space against the cap before enumerating it.
 
 Exit codes: 0 success, 1 invariant failure, 2 usage error (``--eps`` outside
-(0, 1), or (0, 1/2) for ``paths``), 3 resource cap exceeded, 4 internal
-soundness failure.
+(0, 1), or (0, 1/2) for ``paths``), 3 resource cap exceeded (also a bias
+table or league tree of more than ``LABEL_CAP`` labels), 4 internal soundness
+failure.  ``exact`` and ``scan`` take the array rows of ``analysis.ARRAY_ROWS``
+kinds and the Fraction rows of the others.
 """
 from __future__ import annotations
 
@@ -25,12 +27,14 @@ import sys
 
 from . import __version__
 from .analysis import (
+    ARRAY_ROWS,
     CapExceeded,
     STATE_CAP,
     conductance_of_cut,
     level_cuts_by_weight,
     loglog_slope,
     mixing_time_exact,
+    perm_transition_matrix,
     slowmix_cut_report,
     spectral_gap,
     stationary_exact,
@@ -144,7 +148,8 @@ def _exact_rows(args, ns: list[int | None]):
         if size > STATE_CAP:
             raise CapExceeded(f"{size} states at n={n} exceed the cap {STATE_CAP}")
         states = kernel.space()
-        matrix = transition_matrix(kernel, states)
+        build_matrix = perm_transition_matrix if kernel.kind in ARRAY_ROWS else transition_matrix
+        matrix = build_matrix(kernel, states)
         pi = stationary_exact(kernel, states)
         if not pi.all():
             raise UsageError(

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from ._common import as_probability
+from ._common import as_probability, check_label_count
 from .perms import check_permutation
 
 
@@ -55,7 +55,9 @@ class _Internal:
 
 
 class LeagueTree:
-    """Validated league tree with precomputed lca and descendant sets."""
+    """Validated league tree with precomputed lca and descendant sets; the lca
+    table has an entry per label pair, so more than ``LABEL_CAP`` leaves raise
+    ``CapExceeded`` before it is filled."""
 
     def __init__(self, root: TreeNode):
         self.root = root
@@ -66,6 +68,7 @@ class LeagueTree:
             raise ValueError(
                 f"leaf labels must read 1..n left to right, got {leaves}"
             )
+        check_label_count(self.n)
         self._lca: dict[tuple[int, int], int] = {}
         for nid, rec in enumerate(self._internal):
             right = rec.leaves - rec.left_leaves

@@ -4,7 +4,8 @@ Exact analysis machinery:
 - transition matrices are row stochastic with the hand-enumerated 2-state law
 - weight-derived stationary vectors are matrix fixed points
 - TV distance, mixing times, spectral gaps, and conductance match small
-  hand-computed oracles; the chunked mixing-time iteration's distances and
+  hand-computed oracles; the in-place spectral gap equals the former
+  out-of-place steps bit for bit; the chunked mixing-time iteration's distances and
   tau equal a ``block @ matrix`` reference and the former transposed-block
   loop step for step (720-state all-starts runs, extreme starts at 5,040
   permutations and 3,432 and 12,870 walks, a single-column chunk, a horizon
@@ -19,6 +20,12 @@ Exact analysis machinery:
 - the n=4 monotone grid has no gap below the uniform table
 - the array-backed walk matrices, stationary law, long-swap conductance and
   height profile equal their Fraction-oracle builds bit for bit at n = 4..7
+- the array-backed inv and tree matrices equal ``transition_matrix`` in
+  indptr, indices and data at n = 2..7 and, by hypothesis, for random
+  rational cyw tables (min and max) and random league trees with q = 1
+  allowed at n <= 6; the builder refuses states out of lexicographic order
+- the array stationary law of nn, inv and tree equals the Fraction weights'
+  ``distribution``, also where a p = 1 pair leaves states with zero weight
 """
 import math
 import threading
@@ -28,6 +35,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from permchains.analysis import (
     CHUNK,
@@ -35,6 +43,7 @@ from permchains.analysis import (
     GapScan,
     conductance_of_cut,
     coupling_time_estimate,
+    distribution,
     gap_problem_scan,
     hitting_time_mean_exact,
     hitting_time_samples,
@@ -45,6 +54,7 @@ from permchains.analysis import (
     long_swap_conductance,
     mixing_time_exact,
     monotone_grid_tables,
+    perm_transition_matrix,
     product_mixing_bound,
     spectral_gap,
     state_index,
@@ -57,16 +67,17 @@ from permchains.analysis import (
 from permchains import analysis, walks
 from permchains.bias import SlowMixSpec, solve_delta
 from permchains.chains import WalkChain, WalkTranspositionChain
-from permchains.bias import choose_your_weapon, constant_bias, parse_model_spec
+from permchains.bias import BiasTable, CywSpec, choose_your_weapon, constant_bias, parse_model_spec
 from permchains.chains import (
     InversionChain,
     NearestNeighborChain,
     OnedChain,
     TreeChain,
     build,
+    make_rng,
 )
 from permchains.perms import identity, reversal
-from permchains.trees import truncate_tree
+from permchains.trees import complete_tree, random_tree, truncate_tree
 
 from support import cyw_spec
 
@@ -317,6 +328,31 @@ def test_spectral_gap_in_unit_interval(demo_tree):
     ):
         gap = spectral_gap(transition_matrix(kernel), stationary_exact(kernel))
         assert 0 < gap <= 1
+
+
+def former_spectral_gap(matrix, pi, tol=1e-9):
+    """spectral_gap as written before its in-place steps: the reference."""
+    dense = matrix.toarray()
+    flows = pi[:, None] * dense
+    if not np.allclose(flows, flows.T, atol=tol, rtol=0):
+        raise ValueError("kernel is not reversible with respect to pi")
+    root = np.sqrt(pi)
+    sym = dense * (root[:, None] / root[None, :])
+    eigs = np.linalg.eigvalsh((sym + sym.T) / 2)
+    return float(1.0 - np.sort(np.abs(eigs))[::-1][1])
+
+
+@pytest.mark.parametrize("chain, model, n", [
+    ("nn", "constant:0.75", 6),
+    ("inv", "cyw:0.6,0.7,0.8,0.9,0.95", None),
+    ("inv", "cyw:0.6,0.7,0.8,0.9:max", None),
+    ("tree", "constant:0.75", 6),
+    ("tree", "constant:0.6", 5),
+])
+def test_spectral_gap_equals_the_former_steps(chain, model, n):
+    kernel = build(chain, parse_model_spec(model), n)
+    matrix, pi = transition_matrix(kernel), stationary_exact(kernel)
+    assert spectral_gap(matrix, pi) == former_spectral_gap(matrix, pi)
 
 
 def test_spectral_gap_rejects_non_reversible():
@@ -598,3 +634,91 @@ def test_height_profile_matches_tuple_build(n):
         key = walks.tile_counts(w)
         table[key] = table.get(key, 0) + 1
     assert walks.height_profile(n).counts == counts
+
+
+# -- array-backed permutation spaces against the Fraction oracle ------------------
+
+
+def _assert_matrix_matches_oracle(kernel):
+    states = kernel.space()
+    fast = perm_transition_matrix(kernel, states)
+    exact = transition_matrix(kernel, states)
+    assert (fast != exact).nnz == 0
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(fast, attr), getattr(exact, attr))
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+@pytest.mark.parametrize("chain", ["inv", "tree"])
+def test_perm_matrix_matches_oracle(chain, n):
+    _assert_matrix_matches_oracle(build(chain, parse_model_spec("constant:0.75"), n))
+
+
+@pytest.mark.parametrize("model", [
+    "cyw:0.6,0.7,0.8,0.9,0.95",
+    "cyw:0.6,0.7,0.8,0.9,0.95,0.5:max",
+    "cyw:0.5,0.55,0.9,0.6,0.95,0.7:max",
+])
+def test_perm_matrix_matches_oracle_for_cyw_models(model):
+    _assert_matrix_matches_oracle(build("inv", parse_model_spec(model)))
+
+
+def test_perm_matrix_matches_oracle_for_a_league(demo_tree):
+    _assert_matrix_matches_oracle(TreeChain(truncate_tree(demo_tree, 6)))
+
+
+@st.composite
+def _cyw_kernels(draw):
+    # CywSpec keeps every rank below 1, so 1/2 is the boundary drawn here
+    n = draw(st.integers(min_value=2, max_value=6))
+    ranks = st.fractions(min_value=Fraction(1, 2), max_value=Fraction(99, 100), max_denominator=100)
+    r = tuple(draw(st.lists(ranks, min_size=n - 1, max_size=n - 1)))
+    return InversionChain(CywSpec(r=r, variant=draw(st.sampled_from(["min", "max"]))))
+
+
+@st.composite
+def _league_kernels(draw):
+    n = draw(st.integers(min_value=2, max_value=6))
+    qs = st.sampled_from([Fraction(1, 2), Fraction(3, 5), Fraction(7, 10), Fraction(9, 10), Fraction(1)])
+    q_choices = tuple(draw(st.lists(qs, min_size=1, max_size=3)))
+    return TreeChain(random_tree(n, make_rng(draw(st.integers(min_value=0, max_value=2**32))), q_choices))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_cyw_kernels())
+def test_perm_matrix_matches_oracle_for_random_cyw_tables(kernel):
+    _assert_matrix_matches_oracle(kernel)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_league_kernels())
+def test_perm_matrix_matches_oracle_for_random_leagues(kernel):
+    _assert_matrix_matches_oracle(kernel)
+
+
+def test_perm_matrix_needs_lexicographic_states():
+    kernel = build("tree", parse_model_spec("constant:0.75"), 4)
+    with pytest.raises(ValueError, match="lexicographic"):
+        perm_transition_matrix(kernel, kernel.space()[::-1])
+
+
+def _zero_pair_table(n):
+    # p[1][n] = 1: every state with n before 1 has weight 0
+    return BiasTable(n, lambda i, j: 1 if (i, j) == (1, n) else Fraction(3, 5))
+
+
+@pytest.mark.parametrize("make, zeros", [
+    (lambda: NearestNeighborChain(constant_bias(6, "0.7")), False),
+    (lambda: NearestNeighborChain(choose_your_weapon(cyw_spec(5))), False),
+    (lambda: NearestNeighborChain(_zero_pair_table(5)), True),
+    (lambda: InversionChain(cyw_spec(6)), False),
+    (lambda: build("inv", parse_model_spec("cyw:0.6,0.7,0.8,0.9,0.95:max")), False),
+    (lambda: TreeChain(complete_tree(6, "0.75")), False),
+    (lambda: TreeChain(complete_tree(5, 1)), True),
+], ids=["nn-constant", "nn-cyw", "nn-p1-pair", "inv-min", "inv-max", "tree", "tree-q1"])
+def test_perm_stationary_matches_fraction_weights(make, zeros):
+    kernel = make()
+    states = kernel.space()
+    pi = stationary_exact(kernel, states)
+    assert np.array_equal(pi, distribution(kernel.stationary_weight(s) for s in states))
+    assert (not pi.all()) is zeros

@@ -8,6 +8,8 @@ Bias tables and model constructors:
   complements over their denominators (hypothesis)
 - choose-your-weapon and league constructors match their pair rules
 - weak monotonicity clauses report correctly
+- a table of more than 1,000 labels raises CapExceeded (importable from
+  analysis) before any entry is asked for; 1,000 labels pass the check
 - the slow-mixing family freezes within-half pairs and balances the cut; the
   integer signs of its bisection equal the Fraction gap's (the reference) at
   both bracket ends and every midpoint for n = 4..9
@@ -407,3 +409,14 @@ def test_bias_table_json_roundtrip():
     for i in range(1, 5):
         for j in range(i + 1, 5):
             assert abs(float(back.p(i, j) - table.p(i, j))) < 1e-15
+
+
+def test_label_cap_checked_before_any_entry():
+    from permchains import _common, analysis
+
+    asked = []
+    with pytest.raises(analysis.CapExceeded, match="1001 labels exceed the label cap 1000"):
+        BiasTable(1001, lambda i, j: asked.append((i, j)) or Fraction(1, 2))
+    assert asked == []
+    assert analysis.CapExceeded is _common.CapExceeded
+    _common.check_label_count(_common.LABEL_CAP)

@@ -6,8 +6,10 @@ CLI behavior:
 - exit codes: 0 success, 1 invariant failure, 2 usage error (degenerate
   sizes, one-state spaces, zero-mass stationary laws, negative step counts,
   an --n that contradicts a sized model, --n given with --n-range and a
-  scan over one size included), 3 cap exceeded (checked before the state space is enumerated),
-  4 soundness failure
+  scan over one size included), 3 cap exceeded (checked before the state space is enumerated,
+  and for more than 1,000 labels before a bias table is filled), 4 soundness failure
+- exact and scan print the same bytes for inv and tree with the array rows and
+  weights as with the Fraction oracle's
 - each row reports the kernel's own size; for walks, the half size
 - paths routes a max-variant inversion model (exit 0)
 - n-range scans emit one row per size with monotone mixing times
@@ -359,6 +361,35 @@ def test_exact_cap_checked_without_enumerating(capsys, monkeypatch):
     assert code == 3
     assert "362880 states at n=9 exceed the cap" in err
     assert out == ""
+
+
+@pytest.mark.parametrize("chain", ["nn", "inv", "tree"])
+def test_sample_label_cap_checked_before_the_table(capsys, chain):
+    code, out, err = run_cli(
+        ["sample", "--chain", chain, "--model", "constant:0.7", "--n", "1001", "--steps", "0"], capsys
+    )
+    assert code == 3
+    assert out == ""
+    assert "1001 labels exceed the label cap 1000" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("args", [
+    ["exact", "--chain", "inv", "--model", "cyw:0.6,0.7,0.8,0.9:max"],
+    ["scan", "--chain", "inv", "--model", "constant:0.75", "--n-range", "3:6"],
+    ["scan", "--chain", "tree", "--model", "constant:0.75", "--n-range", "3:6"],
+])
+def test_array_rows_print_the_oracle_bytes(capsys, monkeypatch, args):
+    from permchains import cli
+    from permchains.analysis import distribution
+
+    code, fast, _ = run_cli(args, capsys)
+    monkeypatch.setattr(cli, "perm_transition_matrix", cli.transition_matrix)
+    monkeypatch.setattr(
+        cli, "stationary_exact", lambda kernel, states: distribution(kernel.stationary_weight(s) for s in states)
+    )
+    oracle_code, oracle, _ = run_cli(args, capsys)
+    assert code == oracle_code == 0
+    assert fast == oracle
 
 
 @pytest.mark.parametrize("chain, n", [("walk", None), ("walk", "4"), ("walk-transposition", None)])

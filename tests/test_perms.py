@@ -6,10 +6,12 @@ Permutation and inversion-table behavior:
 - S_n is enumerated lexicographically: identity first, reversal last
 - table entries stay inside 0..n-i and sum to the inversion count
 - decoding rejects out-of-range entries
+- the codec round-trips at random n up to 40 (hypothesis)
 """
 import itertools
 
 import pytest
+from hypothesis import given, strategies as st
 
 from permchains.perms import (
     adjacent_swap,
@@ -59,6 +61,11 @@ def test_roundtrip_exhaustive(n):
         assert all(0 <= x <= n - i for i, x in enumerate(table, start=1))
         assert permutation_from_inversion_table(table) == sigma
         assert sum(table) == inversion_count(sigma)
+
+
+@given(st.integers(min_value=1, max_value=40).flatmap(lambda n: st.permutations(range(1, n + 1))))
+def test_roundtrip_at_random_n(sigma):
+    assert permutation_from_inversion_table(inversion_table(sigma)) == tuple(sigma)
 
 
 def test_decode_rejects_out_of_range():

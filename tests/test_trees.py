@@ -7,10 +7,15 @@ League trees and the per-node bit-string encoding:
 - the encode/decode pair is a bijection across tree shapes
 - sorted permutations encode as all-ones-then-zeros at every node
 - JSON round trip, truncation, and mirroring preserve structure
+- the encoding round-trips for random trees at random n up to 20 (hypothesis)
+- more than 1,000 leaves raise CapExceeded before the lca table is filled
 """
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
+
+from permchains.analysis import CapExceeded
 
 from permchains.chains import make_rng
 from permchains.perms import all_permutations, identity
@@ -76,6 +81,20 @@ def test_roundtrip_three_shapes(n):
     for tree in shapes:
         for sigma in all_permutations(n):
             assert tree_decode(tree_encode(sigma, tree), tree) == sigma
+
+
+@given(st.integers(min_value=1, max_value=20).flatmap(
+    lambda n: st.tuples(st.permutations(range(1, n + 1)), st.integers(min_value=0, max_value=2**32))
+))
+def test_codec_roundtrip_at_random_n(case):
+    sigma, seed = case
+    tree = random_tree(len(sigma), make_rng(seed))
+    assert tree_decode(tree_encode(sigma, tree), tree) == tuple(sigma)
+
+
+def test_leaf_cap_checked_before_the_lca_table():
+    with pytest.raises(CapExceeded, match="1001 labels exceed the label cap 1000"):
+        complete_tree(1001, "0.7")
 
 
 def test_decode_rejects_bad_counts():
