@@ -527,8 +527,8 @@ def walk_transition_matrix(chain: WalkChain, arrays: walks.WalkArrays) -> sp.csr
     m, length = steps.shape
     ups = np.cumsum(steps, axis=1, dtype=np.int64)
     masses: dict[Fraction, int] = {}  # exact off-diagonal mass -> id
-    mass_id = np.full((m, length - 1), -1)  # per slot; -1 where the walk stays
-    cols = np.empty((m, length - 1), dtype=np.int64)
+    mass_id = np.full((m, length), -1)  # per slot; -1 where the walk stays
+    cols = np.empty((m, length), dtype=np.int64)  # the last column is the hold
     for pos, mass in chain._slots:
         cols[:, pos] = np.searchsorted(codes, codes ^ (3 << (length - 2 - pos)))
         moving = np.flatnonzero(steps[:, pos] != steps[:, pos + 1])
@@ -549,20 +549,24 @@ def class_rows_matrix(mass_id: np.ndarray, cols: np.ndarray, exact: list) -> sp.
     """The CSR matrix of rows given per slot, with each row's hold last.
 
     ``mass_id[row, slot]`` indexes ``exact``, the exact off-diagonal masses,
-    or is -1 where the state stays; ``cols[row, slot]`` is the successor.  A
-    row's hold is the exact 1 - sum of its masses, taken on integers over the
-    masses' common denominator and rounded once, as an int quotient.  Entries
-    go in the oracle's order (row by row, slots ascending, hold last) through
-    the oracle's COO route.
+    or is -1 where the state stays; ``cols[row, slot]`` is the successor.  The
+    last column of both belongs to the hold: -1 in ``mass_id``, and filled
+    here in ``cols``.  A row's hold is the exact 1 - sum of its masses, taken
+    once per distinct count of each mass, on integers over the masses' common
+    denominator and rounded once.  Entries go in the oracle's order (row by
+    row, slots ascending, hold last) through the oracle's COO route.
     """
     m = mass_id.shape[0]
-    common = math.lcm(*(x.denominator for x in exact))
-    numerators = np.array([x.numerator * (common // x.denominator) for x in exact], dtype=object)
     counts = np.stack([(mass_id == k).sum(axis=1) for k in range(len(exact))], axis=1)
-    holds = [(common - moved) / common for moved in (counts.astype(object) @ numerators).tolist()]
-    vals = np.column_stack([np.append([float(x) for x in exact], 0.0)[mass_id], holds])
-    keep = np.column_stack([mass_id >= 0, np.ones(m, dtype=bool)])
-    cols = np.column_stack([cols, np.arange(m)])
+    patterns, inverse = np.unique(counts, axis=0, return_inverse=True)
+    common = math.lcm(*(x.denominator for x in exact))
+    numerators = [x.numerator * (common // x.denominator) for x in exact]
+    holds = [(common - sum(c * v for c, v in zip(row, numerators))) / common for row in patterns.tolist()]
+    vals = np.append([float(x) for x in exact], 0.0)[mass_id]
+    vals[:, -1] = np.asarray(holds)[inverse.reshape(-1)]
+    keep = mass_id >= 0
+    keep[:, -1] = True
+    cols[:, -1] = np.arange(m)
     return sp.csr_matrix((vals[keep], (np.nonzero(keep)[0], cols[keep])), shape=(m, m))
 
 
@@ -650,8 +654,8 @@ def perm_transition_matrix(kernel, states) -> sp.csr_matrix:
     if m != math.factorial(n) or not np.array_equal(lehmer_ranks(perms), np.arange(m)):
         raise ValueError("states must list S_n in lexicographic order")
     masses: dict[Fraction, int] = {}  # exact off-diagonal mass -> id
-    mass_id = np.full((m, len(kernel._slots)), -1)  # per slot; -1 where the state stays
-    cols = np.zeros((m, len(kernel._slots)), dtype=np.int64)
+    mass_id = np.full((m, len(kernel._slots) + 1), -1)  # per slot; -1 where the state stays
+    cols = np.empty((m, len(kernel._slots) + 1), dtype=np.int64)  # the last column is the hold
     for k, rows, first, second in ARRAY_ROWS[kernel.kind](kernel, perms):
         if not rows.size:
             continue
