@@ -20,8 +20,10 @@ min(weight(start), weight(end)):
   instance, building the row-monotone path, and mirroring back.
 
 ``congestion_A(aux)`` takes the auxiliary kernel and picks the route from its
-kind; it builds each exact row and weight once and returns A (for the bound
-4 ln(1/(eps pi_min)) / ln(1/(2 eps)) * A * tau_aux), pi and both matrices.
+kind; it builds each exact row once, takes the weights as integer numerators
+from one ``perm_weights`` call, checks floors and sums loads on integers, and
+returns A (for the bound 4 ln(1/(eps pi_min)) / ln(1/(2 eps)) * A * tau_aux)
+as one Fraction, with pi and both matrices.
 ``witness_caps`` is the one table of the caps each construction meets: at
 most n^2 (inv) or 4n^2 (tree) paths share an edge, and no path is longer than
 2n (inv) or 4n (tree) swaps.
@@ -36,7 +38,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import perms
-from .analysis import CapExceeded, distribution, rows_matrix
+from .analysis import CapExceeded, _shares, perm_weights, rows_matrix
 from .bias import BiasTable, MonotonicityReport, is_weakly_monotone, weight_exact
 from .chains import NearestNeighborChain
 from .trees import LeagueTree
@@ -236,8 +238,8 @@ def _mirrored_path(route, sigma, beta) -> NnPath:
 class PathReport:
     legal: bool
     floor_ok: bool
-    min_weight: Fraction
-    floor: Fraction
+    min_weight: Fraction | int  # on the scale of the weights and floor given
+    floor: Fraction | int
     failures: list = field(default_factory=list)
 
     @property
@@ -247,7 +249,10 @@ class PathReport:
 
 def verify_path(path: NnPath, table: BiasTable, floor, weight: dict | None = None) -> PathReport:
     """Check step legality under the nearest-neighbor kernel and the weight
-    floor; ``weight`` maps states to exact weights, else ``weight_exact`` runs."""
+    floor.  ``weight`` maps states to weights on one scale, such as the
+    integer numerators over D of ``perm_weights``, with ``floor`` on the same
+    scale; without it ``weight_exact`` runs and ``floor`` is an exact weight.
+    Neither is converted."""
     failures = []
     legal = True
     for k in range(len(path)):
@@ -261,8 +266,10 @@ def verify_path(path: NnPath, table: BiasTable, floor, weight: dict | None = Non
         if table.p(t[diff[0]], t[diff[1]]) == 0:
             legal = False
             failures.append(("zero-probability-step", k))
-    min_weight = min(weight[s] if weight else weight_exact(s, table) for s in path.states)
-    floor = Fraction(floor) if not isinstance(floor, Fraction) else floor
+    if weight:
+        min_weight = min(map(weight.__getitem__, path.states))
+    else:
+        min_weight = min(weight_exact(s, table) for s in path.states)
     floor_ok = min_weight >= floor
     if not floor_ok:
         failures.append(("floor-violated", float(min_weight / floor) if floor else 0.0))
@@ -321,10 +328,15 @@ def congestion_A(aux) -> CongestionResult:
     """Route every move of ``aux`` (inv or tree, n <= 6) once: legality,
     weight floors and congestion.
 
-    Each exact row of ``aux`` and of the nearest-neighbor chain, and each
-    exact weight w, is built once; pi and both matrices come from them.  A
-    legal path adds len * w(sigma) * P'(sigma, beta) to each nearest-neighbor
-    edge it uses; A is the worst load over the edge's flow w * P.
+    Each exact row of ``aux`` and of the nearest-neighbor chain is built once,
+    and the weights come from one ``perm_weights`` call: integer numerators W
+    over the table's D.  pi and both matrices come from them.  A legal path
+    adds len * W(sigma) * P'num(sigma, beta) to each nearest-neighbor edge it
+    uses, where P'num is the entry's numerator over the aux kernel's
+    ``SlotTerms.common`` (every row entry's denominator divides it); an edge's
+    flow is W(u) * Pnum(u, v), over the nn kernel's.  D cancels in load / flow,
+    the worst ratio is found by integer cross-multiplication, and A is the one
+    Fraction best_load * c_nn / (best_flow * c_aux).
     """
     n, table = aux.n, aux.table
     if n > 6:
@@ -342,7 +354,9 @@ def congestion_A(aux) -> CongestionResult:
     states = aux.space()
     aux_rows = {s: aux.transition_distribution(s) for s in states}
     nn_rows = {s: nn.transition_distribution(s) for s in states}
-    weight = {s: weight_exact(s, table) for s in states}
+    weights = perm_weights(table, np.array(states, dtype=np.int8)).tolist()
+    weight = dict(zip(states, weights))
+    c_aux, c_nn = aux._terms.common, nn._terms.common
 
     loads: dict = {}
     owners: dict = {}
@@ -352,8 +366,9 @@ def congestion_A(aux) -> CongestionResult:
     failure = None
     for sigma, beta, prob in _moves(aux_rows):
         path = build(sigma, beta)
+        length = len(path)
         edge_count += 1
-        max_len = max(max_len, len(path))
+        max_len = max(max_len, length)
         check = verify_path(path, table, min(weight[sigma], weight[beta]), weight)
         if not check.ok:
             legal &= check.legal
@@ -361,10 +376,10 @@ def congestion_A(aux) -> CongestionResult:
             failure = failure or (sigma, beta, path.floor_guaranteed)
         if not check.legal:
             continue  # its steps are not nearest-neighbor edges
-        contribution = len(path) * weight[sigma] * prob
-        for k in range(len(path)):
+        contribution = length * weight[sigma] * prob.numerator * (c_aux // prob.denominator)
+        for k in range(length):
             edge = (path.states[k], path.states[k + 1])
-            loads[edge] = loads.get(edge, Fraction(0)) + contribution
+            loads[edge] = loads.get(edge, 0) + contribution
             owners.setdefault(edge, []).append(
                 ((sigma, beta), path.stages[k], path.origin)
             )
@@ -379,12 +394,15 @@ def congestion_A(aux) -> CongestionResult:
             if seen.setdefault(key, owner) != owner:
                 collision_free = False
 
-    best = Fraction(0)
+    best_load, best_flow = 0, 1
     for (u, v), load in loads.items():
-        flow = weight[u] * nn_rows[u].get(v, Fraction(0))
+        p = nn_rows[u].get(v, 0)
+        flow = weight[u] * p.numerator * (c_nn // p.denominator) if p else 0
         if flow == 0:
             raise AssertionError("path used a zero-probability edge")
-        best = max(best, load / flow)
+        if load * best_flow > best_load * flow:
+            best_load, best_flow = load, flow
+    best = Fraction(best_load * c_nn, best_flow * c_aux)
     return CongestionResult(
         kind=aux.kind,
         n=n,
@@ -397,7 +415,7 @@ def congestion_A(aux) -> CongestionResult:
         legal=legal,
         floors_held=floors_held,
         failure=failure,
-        pi=distribution(weight.values()),
+        pi=_shares(weights),
         nn=rows_matrix(states, nn_rows.values()),
         aux=rows_matrix(states, aux_rows.values()),
     )

@@ -16,11 +16,13 @@ JSON format: a node is either an integer leaf label or an object
 from __future__ import annotations
 
 import json
+import reprlib
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from ._common import as_probability, check_label_count
+from ._common import LABEL_CAP, CapExceeded, as_probability, check_label_count
 from .perms import check_permutation
 
 
@@ -62,7 +64,7 @@ class LeagueTree:
     def __init__(self, root: TreeNode):
         self.root = root
         self._internal: list[_Internal] = []
-        leaves = self._index(root)[1]
+        leaves = self._index(root)
         self.n = len(leaves)
         if list(leaves) != list(range(1, self.n + 1)):
             raise ValueError(
@@ -77,25 +79,36 @@ class LeagueTree:
                     self._lca[(i, j)] = nid
                     self._lca[(j, i)] = nid
 
-    def _index(self, nd: TreeNode) -> tuple[tuple, list[int]]:
-        if nd.is_leaf:
-            return ("leaf", nd.label), [nd.label]
-        if nd.left is None or nd.right is None or nd.q is None:
-            raise ValueError("internal node needs q and both children")
-        if not Fraction(1, 2) <= nd.q <= 1:
-            raise ValueError(f"q out of [1/2, 1]: {nd.q}")
-        nid = len(self._internal)
-        self._internal.append(None)  # reserve preorder slot
-        left_ref, left_leaves = self._index(nd.left)
-        right_ref, right_leaves = self._index(nd.right)
-        self._internal[nid] = _Internal(
-            q=nd.q,
-            leaves=frozenset(left_leaves) | frozenset(right_leaves),
-            left_leaves=frozenset(left_leaves),
-            left_ref=left_ref,
-            right_ref=right_ref,
-        )
-        return ("node", nid), left_leaves + right_leaves
+    def _index(self, root: TreeNode) -> list[int]:
+        """Record the internal nodes in preorder; return the leaf labels left
+        to right.  The walk keeps its own stack, so depth is not bounded by
+        the recursion limit."""
+        done: list[tuple[tuple, list[int]]] = []  # (ref, leaf labels) of finished subtrees
+        todo: list = [root]  # nodes to visit, or the id of a node whose children are done
+        while todo:
+            item = todo.pop()
+            if isinstance(item, int):
+                right_ref, right_leaves = done.pop()
+                left_ref, left_leaves = done.pop()
+                rec = self._internal[item]
+                self._internal[item] = _Internal(
+                    q=rec.q,
+                    leaves=frozenset(left_leaves) | frozenset(right_leaves),
+                    left_leaves=frozenset(left_leaves),
+                    left_ref=left_ref,
+                    right_ref=right_ref,
+                )
+                done.append((("node", item), left_leaves + right_leaves))
+            elif item.is_leaf:
+                done.append((("leaf", item.label), [item.label]))
+            else:
+                if item.left is None or item.right is None or item.q is None:
+                    raise ValueError("internal node needs q and both children")
+                if not Fraction(1, 2) <= item.q <= 1:
+                    raise ValueError(f"q out of [1/2, 1]: {item.q}")
+                todo += [len(self._internal), item.right, item.left]
+                self._internal.append(item)  # reserve the preorder slot
+        return done[0][1]
 
     # -- structure queries ------------------------------------------------
 
@@ -127,24 +140,56 @@ class LeagueTree:
 
     @classmethod
     def from_json(cls, text: str) -> "LeagueTree":
-        obj = json.loads(text, parse_float=Fraction)
-        return cls(_node_from_obj(obj))
+        return cls(_node_from_obj(_load_json(text)))
 
     def to_json(self) -> str:
-        def emit(nd: TreeNode):
-            if nd.is_leaf:
-                return nd.label
-            return {"q": float(nd.q), "left": emit(nd.left), "right": emit(nd.right)}
+        """``json.dumps`` of the nested node objects, emitted in preorder from
+        an explicit stack."""
+        parts = []
+        todo: list = [self.root]  # nodes, or text to emit once a subtree is done
+        while todo:
+            item = todo.pop()
+            if isinstance(item, str):
+                parts.append(item)
+            elif item.is_leaf:
+                parts.append(str(item.label))
+            else:
+                parts.append(f'{{"q": {float(item.q)!r}, "left": ')
+                todo += ["}", item.right, ', "right": ', item.left]
+        return "".join(parts)
 
-        return json.dumps(emit(self.root))
+
+def _load_json(text: str):
+    """``json.loads(text, parse_float=Fraction)`` with room for a league under
+    the label cap: such a tree nests up to LABEL_CAP - 1 objects deep, and
+    ``json`` spends one level of the recursion limit on each.  The limit is
+    raised for the call only; anything deeper holds more labels than the cap."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + LABEL_CAP)
+    try:
+        return json.loads(text, parse_float=Fraction)
+    except RecursionError:
+        raise CapExceeded(f"league JSON nests deeper than a tree of {LABEL_CAP} labels") from None
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def _node_from_obj(obj) -> TreeNode:
-    if isinstance(obj, int):
-        return leaf(obj)
-    if isinstance(obj, dict) and {"q", "left", "right"} <= set(obj):
-        return node(obj["q"], _node_from_obj(obj["left"]), _node_from_obj(obj["right"]))
-    raise ValueError(f"bad tree node: {obj!r}")
+    """The TreeNode of a parsed JSON node, built bottom-up from an explicit stack."""
+    done: list[TreeNode] = []
+    todo: list = [(obj, False)]  # (JSON node, whether its children are done)
+    while todo:
+        item, children_done = todo.pop()
+        if children_done:
+            right = done.pop()
+            done.append(node(item["q"], done.pop(), right))
+        elif isinstance(item, int):
+            done.append(leaf(item))
+        elif isinstance(item, dict) and {"q", "left", "right"} <= set(item):
+            todo += [(item, True), (item["right"], False), (item["left"], False)]
+        else:
+            raise ValueError(f"bad tree node: {reprlib.repr(item)}")
+    return done[0]
 
 
 # -- encoding ---------------------------------------------------------------
@@ -229,12 +274,10 @@ def caterpillar_tree(n: int, qs) -> LeagueTree:
     if len(qs) != n - 1:
         raise ValueError(f"need {n - 1} spine probabilities, got {len(qs)}")
 
-    def build(k: int) -> TreeNode:
-        if k == n:
-            return leaf(n)
-        return TreeNode(q=qs[k - 1], left=leaf(k), right=build(k + 1))
-
-    return LeagueTree(build(1))
+    spine = leaf(n)
+    for k in range(n - 1, 0, -1):  # bottom-up, so depth costs no recursion
+        spine = TreeNode(q=qs[k - 1], left=leaf(k), right=spine)
+    return LeagueTree(spine)
 
 
 def random_tree(n: int, rng, q_choices=(Fraction(3, 5), Fraction(7, 10), Fraction(4, 5))) -> LeagueTree:

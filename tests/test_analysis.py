@@ -35,7 +35,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from permchains.analysis import (
     CHUNK,
@@ -67,19 +67,18 @@ from permchains.analysis import (
 from permchains import analysis, walks
 from permchains.bias import SlowMixSpec, solve_delta
 from permchains.chains import WalkChain, WalkTranspositionChain
-from permchains.bias import BiasTable, CywSpec, choose_your_weapon, constant_bias, parse_model_spec
+from permchains.bias import BiasTable, choose_your_weapon, constant_bias, parse_model_spec
 from permchains.chains import (
     InversionChain,
     NearestNeighborChain,
     OnedChain,
     TreeChain,
     build,
-    make_rng,
 )
 from permchains.perms import identity, reversal
-from permchains.trees import complete_tree, random_tree, truncate_tree
+from permchains.trees import complete_tree, truncate_tree
 
-from support import cyw_spec
+from support import cyw_kernels, cyw_spec, league_kernels
 
 
 def test_two_state_matrix():
@@ -667,31 +666,14 @@ def test_perm_matrix_matches_oracle_for_a_league(demo_tree):
     _assert_matrix_matches_oracle(TreeChain(truncate_tree(demo_tree, 6)))
 
 
-@st.composite
-def _cyw_kernels(draw):
-    # CywSpec keeps every rank below 1, so 1/2 is the boundary drawn here
-    n = draw(st.integers(min_value=2, max_value=6))
-    ranks = st.fractions(min_value=Fraction(1, 2), max_value=Fraction(99, 100), max_denominator=100)
-    r = tuple(draw(st.lists(ranks, min_size=n - 1, max_size=n - 1)))
-    return InversionChain(CywSpec(r=r, variant=draw(st.sampled_from(["min", "max"]))))
-
-
-@st.composite
-def _league_kernels(draw):
-    n = draw(st.integers(min_value=2, max_value=6))
-    qs = st.sampled_from([Fraction(1, 2), Fraction(3, 5), Fraction(7, 10), Fraction(9, 10), Fraction(1)])
-    q_choices = tuple(draw(st.lists(qs, min_size=1, max_size=3)))
-    return TreeChain(random_tree(n, make_rng(draw(st.integers(min_value=0, max_value=2**32))), q_choices))
-
-
 @settings(max_examples=30, deadline=None)
-@given(_cyw_kernels())
+@given(cyw_kernels(max_n=6))
 def test_perm_matrix_matches_oracle_for_random_cyw_tables(kernel):
     _assert_matrix_matches_oracle(kernel)
 
 
 @settings(max_examples=30, deadline=None)
-@given(_league_kernels())
+@given(league_kernels(max_n=6))
 def test_perm_matrix_matches_oracle_for_random_leagues(kernel):
     _assert_matrix_matches_oracle(kernel)
 

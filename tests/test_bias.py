@@ -12,20 +12,25 @@ Bias tables and model constructors:
   analysis) before any entry is asked for; 1,000 labels pass the check
 - the slow-mixing family freezes within-half pairs and balances the cut; the
   integer signs of its bisection equal the Fraction gap's (the reference) at
-  both bracket ends and every midpoint for n = 4..9
+  both bracket ends and every midpoint for n = 4..9, and the gap changes sign
+  within solve_delta's stated relative bracket 1e-11 of xi for n = 4..11
+  (hypothesis)
 """
 import itertools
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from permchains import walks
 from permchains.bias import (
     BiasTable,
     CywSpec,
     SlowMixSpec,
+    _gap_coefficients,
+    _gap_sign,
     choose_your_weapon,
     constant_bias,
     is_weakly_monotone,
@@ -311,8 +316,6 @@ def _sign(x) -> int:
 def test_solve_delta_bracket_signs():
     # the integer sign equals the Fraction gap's at both bracket ends and at
     # every midpoint of the bisection, replayed here
-    from permchains.bias import _gap_coefficients, _gap_sign
-
     for n in range(4, 10):
         tables = walks.height_profile(n).class_table()
         coeffs = _gap_coefficients(n, tables)
@@ -328,6 +331,21 @@ def test_solve_delta_bracket_signs():
             if (hi - lo) / mid <= Fraction(1, 10**11):
                 break
         assert solve_delta(n) == 1 / ((lo + hi) / 2 + 1)
+
+
+@lru_cache(maxsize=None)
+def _coefficients(n: int) -> list[int]:
+    return _gap_coefficients(n, walks.height_profile(n).class_table())
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=4, max_value=11))
+def test_solve_delta_balance_within_its_relative_bracket(n):
+    # the balance point lies within 1e-11 of xi, relative: the gap is negative
+    # just below that band and not negative just above it
+    xi = SlowMixSpec(n=n, delta=solve_delta(n)).xi
+    tol = Fraction(1, 10**11)
+    assert _gap_sign(_coefficients(n), xi * (1 - tol)) < 0 <= _gap_sign(_coefficients(n), xi * (1 + tol))
 
 
 def test_solve_delta_regression():

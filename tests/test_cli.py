@@ -8,6 +8,8 @@ CLI behavior:
   an --n that contradicts a sized model, --n given with --n-range and a
   scan over one size included), 3 cap exceeded (checked before the state space is enumerated,
   and for more than 1,000 labels before a bias table is filled), 4 soundness failure
+- a league file as deep as the label cap allows (a 990-leaf caterpillar) samples
+  with exit 0, and a 1,001-leaf caterpillar file exits 3
 - exact and scan print the same bytes for inv and tree with the array rows and
   weights as with the Fraction oracle's
 - each row reports the kernel's own size; for walks, the half size
@@ -367,6 +369,34 @@ def test_exact_cap_checked_without_enumerating(capsys, monkeypatch):
 def test_sample_label_cap_checked_before_the_table(capsys, chain):
     code, out, err = run_cli(
         ["sample", "--chain", chain, "--model", "constant:0.7", "--n", "1001", "--steps", "0"], capsys
+    )
+    assert code == 3
+    assert out == ""
+    assert "1001 labels exceed the label cap 1000" in err and "Traceback" not in err
+
+
+def _caterpillar_json(n: int) -> str:
+    text = str(n)
+    for k in range(n - 1, 0, -1):
+        text = f'{{"q": 0.6, "left": {k}, "right": {text}}}'
+    return text
+
+
+def test_sample_reads_a_990_leaf_caterpillar_league(tmp_path, capsys):
+    tree_file = tmp_path / "caterpillar.json"
+    tree_file.write_text(_caterpillar_json(990))
+    code, out, err = run_cli(
+        ["sample", "--chain", "tree", "--model", f"league:{tree_file}", "--steps", "10"], capsys
+    )
+    assert code == 0 and err == ""
+    assert out.splitlines()[-1] == "0,inversions,489555.0"  # the reversal, C(990, 2) inversions
+
+
+def test_a_1001_leaf_caterpillar_league_exits_3(tmp_path, capsys):
+    tree_file = tmp_path / "caterpillar.json"
+    tree_file.write_text(_caterpillar_json(1001))
+    code, out, err = run_cli(
+        ["sample", "--chain", "tree", "--model", f"league:{tree_file}", "--steps", "10"], capsys
     )
     assert code == 3
     assert out == ""

@@ -11,14 +11,21 @@ Canonical paths and congestion:
   collision-free paths
 - the routing pass reports the same legality and floor outcome as a
   per-move reference loop, including on trees without the floor guarantee
+- congestion_A on integer weights and loads returns every field equal to the
+  former all-Fraction loop (kept here), on the pass cases and by hypothesis
+  over random cyw tables and random leagues with q = 1 at n <= 5
 - the comparison bound evaluates correctly and dominates exact mixing times
 """
 import math
+from dataclasses import fields
 from fractions import Fraction
 
+import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
 
-from permchains.analysis import mixing_time_exact, stationary_exact, transition_matrix
+from permchains.analysis import distribution, mixing_time_exact, rows_matrix, stationary_exact, transition_matrix
 from permchains.bias import (
     CywSpec,
     choose_your_weapon,
@@ -31,6 +38,8 @@ from permchains.cli import main
 from permchains.paths import (
     NotAnEdge,
     _aux_edges,
+    _mirrored_path,
+    _moves,
     comparison_bound,
     congestion_A,
     is_inv_edge,
@@ -44,7 +53,7 @@ from permchains.paths import (
 from permchains.perms import all_permutations
 from permchains.trees import LeagueTree, caterpillar_tree, leaf, mirror_tree, node
 
-from support import cyw_spec, truncate_tree_demo
+from support import cyw_kernels, cyw_spec, league_kernels, truncate_tree_demo
 
 # neither clause of weak monotonicity holds; every floor still holds at n = 4
 UNGUARANTEED_TREE = LeagueTree(node("0.6", node("0.9", leaf(1), leaf(2)), node("0.9", leaf(3), leaf(4))))
@@ -266,6 +275,110 @@ def test_congestion_from_weights_equals_normalized_reference(case):
     assert congestion_A(KERNELS[kind](model)).congestion_exact == _reference_congestion(kind, model)
 
 
+def _fraction_congestion_A(aux):
+    """The former congestion_A, kept as the reference: each weight from
+    weight_exact, and every load, floor and ratio a Fraction."""
+    n, table = aux.n, aux.table
+    if aux.kind == "inv" and aux.variant == "max":
+        build = lambda s, t: _mirrored_path(path_inv_to_nn, s, t)
+    elif aux.kind == "inv":
+        build = path_inv_to_nn
+    else:
+        monotone = is_weakly_monotone(table)
+        build = lambda s, t: path_tree_to_nn(s, t, aux.tree, monotone)
+
+    nn = NearestNeighborChain(table)
+    states = aux.space()
+    aux_rows = {s: aux.transition_distribution(s) for s in states}
+    nn_rows = {s: nn.transition_distribution(s) for s in states}
+    weight = {s: weight_exact(s, table) for s in states}
+
+    loads: dict = {}
+    owners: dict = {}
+    max_len = 0
+    edge_count = 0
+    legal = floors_held = True
+    failure = None
+    for sigma, beta, prob in _moves(aux_rows):
+        path = build(sigma, beta)
+        edge_count += 1
+        max_len = max(max_len, len(path))
+        check = verify_path(path, table, min(weight[sigma], weight[beta]), weight)
+        if not check.ok:
+            legal &= check.legal
+            floors_held &= check.floor_ok
+            failure = failure or (sigma, beta, path.floor_guaranteed)
+        if not check.legal:
+            continue
+        contribution = len(path) * weight[sigma] * prob
+        for k in range(len(path)):
+            edge = (path.states[k], path.states[k + 1])
+            loads[edge] = loads.get(edge, Fraction(0)) + contribution
+            owners.setdefault(edge, []).append(((sigma, beta), path.stages[k], path.origin))
+
+    collision_free = True
+    max_paths = 0
+    for edge, entries in owners.items():
+        max_paths = max(max_paths, len({owner for owner, _, _ in entries}))
+        seen = {}
+        for owner, stage, origin in entries:
+            if seen.setdefault((stage, origin), owner) != owner:
+                collision_free = False
+
+    best = Fraction(0)
+    for (u, v), load in loads.items():
+        flow = weight[u] * nn_rows[u].get(v, Fraction(0))
+        if flow == 0:
+            raise AssertionError("path used a zero-probability edge")
+        best = max(best, load / flow)
+    return dict(
+        kind=aux.kind, n=n, congestion=float(best), congestion_exact=best, edge_count=edge_count,
+        max_paths_per_edge=max_paths, max_path_length=max_len, collision_free=collision_free,
+        legal=legal, floors_held=floors_held, failure=failure,
+        pi=distribution(weight.values()),
+        nn=rows_matrix(states, nn_rows.values()),
+        aux=rows_matrix(states, aux_rows.values()),
+    )
+
+
+def _assert_equals_fraction_loop(aux):
+    try:
+        expected = _fraction_congestion_A(aux)
+    except AssertionError as exc:  # a path through a zero-weight state; the same refusal
+        with pytest.raises(AssertionError, match=str(exc)):
+            congestion_A(aux)
+        return
+    result = congestion_A(aux)
+    assert type(result.congestion_exact) is Fraction
+    for f in fields(result):
+        got, want = getattr(result, f.name), expected[f.name]
+        if isinstance(want, np.ndarray):
+            assert np.array_equal(got, want), f.name
+        elif sp.issparse(want):
+            for attr in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(got, attr), getattr(want, attr)), (f.name, attr)
+        else:
+            assert got == want, f.name
+
+
+@pytest.mark.parametrize("case", sorted(PASS_CASES))
+def test_congestion_equals_the_fraction_loop(case):
+    kind, model = PASS_CASES[case]
+    _assert_equals_fraction_loop(KERNELS[kind](model))
+
+
+@settings(max_examples=40, deadline=None)
+@given(cyw_kernels(max_n=5))
+def test_congestion_equals_the_fraction_loop_for_random_cyw_tables(aux):
+    _assert_equals_fraction_loop(aux)
+
+
+@settings(max_examples=40, deadline=None)
+@given(league_kernels(max_n=5))
+def test_congestion_equals_the_fraction_loop_for_random_leagues(aux):
+    _assert_equals_fraction_loop(aux)
+
+
 def test_verify_path_negative_control():
     table = choose_your_weapon(cyw_spec(4))
     path = path_inv_to_nn((3, 1, 2, 4), (4, 1, 2, 3))
@@ -396,9 +509,11 @@ def test_paths_report_matches_the_oracle_pipeline(kind, n, tmp_path, capsys):
 
 @pytest.mark.parametrize("kind", ["inv", "tree"])
 def test_paths_builds_each_table_row_and_weight_once(kind, tmp_path, capsys, monkeypatch):
+    """One bias table, one row per state of each kernel, and every weight from
+    a single perm_weights call: weight_exact is never called."""
     from collections import Counter
 
-    from permchains import bias, chains, paths
+    from permchains import analysis, bias, chains, paths
 
     counts = Counter()
 
@@ -413,7 +528,10 @@ def test_paths_builds_each_table_row_and_weight_once(kind, tmp_path, capsys, mon
     monkeypatch.setattr(bias.BiasTable, "__init__", counting("tables", bias.BiasTable.__init__))
     for cls in (NearestNeighborChain, InversionChain, TreeChain):
         monkeypatch.setattr(cls, "transition_distribution", counting(cls.kind, cls.transition_distribution))
-    for module in (chains, paths):
-        monkeypatch.setattr(module, "weight_exact", counting("weights", bias.weight_exact))
+    perm_weights, weight_exact = analysis.perm_weights, bias.weight_exact
+    for module in (analysis, paths):
+        monkeypatch.setattr(module, "perm_weights", counting("perm_weights", perm_weights))
+    for module in (bias, chains, paths):
+        monkeypatch.setattr(module, "weight_exact", counting("weight_exact", weight_exact))
     assert main(["paths", "--kind", kind, *model_args]) == 0
-    assert counts == {"tables": 1, kind: 120, "nn": 120, "weights": 120}
+    assert counts == {"tables": 1, kind: 120, "nn": 120, "perm_weights": 1}

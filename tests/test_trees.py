@@ -9,7 +9,11 @@ League trees and the per-node bit-string encoding:
 - JSON round trip, truncation, and mirroring preserve structure
 - the encoding round-trips for random trees at random n up to 20 (hypothesis)
 - more than 1,000 leaves raise CapExceeded before the lca table is filled
+- trees as deep as the label cap allows build, index, print and parse
+  without recursion; to_json prints json.dumps's bytes; JSON nested deeper
+  than any tree under the cap raises CapExceeded
 """
+import json
 from fractions import Fraction
 
 import pytest
@@ -95,6 +99,40 @@ def test_codec_roundtrip_at_random_n(case):
 def test_leaf_cap_checked_before_the_lca_table():
     with pytest.raises(CapExceeded, match="1001 labels exceed the label cap 1000"):
         complete_tree(1001, "0.7")
+
+
+def test_a_999_leaf_caterpillar_builds_and_round_trips():
+    tree = caterpillar_tree(999, ["0.7"] * 998)
+    assert tree.n == 999 and len(tree.internal_ids()) == 998
+    assert tree.leaves_under(997) == {998, 999} and tree.lca_q(1, 999) == Fraction(7, 10)
+    back = LeagueTree.from_json(tree.to_json())
+    assert back._internal == tree._internal
+
+
+def _former_json(tree: LeagueTree) -> str:
+    """The former recursive to_json, kept as the reference."""
+
+    def emit(nd):
+        if nd.is_leaf:
+            return nd.label
+        return {"q": float(nd.q), "left": emit(nd.left), "right": emit(nd.right)}
+
+    return json.dumps(emit(tree.root))
+
+
+def test_to_json_prints_the_former_bytes(demo_tree):
+    rng = make_rng(5)
+    for tree in (demo_tree, complete_tree(1, "0.6"), caterpillar_tree(6, ["0.55", "0.6", "0.7", "0.8", "0.9"]),
+                 *(random_tree(n, rng) for n in range(2, 12))):
+        assert tree.to_json() == _former_json(tree)
+
+
+def test_json_nested_past_the_label_cap_raises_cap_exceeded():
+    text = "1"
+    for _ in range(5 * 1000):
+        text = f'{{"q": 0.6, "left": {text}, "right": 2}}'
+    with pytest.raises(CapExceeded, match="nests deeper than a tree of 1000 labels"):
+        LeagueTree.from_json(text)
 
 
 def test_decode_rejects_bad_counts():

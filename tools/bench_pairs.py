@@ -17,7 +17,9 @@ Pairs alternate which side runs first, so a drift in the host's speed falls
 on both sides alike.  The file, rewritten after each workload, holds every
 run's end-to-end metrics and ``failed`` count and, for each metric of each
 workload, both sides' medians and quartiles, how many pairs the change won
-(ties count for neither) and the ratio of the medians.
+(ties count for neither) and the ratio of the medians.  Under ``host`` it
+records the machine's CPU count and the CPUs of this process's affinity
+mask; the two differ under a cpuset.
 """
 from __future__ import annotations
 
@@ -104,7 +106,13 @@ def main(argv=None) -> int:
         "change": git("rev-parse", "HEAD"),
         "command": "python3 perfbench/run.py --workload W --seed N --seconds S --trace 0",
         "seconds": seconds,
-        "host": {"python": platform.python_version(), "machine": platform.machine(), "cpus": os.cpu_count()},
+        "host": {
+            "python": platform.python_version(),
+            "machine": platform.machine(),
+            "cpus": os.cpu_count(),
+            # the CPUs this process may run on, which size the TV pool (analysis.WORKERS)
+            "affinity_cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1,
+        },
         "workloads": {},
     }
     out = ROOT / f"BENCH_{args.pr}.json"
