@@ -39,6 +39,11 @@ for bit.  With every state a start, the chunks run on a thread pool with one
 worker per usable CPU (``WORKERS``), each bound to a CPU of its own and
 stepping into buffers that the calling thread made; a column's steps depend
 on that column alone, so the results do not depend on the number of cores.
+
+scipy is imported where a sparse matrix is made (``rows_matrix``,
+``class_rows_matrix`` and ``mixing_time_exact``'s transpose) and where
+``_run_chunk`` steps one, not with this module: importing it, and with it the
+CLI, loads no scipy module, so ``sample`` starts without it.
 """
 from __future__ import annotations
 
@@ -49,15 +54,17 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse import _sparsetools
 
 from . import walks
 from ._common import CapExceeded
 from .bias import BiasTable, SlowMixSpec, solve_delta
 from .chains import PermutationKernel, WalkChain, WalkTranspositionChain, make_rng
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 STATE_CAP = 100_000
 DENSE_CAP = 10_000
@@ -83,6 +90,8 @@ def transition_matrix(kernel, states=None) -> sp.csr_matrix:
 
 def rows_matrix(states, rows) -> sp.csr_matrix:
     """Sparse matrix of exact rows (dicts successor -> probability), one per state."""
+    import scipy.sparse as sp
+
     idx = state_index(states)
     r, cols, vals = [], [], []
     for i, row in enumerate(rows):
@@ -241,6 +250,8 @@ def mixing_time_exact(
     distances = [float(max(worst0) * 0.5)]
     if distances[-1] <= eps:
         return MixingResult(0, eps, distances, True, caveat)
+    import scipy.sparse as sp
+
     transposed = sp.csc_matrix(matrix.T, dtype=float)  # formed once
     workers = min(WORKERS, len(xs)) if starts is None else 1
     # every buffer the workers write is made here (see _run_chunk)
@@ -319,6 +330,8 @@ def _run_chunk(transposed, pi, x, spare, log, t, last, reached, eps, horizon) ->
     grown by realloc there, it draws that thread's later allocations into the
     worker's arena, which raised peak RSS.
     """
+    from scipy.sparse import _sparsetools
+
     own = x
     block, sums = spare
     y = block[: x.size].reshape(x.shape)
@@ -556,6 +569,8 @@ def class_rows_matrix(mass_id: np.ndarray, cols: np.ndarray, exact: list) -> sp.
     denominator and rounded once.  Entries go in the oracle's order (row by
     row, slots ascending, hold last) through the oracle's COO route.
     """
+    import scipy.sparse as sp
+
     m = mass_id.shape[0]
     counts = np.stack([(mass_id == k).sum(axis=1) for k in range(len(exact))], axis=1)
     patterns, inverse = np.unique(counts, axis=0, return_inverse=True)

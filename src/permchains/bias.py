@@ -87,6 +87,16 @@ class BiasTable:
             raise ValueError(f"bad label pair ({i}, {j}) for n={self.n}")
         return self._p[i][j]
 
+    def forced_pair(self) -> tuple[int, int] | None:
+        """The first pair (i, j), i < j, whose order is forced (p[i][j] is 0
+        or 1), else None.  A table has one exactly when some permutation has
+        weight 0: each permutation that puts that pair the other way."""
+        for i in range(1, self.n + 1):
+            for j in range(i + 1, self.n + 1):
+                if self._p[i][j] in (0, 1):
+                    return i, j
+        return None
+
     def is_positively_biased(self) -> bool:
         return all(
             self._p[i][j] >= HALF

@@ -15,8 +15,10 @@ state space against the cap before enumerating it.
 Exit codes: 0 success, 1 invariant failure, 2 usage error (``--eps`` outside
 (0, 1), or (0, 1/2) for ``paths``), 3 resource cap exceeded (also a bias
 table or league tree of more than ``LABEL_CAP`` labels), 4 internal soundness
-failure.  ``exact`` and ``scan`` take the array rows of ``analysis.ARRAY_ROWS``
-kinds and the Fraction rows of the others.
+failure.  A model whose states include some of zero stationary mass is a
+usage error: ``exact`` and ``scan`` find them in pi, ``paths`` in its bias
+table before routing.  ``exact`` and ``scan`` take the array rows of
+``analysis.ARRAY_ROWS`` kinds and the Fraction rows of the others.
 """
 from __future__ import annotations
 
@@ -137,6 +139,13 @@ def _check_eps(eps: float, top: float):
         raise UsageError(f"--eps must lie strictly between 0 and {top}, got {eps}")
 
 
+def _degenerate(model: str, states_with: str, n: int) -> UsageError:
+    return UsageError(
+        f"{model} is a degenerate bias: {states_with} zero stationary mass at n={n}; "
+        "use probabilities strictly between 0 and 1"
+    )
+
+
 def _exact_rows(args, ns: list[int | None]):
     """One row per size; a size of None takes the model's own."""
     model = parse_model_spec(args.model)
@@ -152,10 +161,7 @@ def _exact_rows(args, ns: list[int | None]):
         matrix = build_matrix(kernel, states)
         pi = stationary_exact(kernel, states)
         if not pi.all():
-            raise UsageError(
-                f"{args.model} is a degenerate bias: {int((pi == 0).sum())} of {len(states)} states have zero "
-                f"stationary mass at n={n}; use probabilities strictly between 0 and 1"
-            )
+            raise _degenerate(args.model, f"{int((pi == 0).sum())} of {len(states)} states have", n)
         if len(states) <= 720:
             starts = None
             caveat = "all-starts"
@@ -232,6 +238,11 @@ def cmd_slowmix(args) -> int:
 def cmd_paths(args) -> int:
     _check_eps(args.eps, 0.5)
     aux = build(args.kind, parse_model_spec(args.model), args.n)
+    forced = aux.table.forced_pair()
+    if forced:
+        # zero-weight states leave A and pi_min of the bound undefined
+        i, j = forced
+        raise _degenerate(args.model, f"p({i}, {j}) = {aux.table.p(i, j)} leaves some states with", aux.n)
     result = congestion_A(aux)
     if result.failure and (not result.legal or result.failure[2]):
         what = "illegal canonical path" if not result.legal else "weight floor violated"

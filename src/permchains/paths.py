@@ -33,15 +33,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import perms
 from .analysis import CapExceeded, _shares, perm_weights, rows_matrix
 from .bias import BiasTable, MonotonicityReport, is_weakly_monotone, weight_exact
 from .chains import NearestNeighborChain
 from .trees import LeagueTree
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 @dataclass

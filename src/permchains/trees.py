@@ -223,26 +223,22 @@ def tree_decode(encoding: dict[int, str], tree: LeagueTree) -> tuple[int, ...]:
         ):
             raise ValueError(f"node {nid}: bit counts do not match subtree sizes")
 
-    def build(ref) -> list[int]:
-        kind, val = ref
-        if kind == "leaf":
-            return [val]
-        rec = tree._internal[val]
-        s1 = build(rec.left_ref)
-        s0 = build(rec.right_ref)
-        out = []
-        i1 = i0 = 0
-        for b in encoding[val]:
-            if b == "1":
-                out.append(s1[i1])
-                i1 += 1
-            else:
-                out.append(s0[i0])
-                i0 += 1
-        return out
+    if not tree.internal_ids():
+        return (1,)
+    # ids are preorder, so every child's id exceeds its parent's: in reverse
+    # id order, both children of a node are decoded before it
+    decoded: list = [None] * len(tree.internal_ids())
 
-    root_ref = ("node", 0) if tree.internal_ids() else ("leaf", 1)
-    return tuple(build(root_ref))
+    def labels(ref) -> list[int]:
+        kind, val = ref
+        return [val] if kind == "leaf" else decoded[val]
+
+    for nid in reversed(tree.internal_ids()):
+        rec = tree._internal[nid]
+        s1 = iter(labels(rec.left_ref))
+        s0 = iter(labels(rec.right_ref))
+        decoded[nid] = [next(s1) if b == "1" else next(s0) for b in encoding[nid]]
+    return tuple(decoded[0])
 
 
 # -- shapes ------------------------------------------------------------------
@@ -298,15 +294,12 @@ def truncate_tree(tree: LeagueTree, n: int) -> LeagueTree:
     if not 1 <= n <= tree.n:
         raise ValueError(f"cannot truncate {tree.n}-leaf tree to {n}")
 
-    def prune(nd: TreeNode) -> TreeNode | None:
-        if nd.is_leaf:
-            return nd if nd.label <= n else None
-        lt, rt = prune(nd.left), prune(nd.right)
+    def join(nd: TreeNode, lt: TreeNode | None, rt: TreeNode | None) -> TreeNode | None:
         if lt is not None and rt is not None:
             return TreeNode(q=nd.q, left=lt, right=rt)
         return lt if lt is not None else rt
 
-    pruned = prune(tree.root)
+    pruned = _fold(tree.root, lambda lf: lf if lf.label <= n else None, join)
     if pruned is None:
         raise ValueError("empty truncation")
     return LeagueTree(pruned)
@@ -315,10 +308,27 @@ def truncate_tree(tree: LeagueTree, n: int) -> LeagueTree:
 def mirror_tree(tree: LeagueTree) -> LeagueTree:
     """Reflect left/right and relabel leaves v -> n+1-v."""
     n = tree.n
+    flipped = _fold(
+        tree.root,
+        lambda lf: leaf(n + 1 - lf.label),
+        lambda nd, lt, rt: TreeNode(q=nd.q, left=rt, right=lt),
+    )
+    return LeagueTree(flipped)
 
-    def flip(nd: TreeNode) -> TreeNode:
-        if nd.is_leaf:
-            return leaf(n + 1 - nd.label)
-        return TreeNode(q=nd.q, left=flip(nd.right), right=flip(nd.left))
 
-    return LeagueTree(flip(tree.root))
+def _fold(root: TreeNode, at_leaf, at_node):
+    """``at_leaf(leaf)`` at each leaf and ``at_node(node, left value, right
+    value)`` at each internal node, bottom-up from an explicit stack, so depth
+    is not bounded by the recursion limit; returns the root's value."""
+    done: list = []
+    todo: list = [(root, False)]  # (node, whether its children are done)
+    while todo:
+        nd, children_done = todo.pop()
+        if children_done:
+            right = done.pop()
+            done.append(at_node(nd, done.pop(), right))
+        elif nd.is_leaf:
+            done.append(at_leaf(nd))
+        else:
+            todo += [(nd, True), (nd.right, False), (nd.left, False)]
+    return done[0]

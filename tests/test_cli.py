@@ -13,10 +13,17 @@ CLI behavior:
 - exact and scan print the same bytes for inv and tree with the array rows and
   weights as with the Fraction oracle's
 - each row reports the kernel's own size; for walks, the half size
-- paths routes a max-variant inversion model (exit 0)
+- paths routes a max-variant inversion model (exit 0), and refuses a
+  degenerate bias (a table entry of 0 or 1) with exit 2 before routing
+- importing the CLI, sample with every kernel, --help and a usage error load
+  no scipy module; exact loads it and prints the in-process bytes
 - n-range scans emit one row per size with monotone mixing times
 """
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -329,6 +336,7 @@ def test_one_state_space_is_usage_error(capsys, command, chain, model):
     ["scan", "--chain", "nn", "--model", "constant:1", "--n-range", "3:4"],
     ["exact", "--chain", "tree", "--model", "constant:1", "--n", "4"],
     ["exact", "--chain", "oned", "--model", "oned:1,4"],
+    ["paths", "--kind", "tree", "--model", "constant:1", "--n", "4"],
 ])
 def test_zero_mass_stationary_law_is_usage_error(capsys, recwarn, args):
     code, out, err = run_cli(args, capsys)
@@ -473,9 +481,88 @@ def test_conductance_check_uses_the_given_eps(capsys):
     assert rows[1][3:5] == ["0.99", "0"]
 
 
+def test_paths_refuses_a_league_with_a_q_1_node_before_routing(tmp_path, capsys, monkeypatch):
+    from permchains import cli
+
+    tree_file = tmp_path / "t.json"
+    tree_file.write_text('{"q": 1, "left": {"q": 0.7, "left": 1, "right": 2}, "right": 3}')
+    model = f"league:{tree_file}"
+    monkeypatch.setattr(cli, "congestion_A", None)  # routing would raise TypeError
+    code, out, err = run_cli(["paths", "--kind", "tree", "--model", model], capsys)
+    assert code == 2
+    assert out == ""
+    assert f"{model} is a degenerate bias" in err and "zero stationary mass" in err and "Traceback" not in err
+
+
 def test_paths_coerces_a_constant_model_like_the_other_commands(capsys):
     code, constant, err = run_cli(["paths", "--kind", "inv", "--model", "constant:0.7", "--n", "4"], capsys)
     assert code == 0 and "coerced to cyw" in err
     code, cyw, _ = run_cli(["paths", "--kind", "inv", "--model", "cyw:0.7,0.7,0.7"], capsys)
     assert code == 0
     assert dict(_paths_record(constant), model=None) == dict(_paths_record(cyw), model=None)
+
+
+SAMPLE_MODELS = {
+    "nn": ["--model", "constant:0.7", "--n", "5"],
+    "inv": ["--model", "cyw:0.6,0.7,0.8"],
+    "tree": ["--model", "constant:0.7", "--n", "5"],
+    "oned": ["--model", "oned:0.6,8"],
+    "asep": ["--model", "asep:0.6,3,3"],
+    "walk": ["--model", "slowmix:5"],
+    "walk-transposition": ["--model", "slowmix:5"],
+}
+EXACT_ARGS = ["exact", "--chain", "nn", "--model", "constant:0.75", "--n", "4"]
+
+# Runs in a fresh interpreter: each step's exit code and the scipy modules
+# loaded after it, in order, then the stdout of exact.
+_SCIPY_PROBE = """
+import contextlib, io, json, sys
+
+def scipy_modules():
+    return sorted(k for k in sys.modules if k == "scipy" or k.startswith("scipy."))
+
+steps = []
+from permchains import cli
+steps.append(["import", 0, scipy_modules()])
+
+def step(name, argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    steps.append([name, code, scipy_modules()])
+    return out.getvalue()
+
+for name, argv in json.loads(sys.argv[1]):
+    stdout = step(name, argv)
+print(json.dumps({"steps": steps, "stdout": stdout}))
+"""
+
+
+def test_only_commands_that_build_matrices_load_scipy(capsys):
+    from permchains.chains import KERNELS
+
+    assert set(SAMPLE_MODELS) == set(KERNELS)
+    plan = [
+        *([f"sample {kind}", ["sample", "--chain", kind, *model, "--steps", "300"]] for kind, model in SAMPLE_MODELS.items()),
+        ["--help", ["--help"]],
+        ["argparse error", ["sample", "--chain", "nn"]],
+        ["usage error", ["sample", "--chain", "nn", "--model", "constant:0.7", "--n", "3", "--steps", "-3"]],
+        ["exact", EXACT_ARGS],  # last: it loads scipy
+    ]
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, json.dumps(plan)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    probe = json.loads(proc.stdout)
+    *before, (name, code, loaded) = probe["steps"]
+    codes = {"--help": 0, "argparse error": 2, "usage error": 2}
+    assert [(step, code, modules) for step, code, modules in before] == [
+        (step, codes.get(step, 0), []) for step in ["import", *(name for name, _ in plan[:-1])]
+    ]
+    assert (name, code) == ("exact", 0) and "scipy.sparse" in loaded
+    assert main(EXACT_ARGS) == 0
+    assert probe["stdout"] == capsys.readouterr().out

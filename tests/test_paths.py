@@ -14,6 +14,8 @@ Canonical paths and congestion:
 - congestion_A on integer weights and loads returns every field equal to the
   former all-Fraction loop (kept here), on the pass cases and by hypothesis
   over random cyw tables and random leagues with q = 1 at n <= 5
+- a bias table has a forced pair (an entry of 0 or 1), which ``paths``
+  refuses before routing, exactly when some state has weight 0
 - the comparison bound evaluates correctly and dominates exact mixing times
 """
 import math
@@ -25,7 +27,14 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 
-from permchains.analysis import distribution, mixing_time_exact, rows_matrix, stationary_exact, transition_matrix
+from permchains.analysis import (
+    distribution,
+    mixing_time_exact,
+    perm_weights,
+    rows_matrix,
+    stationary_exact,
+    transition_matrix,
+)
 from permchains.bias import (
     CywSpec,
     choose_your_weapon,
@@ -377,6 +386,13 @@ def test_congestion_equals_the_fraction_loop_for_random_cyw_tables(aux):
 @given(league_kernels(max_n=5))
 def test_congestion_equals_the_fraction_loop_for_random_leagues(aux):
     _assert_equals_fraction_loop(aux)
+
+
+@settings(max_examples=40, deadline=None)
+@given(league_kernels(max_n=5))
+def test_a_forced_pair_is_a_zero_weight_state(aux):
+    weights = perm_weights(aux.table, np.array(aux.space(), dtype=np.int8))
+    assert (aux.table.forced_pair() is not None) == (weights == 0).any()
 
 
 def test_verify_path_negative_control():

@@ -12,6 +12,10 @@ League trees and the per-node bit-string encoding:
 - trees as deep as the label cap allows build, index, print and parse
   without recursion; to_json prints json.dumps's bytes; JSON nested deeper
   than any tree under the cap raises CapExceeded
+- mirror_tree, truncate_tree and tree_decode keep their own stacks: they
+  return on a 999-leaf caterpillar and equal the former recursive versions
+  (kept here as the reference) on the demo tree, caterpillars, complete trees
+  and 30 random trees
 """
 import json
 from fractions import Fraction
@@ -25,6 +29,7 @@ from permchains.chains import make_rng
 from permchains.perms import all_permutations, identity
 from permchains.trees import (
     LeagueTree,
+    TreeNode,
     caterpillar_tree,
     complete_tree,
     leaf,
@@ -176,3 +181,85 @@ def test_mirror(demo_tree):
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             assert m.lca_q(n + 1 - j, n + 1 - i) == demo_tree.lca_q(i, j)
+
+
+def _former_mirror(tree: LeagueTree) -> LeagueTree:
+    """The former recursive mirror_tree, kept as the reference."""
+    n = tree.n
+
+    def flip(nd):
+        if nd.is_leaf:
+            return leaf(n + 1 - nd.label)
+        return TreeNode(q=nd.q, left=flip(nd.right), right=flip(nd.left))
+
+    return LeagueTree(flip(tree.root))
+
+
+def _former_truncate(tree: LeagueTree, n: int) -> LeagueTree:
+    """The former recursive truncate_tree, kept as the reference."""
+
+    def prune(nd):
+        if nd.is_leaf:
+            return nd if nd.label <= n else None
+        lt, rt = prune(nd.left), prune(nd.right)
+        if lt is not None and rt is not None:
+            return TreeNode(q=nd.q, left=lt, right=rt)
+        return lt if lt is not None else rt
+
+    return LeagueTree(prune(tree.root))
+
+
+def _former_decode(encoding: dict, tree: LeagueTree) -> tuple:
+    """The former recursive tree_decode (without its count check), kept as the reference."""
+
+    def build(ref):
+        kind, val = ref
+        if kind == "leaf":
+            return [val]
+        rec = tree._internal[val]
+        s1, s0 = build(rec.left_ref), build(rec.right_ref)
+        out, i1, i0 = [], 0, 0
+        for b in encoding[val]:
+            if b == "1":
+                out.append(s1[i1])
+                i1 += 1
+            else:
+                out.append(s0[i0])
+                i0 += 1
+        return out
+
+    return tuple(build(("node", 0) if tree.internal_ids() else ("leaf", 1)))
+
+
+def _reference_trees(demo_tree) -> list:
+    rng = make_rng(11)
+    return [
+        demo_tree,
+        *(caterpillar_tree(n, [Fraction(1, 2) + Fraction(k, 4 * n) for k in range(n - 1)]) for n in (1, 2, 5, 9)),
+        *(complete_tree(n, "0.7") for n in (1, 2, 6, 8)),
+        *(random_tree(2 + k % 9, rng) for k in range(30)),
+    ]
+
+
+def test_tree_walks_equal_the_recursive_versions(demo_tree):
+    rng = make_rng(12)
+    for tree in _reference_trees(demo_tree):
+        assert mirror_tree(tree)._internal == _former_mirror(tree)._internal
+        assert mirror_tree(tree).to_json() == _former_mirror(tree).to_json()
+        for n in range(1, tree.n + 1):
+            got, want = truncate_tree(tree, n), _former_truncate(tree, n)
+            assert (got.n, got._internal, got.to_json()) == (want.n, want._internal, want.to_json())
+        for _ in range(5):
+            sigma = tuple(rng.permutation(range(1, tree.n + 1)).tolist())
+            encoding = tree_encode(sigma, tree)
+            assert tree_decode(encoding, tree) == _former_decode(encoding, tree) == sigma
+
+
+def test_tree_walks_return_on_a_999_leaf_caterpillar():
+    tree = caterpillar_tree(999, [0.7] * 998)
+    mirrored = mirror_tree(tree)
+    assert mirrored.n == 999 and mirrored.lca_q(998, 999) == tree.lca_q(1, 2)
+    assert mirror_tree(mirrored).to_json() == tree.to_json()
+    assert truncate_tree(tree, 500)._internal == caterpillar_tree(500, [0.7] * 499)._internal
+    sigma = tuple(make_rng(13).permutation(range(1, 1000)).tolist())
+    assert tree_decode(tree_encode(sigma, tree), tree) == sigma

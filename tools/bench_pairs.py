@@ -19,7 +19,9 @@ run's end-to-end metrics and ``failed`` count and, for each metric of each
 workload, both sides' medians and quartiles, how many pairs the change won
 (ties count for neither) and the ratio of the medians.  Under ``host`` it
 records the machine's CPU count and the CPUs of this process's affinity
-mask; the two differ under a cpuset.
+mask (the two differ under a cpuset), and whether ``PYTHONDONTWRITEBYTECODE``
+is set for the runs it starts: without cached bytecode every run compiles the
+package, which shows in ``setup_s``.
 """
 from __future__ import annotations
 
@@ -112,6 +114,8 @@ def main(argv=None) -> int:
             "cpus": os.cpu_count(),
             # the CPUs this process may run on, which size the TV pool (analysis.WORKERS)
             "affinity_cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1,
+            # the runs inherit this environment; a non-empty value is "set" to Python
+            "dont_write_bytecode": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
         },
         "workloads": {},
     }
