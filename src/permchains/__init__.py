@@ -31,9 +31,7 @@ from .bias import (
     parse_model_spec,
     slow_mixing_bias,
     solve_delta,
-    weight,
     weight_exact,
-    weight_log,
 )
 from .chains import (
     AsepChain,

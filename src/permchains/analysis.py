@@ -13,17 +13,17 @@ Dense linear algebra is used up to 10^4 states, sparse iteration above; the
 hard cap on materialized spaces is 10^5 states.
 
 The staircase-walk spaces of the bottleneck report are array-backed: walks are
-integer codes (``walks.walk_arrays``), and the walk matrices, the stationary
-law and the long-swap conductance are numpy builds that call the kernel's own
-``_law`` and ``stationary_weight`` once per class of walks sharing the value;
-a ``chains.WalkKernel`` is set by two swap probabilities, so the classes hold
-by construction.  The ``inv`` and ``tree`` kernels (``ARRAY_ROWS``) build
-their matrices the same way over S_n as an int8 array
-(``perm_transition_matrix``): per slot, a vectorised rule finds the states
-that move and the two positions they swap, and ``_law`` runs once per class,
-a slot for ``inv`` and a (slot, whether a stands before b) pair for ``tree``.
-Both builders share one assembly (``class_rows_matrix``).  A permutation
-kernel's stationary law is one object-dtype column product per label pair
+integer codes (``walks.walk_arrays``), and the stationary law and the
+long-swap conductance call the kernel's own ``stationary_weight`` and ``_law``
+once per class of walks sharing the value.  The walk matrices and those of
+the ``inv`` and ``tree`` kernels (``ARRAY_ROWS``) come from one assembly,
+``class_rows_matrix``, fed by a finder: per slot, a vectorised rule yields
+the states that move and their successors, in classes that share the move's
+probability, and ``_law`` runs once per class.  ``_walk_swaps`` yields
+(pos, ups, orientation) classes, exact since a ``chains.WalkChain`` is set by
+two swap probabilities; ``_inv_swaps`` and ``_tree_swaps`` work over S_n as
+an int8 array, with Lehmer ranks as the successors.  A permutation kernel's
+stationary law is one object-dtype column product per label pair
 (``perm_weights``).
 The Fraction path (``transition_distribution``, ``transition_matrix``, and the
 kernels' ``stationary_weight``) stays the oracle; the array builds equal it
@@ -465,7 +465,7 @@ def slowmix_cut_report(n: int, compute_comparison: bool = True) -> SlowMixReport
     arrays = walks.walk_arrays(n)
     chain = WalkChain.fluctuating(spec)
     pi = walk_stationary(chain, arrays)
-    matrix = walk_transition_matrix(chain, arrays)
+    matrix = class_rows_matrix(chain, _walk_swaps(chain, arrays))
     phi = conductance_of_cut(matrix, pi, np.flatnonzero(arrays.max_height < spec.level).tolist())
     phi_t = long_swap_conductance(WalkTranspositionChain(spec), arrays, pi)
 
@@ -473,7 +473,7 @@ def slowmix_cut_report(n: int, compute_comparison: bool = True) -> SlowMixReport
     label = ""
     if compute_comparison:
         cmp_chain = WalkChain.constant(n, COMPARISON_P)
-        cmp_matrix = walk_transition_matrix(cmp_chain, arrays)
+        cmp_matrix = class_rows_matrix(cmp_chain, _walk_swaps(cmp_chain, arrays))
         cmp_pi = walk_stationary(cmp_chain, arrays)
         # the lowest and the highest walk have the smallest and the largest code
         res = mixing_time_exact(cmp_matrix, cmp_pi, 0.25, starts=[0, len(arrays.codes) - 1])
@@ -502,7 +502,7 @@ def slowmix_cut_report(n: int, compute_comparison: bool = True) -> SlowMixReport
 
 # -- array-backed walk spaces ----------------------------------------------------
 #
-# Each builder equals its Fraction-oracle build on walks.all_walks(n) bit for
+# Each build equals its Fraction-oracle build on walks.all_walks(n) bit for
 # bit: exact values are converted to float once per class, and float sums run
 # in the oracle's order.
 
@@ -529,49 +529,31 @@ def walk_stationary(chain, arrays: walks.WalkArrays) -> np.ndarray:
     return np.array([float(w / total) for w in weights])[inverse.reshape(-1)]
 
 
-def walk_transition_matrix(chain: WalkChain, arrays: walks.WalkArrays) -> sp.csr_matrix:
-    """transition_matrix of an adjacent-swap walk chain over all walks.
+def class_rows_matrix(kernel, classes) -> sp.csr_matrix:
+    """transition_matrix of a kernel whose moves a finder gives in classes.
 
-    Slot ``pos`` swaps steps pos and pos+1.  Its law picks ``flat`` or
-    ``steep`` by the number of up-steps through pos+1, so ``_law`` runs once
-    per (pos, ones, orientation) class.
-    """
-    codes, steps = arrays.codes, arrays.steps
-    m, length = steps.shape
-    ups = np.cumsum(steps, axis=1, dtype=np.int64)
-    masses: dict[Fraction, int] = {}  # exact off-diagonal mass -> id
-    mass_id = np.full((m, length), -1)  # per slot; -1 where the walk stays
-    cols = np.empty((m, length), dtype=np.int64)  # the last column is the hold
-    for pos, mass in chain._slots:
-        cols[:, pos] = np.searchsorted(codes, codes ^ (3 << (length - 2 - pos)))
-        moving = np.flatnonzero(steps[:, pos] != steps[:, pos + 1])
-        _, first, inverse = np.unique(
-            2 * ups[moving, pos + 1] + steps[moving, pos], return_index=True, return_inverse=True
-        )
-        ids = []
-        for row in moving[first].tolist():
-            w = arrays.walk(row)
-            p, yes, no = chain._law(w, pos)
-            prob = p if no == w else 1 - p
-            ids.append(masses.setdefault(mass * prob, len(masses)) if prob else -1)
-        mass_id[moving, pos] = np.asarray(ids, dtype=np.int64)[inverse.reshape(-1)]
-    return class_rows_matrix(mass_id, cols, list(masses))
-
-
-def class_rows_matrix(mass_id: np.ndarray, cols: np.ndarray, exact: list) -> sp.csr_matrix:
-    """The CSR matrix of rows given per slot, with each row's hold last.
-
-    ``mass_id[row, slot]`` indexes ``exact``, the exact off-diagonal masses,
-    or is -1 where the state stays; ``cols[row, slot]`` is the successor.  The
-    last column of both belongs to the hold: -1 in ``mass_id``, and filled
-    here in ``cols``.  A row's hold is the exact 1 - sum of its masses, taken
+    ``classes`` yields (slot index, rows, successor rows, one state of the
+    class) for each class of states that the slot moves with one probability.
+    ``_law`` runs on that state once, and the move is the branch whose target
+    differs from it.  A row's hold is the exact 1 - sum of its masses, taken
     once per distinct count of each mass, on integers over the masses' common
     denominator and rounded once.  Entries go in the oracle's order (row by
     row, slots ascending, hold last) through the oracle's COO route.
     """
     import scipy.sparse as sp
 
-    m = mass_id.shape[0]
+    m = kernel.space_size()
+    masses: dict[Fraction, int] = {}  # exact off-diagonal mass -> id
+    mass_id = np.full((m, len(kernel._slots) + 1), -1)  # per slot; -1 where the state stays
+    cols = np.empty((m, len(kernel._slots) + 1), dtype=np.int64)  # the last column is the hold
+    for k, rows, successors, state in classes:
+        slot, mass = kernel._slots[k]
+        p, _, no = kernel._law(state, slot)
+        prob = p if no == state else 1 - p
+        if prob:
+            mass_id[rows, k] = masses.setdefault(mass * prob, len(masses))
+            cols[rows, k] = successors
+    exact = list(masses)
     counts = np.stack([(mass_id == k).sum(axis=1) for k in range(len(exact))], axis=1)
     patterns, inverse = np.unique(counts, axis=0, return_inverse=True)
     common = math.lcm(*(x.denominator for x in exact))
@@ -583,6 +565,22 @@ def class_rows_matrix(mass_id: np.ndarray, cols: np.ndarray, exact: list) -> sp.
     keep[:, -1] = True
     cols[:, -1] = np.arange(m)
     return sp.csr_matrix((vals[keep], (np.nonzero(keep)[0], cols[keep])), shape=(m, m))
+
+
+def _walk_swaps(chain: WalkChain, arrays: walks.WalkArrays):
+    """The classes of an adjacent-swap walk chain over all walks: slot ``pos``
+    swaps steps pos and pos+1 where they differ, and its law picks ``flat`` or
+    ``steep`` by the number of up-steps through pos+1."""
+    codes, steps = arrays.codes, arrays.steps
+    ups = np.cumsum(steps, axis=1, dtype=np.int64)
+    for k, (pos, _) in enumerate(chain._slots):
+        moving = np.flatnonzero(steps[:, pos] != steps[:, pos + 1])
+        targets = np.searchsorted(codes, codes[moving] ^ (3 << (2 * chain.n - 2 - pos)))
+        keys = 2 * ups[moving, pos + 1] + steps[moving, pos]
+        order = np.argsort(keys, kind="stable")
+        for group in np.split(order, np.flatnonzero(np.diff(keys[order])) + 1):
+            rows = moving[group]
+            yield k, rows, targets[group], arrays.walk(rows[0])
 
 
 def long_swap_conductance(chain: WalkTranspositionChain, arrays: walks.WalkArrays, pi: np.ndarray) -> float:
@@ -623,8 +621,8 @@ def long_swap_conductance(chain: WalkTranspositionChain, arrays: walks.WalkArray
 # -- array-backed permutation spaces ----------------------------------------------
 #
 # S_n is an (n!, n) int8 array in lexicographic order, so a permutation's row
-# is its Lehmer rank.  The builders equal their Fraction-oracle builds bit for
-# bit.
+# is its Lehmer rank.  The finders' matrices equal their Fraction-oracle builds
+# bit for bit.
 
 
 def lehmer_ranks(perms: np.ndarray) -> np.ndarray:
@@ -654,40 +652,27 @@ def perm_weights(table: BiasTable, perms: np.ndarray) -> np.ndarray:
     return weights
 
 
-def perm_transition_matrix(kernel, states) -> sp.csr_matrix:
-    """transition_matrix of an inv or tree kernel (a kind of ``ARRAY_ROWS``).
+def _swap_finder(positions):
+    """The finder over ``states``, S_n in lexicographic order as ``kernel.space()``
+    lists it, of a rule ``positions(kernel, perms)`` that yields per class the
+    rows that move and the two positions they swap; the successors are the
+    Lehmer ranks of the swapped rows."""
 
-    ``states`` is S_n in lexicographic order, as ``kernel.space()`` lists it.
-    Every move swaps two positions: the kernel's finder in ``ARRAY_ROWS``
-    gives, per slot and vectorised, the states that move and the two
-    positions, in classes that share the move's probability.  ``_law`` runs
-    on one state per class, and the move is the branch whose target differs
-    from sigma, as in ``walk_transition_matrix``.
-    """
-    perms = np.array(states, dtype=np.int8)
-    m, n = perms.shape
-    if m != math.factorial(n) or not np.array_equal(lehmer_ranks(perms), np.arange(m)):
-        raise ValueError("states must list S_n in lexicographic order")
-    masses: dict[Fraction, int] = {}  # exact off-diagonal mass -> id
-    mass_id = np.full((m, len(kernel._slots) + 1), -1)  # per slot; -1 where the state stays
-    cols = np.empty((m, len(kernel._slots) + 1), dtype=np.int64)  # the last column is the hold
-    for k, rows, first, second in ARRAY_ROWS[kernel.kind](kernel, perms):
-        if not rows.size:
-            continue
-        slot, mass = kernel._slots[k]
-        sigma = states[rows[0]]
-        p, _, no = kernel._law(sigma, slot)
-        prob = p if no == sigma else 1 - p
-        if not prob:
-            continue
-        moved = perms[rows]
-        at = np.arange(len(rows))
-        moved[at, first], moved[at, second] = perms[rows, second], perms[rows, first]
-        mass_id[rows, k] = masses.setdefault(mass * prob, len(masses))
-        cols[rows, k] = lehmer_ranks(moved)
-    return class_rows_matrix(mass_id, cols, list(masses))
+    def finder(kernel, states):
+        perms = np.array(states, dtype=np.int8)
+        m, n = perms.shape
+        if m != math.factorial(n) or not np.array_equal(lehmer_ranks(perms), np.arange(m)):
+            raise ValueError("states must list S_n in lexicographic order")
+        for k, rows, first, second in positions(kernel, perms):
+            moved = perms[rows]
+            at = np.arange(len(rows))
+            moved[at, first], moved[at, second] = perms[rows, second], perms[rows, first]
+            yield k, rows, lehmer_ranks(moved), states[rows[0]]
+
+    return finder
 
 
+@_swap_finder
 def _inv_swaps(kernel, perms: np.ndarray):
     """Slot (i, +1) swaps label i with the first larger label after it, slot
     (i, -1) with the last larger label before it; the max variant runs this
@@ -710,6 +695,7 @@ def _inv_swaps(kernel, perms: np.ndarray):
         yield k, rows, first, second
 
 
+@_swap_finder
 def _tree_swaps(kernel, perms: np.ndarray):
     """Slot (a, b, q, under) swaps a and b where no other label of ``under``
     stands between them, in two classes: a before b, and b before a."""
@@ -816,10 +802,7 @@ def coupling_time_estimate(kernel, pairs: int, seed: int) -> CouplingEstimate:
 
     if not isinstance(kernel, OnedChain):
         raise TypeError("the monotone coupling is defined for the oned kernel only")
-    return _coupling_time_estimate(float(kernel.r), kernel.k, pairs, seed)
-
-
-def _coupling_time_estimate(r: float, k: int, pairs: int, seed: int) -> CouplingEstimate:
+    r, k = float(kernel.r), kernel.k
     rng = make_rng(seed)
     lo = np.zeros(pairs, dtype=np.int64)
     hi = np.full(pairs, k, dtype=np.int64)

@@ -21,15 +21,13 @@ Model families:
   staircase-walk picture and 1/2 + eps elsewhere.  delta is solved so the
   walk measure puts equal mass on the two sides of the bottleneck.
 
-Weights are exposed both in log domain (floats; -inf encodes a forbidden
-arrangement) and as exact Fractions for small-n detailed-balance work.  The
-exact weight is one integer product: each pair's p[i][j] and p[j][i] are
+Weights are exact Fractions, for small-n detailed-balance work.  The exact
+weight is one integer product: each pair's p[i][j] and p[j][i] are
 written over their common denominator, so a weight is the product of integer
 numerators over the product of the pair denominators, reduced once.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -148,26 +146,6 @@ def weight_exact(sigma: Sequence[int], table: BiasTable) -> Fraction:
         for j in sigma[k + 1 :]:
             numerator *= row[j]
     return Fraction(numerator, total)
-
-
-def weight_log(sigma: Sequence[int], table: BiasTable) -> float:
-    """Log of :func:`weight_exact`; -inf for forbidden arrangements."""
-    sigma = check_permutation(sigma)
-    if len(sigma) != table.n:
-        raise ValueError(f"permutation size {len(sigma)} != table size {table.n}")
-    out = 0.0
-    for a in range(len(sigma)):
-        for b in range(a + 1, len(sigma)):
-            p = table.p(sigma[a], sigma[b])
-            if p == 0:
-                return -math.inf
-            out += math.log(p)
-    return out
-
-
-def weight(sigma: Sequence[int], table: BiasTable) -> float:
-    """Convenience float weight, exp of the log-domain value."""
-    return math.exp(weight_log(sigma, table))
 
 
 # -- constructors --------------------------------------------------------------

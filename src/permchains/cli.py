@@ -16,9 +16,11 @@ Exit codes: 0 success, 1 invariant failure, 2 usage error (``--eps`` outside
 (0, 1), or (0, 1/2) for ``paths``), 3 resource cap exceeded (also a bias
 table or league tree of more than ``LABEL_CAP`` labels), 4 internal soundness
 failure.  A model whose states include some of zero stationary mass is a
-usage error: ``exact`` and ``scan`` find them in pi, ``paths`` in its bias
-table before routing.  ``exact`` and ``scan`` take the array rows of
-``analysis.ARRAY_ROWS`` kinds and the Fraction rows of the others.
+usage error: ``exact`` and ``scan`` find them in pi before building the
+matrix, ``paths`` in its bias table before routing, and both refuse inv's
+constant:1 before building the kernel.  ``exact`` and ``scan`` take the array rows of
+``analysis.ARRAY_ROWS`` kinds, assembled by ``analysis.class_rows_matrix``
+from the kind's finder, and the Fraction rows of the others.
 """
 from __future__ import annotations
 
@@ -32,11 +34,11 @@ from .analysis import (
     ARRAY_ROWS,
     CapExceeded,
     STATE_CAP,
+    class_rows_matrix,
     conductance_of_cut,
     level_cuts_by_weight,
     loglog_slope,
     mixing_time_exact,
-    perm_transition_matrix,
     slowmix_cut_report,
     spectral_gap,
     stationary_exact,
@@ -146,22 +148,31 @@ def _degenerate(model: str, states_with: str, n: int) -> UsageError:
     )
 
 
+def _kernel(kind: str, text: str, model, n: int | None):
+    """``build`` of ``model``, parsed from ``text``.  inv would coerce
+    constant:1 to ranks of 1, which ``CywSpec`` refuses as out of range; that
+    model forces every pair's order, and is refused here as degenerate."""
+    if kind == "inv" and model.kind == "constant" and model.p == 1 and n is not None and n > 1:
+        raise _degenerate(text, "p(1, 2) = 1 leaves some states with", n)
+    return build(kind, model, n)
+
+
 def _exact_rows(args, ns: list[int | None]):
     """One row per size; a size of None takes the model's own."""
     model = parse_model_spec(args.model)
     rows = []
     for requested in ns:
-        kernel = build(args.chain, model, requested)
+        kernel = _kernel(args.chain, args.model, model, requested)
         n = kernel.n
         size = kernel.space_size()
         if size > STATE_CAP:
             raise CapExceeded(f"{size} states at n={n} exceed the cap {STATE_CAP}")
         states = kernel.space()
-        build_matrix = perm_transition_matrix if kernel.kind in ARRAY_ROWS else transition_matrix
-        matrix = build_matrix(kernel, states)
         pi = stationary_exact(kernel, states)
         if not pi.all():
             raise _degenerate(args.model, f"{int((pi == 0).sum())} of {len(states)} states have", n)
+        finder = ARRAY_ROWS.get(kernel.kind)
+        matrix = transition_matrix(kernel, states) if finder is None else class_rows_matrix(kernel, finder(kernel, states))
         if len(states) <= 720:
             starts = None
             caveat = "all-starts"
@@ -237,7 +248,7 @@ def cmd_slowmix(args) -> int:
 
 def cmd_paths(args) -> int:
     _check_eps(args.eps, 0.5)
-    aux = build(args.kind, parse_model_spec(args.model), args.n)
+    aux = _kernel(args.kind, args.model, parse_model_spec(args.model), args.n)
     forced = aux.table.forced_pair()
     if forced:
         # zero-weight states leave A and pi_min of the bound undefined

@@ -23,7 +23,11 @@ Exact analysis machinery:
 - the array-backed inv and tree matrices equal ``transition_matrix`` in
   indptr, indices and data at n = 2..7 and, by hypothesis, for random
   rational cyw tables (min and max) and random league trees with q = 1
-  allowed at n <= 6; the builder refuses states out of lexicographic order
+  allowed at n <= 6; the permutation finders refuse states out of
+  lexicographic order
+- every matrix gate goes through one check of the assembly
+  (``class_rows_matrix``) against ``transition_matrix``, which also runs
+  once per finder on the largest space the benchmark builds with it
 - the array stationary law of nn, inv and tree equals the Fraction weights'
   ``distribution``, also where a p = 1 pair leaves states with zero weight
 """
@@ -38,9 +42,11 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 
 from permchains.analysis import (
+    ARRAY_ROWS,
     CHUNK,
     CapExceeded,
     GapScan,
+    class_rows_matrix,
     conductance_of_cut,
     coupling_time_estimate,
     distribution,
@@ -54,7 +60,6 @@ from permchains.analysis import (
     long_swap_conductance,
     mixing_time_exact,
     monotone_grid_tables,
-    perm_transition_matrix,
     product_mixing_bound,
     spectral_gap,
     state_index,
@@ -62,7 +67,6 @@ from permchains.analysis import (
     transition_matrix,
     tv_distance,
     walk_stationary,
-    walk_transition_matrix,
 )
 from permchains import analysis, walks
 from permchains.bias import SlowMixSpec, solve_delta
@@ -204,7 +208,7 @@ def _kernel_case(kind, model, n=None, extreme=False):
 def _walk_case(chain):
     arrays = walks.walk_arrays(chain.n)
     starts = [0, len(arrays.codes) - 1]
-    return walk_transition_matrix(chain, arrays), walk_stationary(chain, arrays), starts
+    return class_rows_matrix(chain, analysis._walk_swaps(chain, arrays)), walk_stationary(chain, arrays), starts
 
 
 # id: (matrix, pi, starts), eps, horizon
@@ -426,7 +430,7 @@ def test_conductance_equals_the_entry_loop_on_the_slowmix_level_cut(n):
     spec = SlowMixSpec(n=n, delta=solve_delta(n))
     arrays = walks.walk_arrays(n)
     chain = WalkChain.fluctuating(spec)
-    m = walk_transition_matrix(chain, arrays)
+    m = class_rows_matrix(chain, analysis._walk_swaps(chain, arrays))
     pi = walk_stationary(chain, arrays)
     cut = np.flatnonzero(arrays.max_height < spec.level).tolist()
     assert conductance_of_cut(m, pi, cut) == reference_conductance(m, pi, cut) > 0
@@ -569,6 +573,42 @@ def test_cap_enforced():
         transition_matrix(Fake())
 
 
+# -- the array assembly against the Fraction oracle --------------------------------
+
+
+def _assert_matrix_matches_oracle(kernel, classes, states):
+    """The assembly of a finder's classes equals ``transition_matrix`` bit for bit."""
+    fast = class_rows_matrix(kernel, classes)
+    exact = transition_matrix(kernel, states)
+    assert (fast != exact).nnz == 0
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(fast, attr), getattr(exact, attr))
+
+
+def _walk_gate(chain):
+    return chain, analysis._walk_swaps(chain, walks.walk_arrays(chain.n)), walks.all_walks(chain.n)
+
+
+def _perm_gate(kernel):
+    states = kernel.space()
+    return kernel, ARRAY_ROWS[kernel.kind](kernel, states), states
+
+
+# finder -> its largest space in the benchmark: walks at n = 8, S_7
+FINDER_GATES = {
+    "inv-min": lambda: _perm_gate(build("inv", parse_model_spec("constant:0.75"), 7)),
+    "inv-max": lambda: _perm_gate(build("inv", parse_model_spec("cyw:0.6,0.7,0.8,0.9,0.95,0.5:max"))),
+    "tree": lambda: _perm_gate(build("tree", parse_model_spec("constant:0.75"), 7)),
+    "walk-fluctuating": lambda: _walk_gate(WalkChain.fluctuating(SlowMixSpec(n=8, delta=solve_delta(8)))),
+    "walk-constant-3/4": lambda: _walk_gate(WalkChain.constant(8, Fraction(3, 4))),
+}
+
+
+@pytest.mark.parametrize("finder", sorted(FINDER_GATES))
+def test_assembly_matches_oracle_for_every_finder(finder):
+    _assert_matrix_matches_oracle(*FINDER_GATES[finder]())
+
+
 # -- array-backed walk spaces against the Fraction oracle -------------------------
 
 WALK_SIZES = [4, 5, 6, 7]
@@ -591,11 +631,7 @@ def test_walk_matrix_and_pi_match_oracle(n, name):
     chain = WALK_CHAINS[name](n)
     arrays = walks.walk_arrays(n)
     states = walks.all_walks(n)
-    fast = walk_transition_matrix(chain, arrays)
-    exact = transition_matrix(chain, states)
-    assert (fast != exact).nnz == 0
-    for attr in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(fast, attr), getattr(exact, attr))
+    _assert_matrix_matches_oracle(chain, analysis._walk_swaps(chain, arrays), states)
     assert np.array_equal(walk_stationary(chain, arrays), stationary_exact(chain, states))
 
 
@@ -638,19 +674,10 @@ def test_height_profile_matches_tuple_build(n):
 # -- array-backed permutation spaces against the Fraction oracle ------------------
 
 
-def _assert_matrix_matches_oracle(kernel):
-    states = kernel.space()
-    fast = perm_transition_matrix(kernel, states)
-    exact = transition_matrix(kernel, states)
-    assert (fast != exact).nnz == 0
-    for attr in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(fast, attr), getattr(exact, attr))
-
-
 @pytest.mark.parametrize("n", range(2, 8))
 @pytest.mark.parametrize("chain", ["inv", "tree"])
 def test_perm_matrix_matches_oracle(chain, n):
-    _assert_matrix_matches_oracle(build(chain, parse_model_spec("constant:0.75"), n))
+    _assert_matrix_matches_oracle(*_perm_gate(build(chain, parse_model_spec("constant:0.75"), n)))
 
 
 @pytest.mark.parametrize("model", [
@@ -659,29 +686,29 @@ def test_perm_matrix_matches_oracle(chain, n):
     "cyw:0.5,0.55,0.9,0.6,0.95,0.7:max",
 ])
 def test_perm_matrix_matches_oracle_for_cyw_models(model):
-    _assert_matrix_matches_oracle(build("inv", parse_model_spec(model)))
+    _assert_matrix_matches_oracle(*_perm_gate(build("inv", parse_model_spec(model))))
 
 
 def test_perm_matrix_matches_oracle_for_a_league(demo_tree):
-    _assert_matrix_matches_oracle(TreeChain(truncate_tree(demo_tree, 6)))
+    _assert_matrix_matches_oracle(*_perm_gate(TreeChain(truncate_tree(demo_tree, 6))))
 
 
 @settings(max_examples=30, deadline=None)
 @given(cyw_kernels(max_n=6))
 def test_perm_matrix_matches_oracle_for_random_cyw_tables(kernel):
-    _assert_matrix_matches_oracle(kernel)
+    _assert_matrix_matches_oracle(*_perm_gate(kernel))
 
 
 @settings(max_examples=30, deadline=None)
 @given(league_kernels(max_n=6))
 def test_perm_matrix_matches_oracle_for_random_leagues(kernel):
-    _assert_matrix_matches_oracle(kernel)
+    _assert_matrix_matches_oracle(*_perm_gate(kernel))
 
 
 def test_perm_matrix_needs_lexicographic_states():
     kernel = build("tree", parse_model_spec("constant:0.75"), 4)
     with pytest.raises(ValueError, match="lexicographic"):
-        perm_transition_matrix(kernel, kernel.space()[::-1])
+        class_rows_matrix(kernel, ARRAY_ROWS[kernel.kind](kernel, kernel.space()[::-1]))
 
 
 def _zero_pair_table(n):

@@ -38,9 +38,7 @@ from permchains.bias import (
     parse_model_spec,
     slow_mixing_bias,
     solve_delta,
-    weight,
     weight_exact,
-    weight_log,
 )
 from permchains.perms import all_permutations, identity
 from permchains.trees import caterpillar_tree, complete_tree
@@ -94,8 +92,6 @@ def test_weight_brute_force_product():
     for a, b in itertools.combinations(range(4), 2):
         expected *= table.p(sigma[a], sigma[b])
     assert weight_exact(sigma, table) == expected == Fraction(3, 10) * Fraction(7, 10) ** 5
-    assert weight(sigma, table) == pytest.approx(float(expected))
-    assert weight_log(sigma, table) == pytest.approx(math.log(float(expected)))
 
 
 def _pairwise_weight(sigma, table):
@@ -157,7 +153,6 @@ def test_weight_zero_is_distinguished():
     table, _ = slow_mixing_bias(4)
     bad = (2, 1) + tuple(range(3, 9))  # labels 1,2 out of order are frozen
     assert weight_exact(bad, table) == 0
-    assert weight_log(bad, table) == -math.inf
 
 
 def test_identity_is_a_mode_under_positive_bias():

@@ -4,7 +4,9 @@ CLI behavior:
 - outputs begin with '#' metadata lines and are byte-stable per (config, seed)
 - model/chain pairings validate, with the documented constant-model coercions
 - exit codes: 0 success, 1 invariant failure, 2 usage error (degenerate
-  sizes, one-state spaces, zero-mass stationary laws, negative step counts,
+  sizes, one-state spaces, zero-mass stationary laws refused before the
+  matrix is built, inv's constant:1 by the same degenerate-bias wording as
+  tree's, negative step counts,
   an --n that contradicts a sized model, --n given with --n-range and a
   scan over one size included), 3 cap exceeded (checked before the state space is enumerated,
   and for more than 1,000 labels before a bias table is filled), 4 soundness failure
@@ -337,6 +339,8 @@ def test_one_state_space_is_usage_error(capsys, command, chain, model):
     ["exact", "--chain", "tree", "--model", "constant:1", "--n", "4"],
     ["exact", "--chain", "oned", "--model", "oned:1,4"],
     ["paths", "--kind", "tree", "--model", "constant:1", "--n", "4"],
+    ["exact", "--chain", "inv", "--model", "constant:1", "--n", "4"],
+    ["paths", "--kind", "inv", "--model", "constant:1", "--n", "4"],
 ])
 def test_zero_mass_stationary_law_is_usage_error(capsys, recwarn, args):
     code, out, err = run_cli(args, capsys)
@@ -345,6 +349,20 @@ def test_zero_mass_stationary_law_is_usage_error(capsys, recwarn, args):
     model = args[args.index("--model") + 1]
     assert f"{model} is a degenerate bias" in err and "zero stationary mass" in err
     assert not recwarn.list
+
+
+def test_degenerate_model_is_refused_before_its_matrix(capsys, monkeypatch):
+    from permchains import cli
+
+    def unbuilt(*args):
+        raise AssertionError("the matrix of a degenerate model was built")
+
+    monkeypatch.setattr(cli, "transition_matrix", unbuilt)
+    monkeypatch.setattr(cli, "class_rows_matrix", unbuilt)
+    code, out, err = run_cli(["exact", "--chain", "nn", "--model", "constant:1", "--n", "8"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "constant:1 is a degenerate bias: 40319 of 40320 states have zero stationary mass at n=8" in err
 
 
 @pytest.mark.parametrize("args", [
@@ -421,7 +439,7 @@ def test_array_rows_print_the_oracle_bytes(capsys, monkeypatch, args):
     from permchains.analysis import distribution
 
     code, fast, _ = run_cli(args, capsys)
-    monkeypatch.setattr(cli, "perm_transition_matrix", cli.transition_matrix)
+    monkeypatch.setattr(cli, "ARRAY_ROWS", {})
     monkeypatch.setattr(
         cli, "stationary_exact", lambda kernel, states: distribution(kernel.stationary_weight(s) for s in states)
     )
