@@ -19,17 +19,17 @@ once per class of walks sharing the value.  The walk matrices and those of
 the ``inv`` and ``tree`` kernels (``ARRAY_ROWS``) come from one assembly,
 ``class_rows_matrix``, fed by a finder: per slot, a vectorised rule yields
 the states that move and their successors, in classes that share the move's
-probability, and ``_law`` runs once per class.  ``_walk_swaps`` yields
-(pos, ups, orientation) classes, exact since a ``chains.WalkChain`` is set by
-two swap probabilities; ``_inv_swaps`` and ``_tree_swaps`` work over S_n as
-an int8 array, with Lehmer ranks as the successors.  A permutation kernel's
-stationary law is one object-dtype column product per label pair
-(``perm_weights``).
+probability, and ``class_moves`` runs ``_law`` once per class.
+``_walk_swaps`` yields (pos, ups, orientation) classes, exact since a
+``chains.WalkChain`` is set by two swap probabilities; ``_inv_swaps`` and
+``_tree_swaps`` work over S_n as an int8 array, with Lehmer ranks as the
+successors.  A permutation kernel's stationary law is one object-dtype
+column product per label pair (``perm_weights``).
 The Fraction path (``transition_distribution``, ``transition_matrix``, and the
 kernels' ``stationary_weight``) stays the oracle; the array builds equal it
 bit for bit.  Its rows come from memoized slot products with the hold summed
 on integers, equal to a per-slot Fraction loop, which the tests keep as the
-reference.  ``nn`` keeps the Fraction rows in ``exact`` and ``scan``.
+reference.  ``nn`` keeps the Fraction rows in every command.
 
 ``mixing_time_exact`` steps the start distributions in cache-sized chunks of
 columns, or one vector per explicit start, each run only as far as the first
@@ -40,7 +40,7 @@ worker per usable CPU (``WORKERS``), each bound to a CPU of its own and
 stepping into buffers that the calling thread made; a column's steps depend
 on that column alone, so the results do not depend on the number of cores.
 
-scipy is imported where a sparse matrix is made (``rows_matrix``,
+scipy is imported where a sparse matrix is made (``transition_matrix``,
 ``class_rows_matrix`` and ``mixing_time_exact``'s transpose) and where
 ``_run_chunk`` steps one, not with this module: importing it, and with it the
 CLI, loads no scipy module, so ``sample`` starts without it.
@@ -85,17 +85,12 @@ def transition_matrix(kernel, states=None) -> sp.csr_matrix:
         states = kernel.space()
     if len(states) > STATE_CAP:
         raise CapExceeded(f"{len(states)} states exceed the cap {STATE_CAP}")
-    return rows_matrix(states, map(kernel.transition_distribution, states))
-
-
-def rows_matrix(states, rows) -> sp.csr_matrix:
-    """Sparse matrix of exact rows (dicts successor -> probability), one per state."""
     import scipy.sparse as sp
 
     idx = state_index(states)
     r, cols, vals = [], [], []
-    for i, row in enumerate(rows):
-        for t, p in row.items():
+    for i, state in enumerate(states):
+        for t, p in kernel.transition_distribution(state).items():
             r.append(i)
             cols.append(idx[t])
             vals.append(float(p))
@@ -529,31 +524,43 @@ def walk_stationary(chain, arrays: walks.WalkArrays) -> np.ndarray:
     return np.array([float(w / total) for w in weights])[inverse.reshape(-1)]
 
 
-def class_rows_matrix(kernel, classes) -> sp.csr_matrix:
-    """transition_matrix of a kernel whose moves a finder gives in classes.
+def class_moves(kernel, classes) -> tuple[list[Fraction], np.ndarray, np.ndarray]:
+    """The moves of a kernel whose moves a finder gives in classes.
 
     ``classes`` yields (slot index, rows, successor rows, one state of the
     class) for each class of states that the slot moves with one probability.
     ``_law`` runs on that state once, and the move is the branch whose target
-    differs from it.  A row's hold is the exact 1 - sum of its masses, taken
-    once per distinct count of each mass, on integers over the masses' common
-    denominator and rounded once.  Entries go in the oracle's order (row by
-    row, slots ascending, hold last) through the oracle's COO route.
+    differs from it.  Returns the distinct exact off-diagonal masses, in the
+    order first met, and two (states, slots) arrays: each move's mass id (-1
+    where the state stays) and its successor row.
     """
-    import scipy.sparse as sp
-
-    m = kernel.space_size()
+    m, slots = kernel.space_size(), len(kernel._slots)
     masses: dict[Fraction, int] = {}  # exact off-diagonal mass -> id
-    mass_id = np.full((m, len(kernel._slots) + 1), -1)  # per slot; -1 where the state stays
-    cols = np.empty((m, len(kernel._slots) + 1), dtype=np.int64)  # the last column is the hold
-    for k, rows, successors, state in classes:
+    mass_id = np.full((m, slots), -1)
+    successors = np.empty((m, slots), dtype=np.int64)
+    for k, rows, targets, state in classes:
         slot, mass = kernel._slots[k]
         p, _, no = kernel._law(state, slot)
         prob = p if no == state else 1 - p
         if prob:
             mass_id[rows, k] = masses.setdefault(mass * prob, len(masses))
-            cols[rows, k] = successors
-    exact = list(masses)
+            successors[rows, k] = targets
+    return list(masses), mass_id, successors
+
+
+def class_rows_matrix(kernel, classes) -> sp.csr_matrix:
+    """transition_matrix of a kernel whose moves a finder gives in classes,
+    from ``class_moves``.  A row's hold is the exact 1 - sum of its masses,
+    taken once per distinct count of each mass, on integers over the masses'
+    common denominator and rounded once.  Entries go in the oracle's order
+    (row by row, slots ascending, hold last) through the oracle's COO route.
+    """
+    import scipy.sparse as sp
+
+    exact, mass_id, cols = class_moves(kernel, classes)
+    m = len(mass_id)
+    mass_id = np.column_stack([mass_id, np.full(m, -1)])  # the last column is the hold
+    cols = np.column_stack([cols, np.arange(m)])
     counts = np.stack([(mass_id == k).sum(axis=1) for k in range(len(exact))], axis=1)
     patterns, inverse = np.unique(counts, axis=0, return_inverse=True)
     common = math.lcm(*(x.denominator for x in exact))
@@ -563,7 +570,6 @@ def class_rows_matrix(kernel, classes) -> sp.csr_matrix:
     vals[:, -1] = np.asarray(holds)[inverse.reshape(-1)]
     keep = mass_id >= 0
     keep[:, -1] = True
-    cols[:, -1] = np.arange(m)
     return sp.csr_matrix((vals[keep], (np.nonzero(keep)[0], cols[keep])), shape=(m, m))
 
 

@@ -102,28 +102,6 @@ class BiasTable:
             for j in range(i + 1, self.n + 1)
         )
 
-    def to_json_obj(self) -> dict:
-        upper = [
-            float(self._p[i][j])
-            for i in range(1, self.n + 1)
-            for j in range(i + 1, self.n + 1)
-        ]
-        return {"n": self.n, "p": upper}
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "BiasTable":
-        n = int(obj["n"])
-        upper = list(obj["p"])
-        if len(upper) != n * (n - 1) // 2:
-            raise ValueError("upper-triangle array has wrong length")
-        flat = {}
-        k = 0
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                flat[(i, j)] = upper[k]
-                k += 1
-        return cls(n, lambda i, j: flat[(i, j)])
-
 
 # -- weights ------------------------------------------------------------------
 
@@ -152,10 +130,16 @@ def weight_exact(sigma: Sequence[int], table: BiasTable) -> Fraction:
 
 
 def constant_bias(n: int, p) -> BiasTable:
+    q = positive_bias(p)
+    return BiasTable(n, lambda i, j: q)
+
+
+def positive_bias(p) -> Fraction:
+    """A constant model's probability, refused below 1/2."""
     q = as_probability(p)
     if q < HALF:
         raise ValueError(f"constant bias must be >= 1/2, got {q}")
-    return BiasTable(n, lambda i, j: q)
+    return q
 
 
 @dataclass(frozen=True)

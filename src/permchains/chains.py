@@ -65,7 +65,7 @@ import numpy as np
 
 from . import perms, walks
 from ._common import as_probability
-from .bias import BiasTable, CywSpec, Model, SlowMixSpec, choose_your_weapon, league_hierarchy, weight_exact
+from .bias import BiasTable, CywSpec, Model, SlowMixSpec, choose_your_weapon, league_hierarchy, positive_bias, weight_exact
 from .trees import LeagueTree, complete_tree
 
 HALF = Fraction(1, 2)
@@ -283,8 +283,9 @@ class InversionChain(PermutationKernel):
         if model.kind == "constant":
             if n is None:
                 raise ValueError("chain inv with a constant model needs --n")
-            _notice(f"constant model coerced to cyw with all ranks {model.p}")
-            return cls(CywSpec(r=(model.p,) * (n - 1)))
+            p = positive_bias(model.p)
+            _notice(f"constant model coerced to cyw with all ranks {p}")
+            return cls(CywSpec(r=(p,) * (n - 1)))
         if model.kind != "cyw":
             raise ValueError("chain inv requires a cyw (or constant) model")
         return cls(model.cyw)
@@ -350,8 +351,9 @@ class TreeChain(PermutationKernel):
         if model.kind == "constant":
             if n is None:
                 raise ValueError("chain tree with a constant model needs --n")
-            _notice(f"constant model coerced to a complete league tree with q = {model.p}")
-            return cls(complete_tree(n, model.p))
+            q = positive_bias(model.p)
+            _notice(f"constant model coerced to a complete league tree with q = {q}")
+            return cls(complete_tree(n, q))
         if model.kind != "league":
             raise ValueError("chain tree requires a league (or constant) model")
         return cls(model.tree)

@@ -18,9 +18,10 @@ table or league tree of more than ``LABEL_CAP`` labels), 4 internal soundness
 failure.  A model whose states include some of zero stationary mass is a
 usage error: ``exact`` and ``scan`` find them in pi before building the
 matrix, ``paths`` in its bias table before routing, and both refuse inv's
-constant:1 before building the kernel.  ``exact`` and ``scan`` take the array rows of
-``analysis.ARRAY_ROWS`` kinds, assembled by ``analysis.class_rows_matrix``
-from the kind's finder, and the Fraction rows of the others.
+constant:1 before building the kernel.  ``exact``, ``scan`` and ``paths``
+take every matrix from ``_matrix``: the array rows of ``analysis.ARRAY_ROWS``
+kinds, assembled by ``analysis.class_rows_matrix`` from the kind's finder,
+and the Fraction rows of the others.
 """
 from __future__ import annotations
 
@@ -157,6 +158,12 @@ def _kernel(kind: str, text: str, model, n: int | None):
     return build(kind, model, n)
 
 
+def _matrix(kernel, states):
+    """The kernel's matrix on ``states``, from its finder's classes or its Fraction rows."""
+    finder = ARRAY_ROWS.get(kernel.kind)
+    return transition_matrix(kernel, states) if finder is None else class_rows_matrix(kernel, finder(kernel, states))
+
+
 def _exact_rows(args, ns: list[int | None]):
     """One row per size; a size of None takes the model's own."""
     model = parse_model_spec(args.model)
@@ -171,8 +178,7 @@ def _exact_rows(args, ns: list[int | None]):
         pi = stationary_exact(kernel, states)
         if not pi.all():
             raise _degenerate(args.model, f"{int((pi == 0).sum())} of {len(states)} states have", n)
-        finder = ARRAY_ROWS.get(kernel.kind)
-        matrix = transition_matrix(kernel, states) if finder is None else class_rows_matrix(kernel, finder(kernel, states))
+        matrix = _matrix(kernel, states)
         if len(states) <= 720:
             starts = None
             caveat = "all-starts"
@@ -261,8 +267,9 @@ def cmd_paths(args) -> int:
     if not result.within_witness_caps:
         raise SoundnessError("path witness bounds violated")
 
-    tau_nn = mixing_time_exact(result.nn, result.pi, args.eps).tau
-    tau_aux = mixing_time_exact(result.aux, result.pi, args.eps).tau
+    states = aux.space()
+    tau_nn = mixing_time_exact(_matrix(KERNELS["nn"](aux.table), states), result.pi, args.eps).tau
+    tau_aux = mixing_time_exact(_matrix(aux, states), result.pi, args.eps).tau
     bound = comparison_bound(result.congestion, tau_aux, float(result.pi.min()), args.eps)
     if tau_nn is not None and bound < tau_nn:
         raise SoundnessError(f"comparison bound {bound:.1f} below exact tau {tau_nn}")

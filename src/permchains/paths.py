@@ -20,10 +20,12 @@ min(weight(start), weight(end)):
   instance, building the row-monotone path, and mirroring back.
 
 ``congestion_A(aux)`` takes the auxiliary kernel and picks the route from its
-kind; it builds each exact row once, takes the weights as integer numerators
-from one ``perm_weights`` call, checks floors and sums loads on integers, and
-returns A (for the bound 4 ln(1/(eps pi_min)) / ln(1/(2 eps)) * A * tau_aux)
-as one Fraction, with pi and both matrices.
+kind; it takes the moves from the kind's finder classes (``class_moves``),
+once per class, and the weights as integer numerators from one
+``perm_weights`` call, checks floors and sums loads on integers, and returns
+A (for the bound 4 ln(1/(eps pi_min)) / ln(1/(2 eps)) * A * tau_aux) as one
+Fraction, with pi.  It builds no matrix: the CLI takes both chains' matrices
+the way ``exact`` does.
 ``witness_caps`` is the one table of the caps each construction meets: at
 most n^2 (inv) or 4n^2 (tree) paths share an edge, and no path is longer than
 2n (inv) or 4n (tree) swaps.
@@ -33,18 +35,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import perms
-from .analysis import CapExceeded, _shares, perm_weights, rows_matrix
+from .analysis import ARRAY_ROWS, CapExceeded, _shares, class_moves, perm_weights
 from .bias import BiasTable, MonotonicityReport, is_weakly_monotone, weight_exact
 from .chains import NearestNeighborChain
 from .trees import LeagueTree
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 
 @dataclass
@@ -308,8 +306,6 @@ class CongestionResult:
     floors_held: bool            # no path dips below min(weight(sigma), weight(beta))
     failure: tuple | None        # (sigma, beta, floor_guaranteed) of the first path failing either
     pi: np.ndarray               # the float stationary law, in ``aux.space()`` order
-    nn: sp.csr_matrix            # the nearest-neighbor chain's matrix
-    aux: sp.csr_matrix           # the auxiliary chain's matrix
 
     @property
     def within_witness_caps(self) -> bool:
@@ -317,29 +313,20 @@ class CongestionResult:
         return self.max_paths_per_edge <= per_edge and self.max_path_length <= length
 
 
-def _aux_edges(aux):
-    """Directed moves (sigma, beta, P'(sigma, beta)) of the auxiliary kernel."""
-    return _moves({s: aux.transition_distribution(s) for s in aux.space()})
-
-
-def _moves(rows: dict):
-    """The off-diagonal entries (sigma, beta, P(sigma, beta)) of exact rows."""
-    return ((s, t, p) for s, row in rows.items() for t, p in row.items() if t != s and p > 0)
-
-
 def congestion_A(aux) -> CongestionResult:
     """Route every move of ``aux`` (inv or tree, n <= 6) once: legality,
     weight floors and congestion.
 
-    Each exact row of ``aux`` and of the nearest-neighbor chain is built once,
-    and the weights come from one ``perm_weights`` call: integer numerators W
-    over the table's D.  pi and both matrices come from them.  A legal path
-    adds len * W(sigma) * P'num(sigma, beta) to each nearest-neighbor edge it
-    uses, where P'num is the entry's numerator over the aux kernel's
-    ``SlotTerms.common`` (every row entry's denominator divides it); an edge's
-    flow is W(u) * Pnum(u, v), over the nn kernel's.  D cancels in load / flow,
-    the worst ratio is found by integer cross-multiplication, and A is the one
-    Fraction best_load * c_nn / (best_flow * c_aux).
+    The moves come from ``class_moves`` over the kind's ``ARRAY_ROWS`` finder,
+    walked in (row, slot) order, the order the exact rows list them; the
+    weights come from one ``perm_weights`` call: integer numerators W over the
+    table's D, and pi from them.  A legal path adds len * W(sigma) *
+    P'num(sigma, beta) to each nearest-neighbor edge it uses, where P'num is
+    the move's mass times c_aux, the lcm of the masses' denominators.  An edge
+    (u, v) swaps the labels at one position, and its P(u, v) is that slot's
+    mass times the ``NearestNeighborChain`` law there; its flow is W(u) *
+    P(u, v).  D cancels in load / flow, the worst ratio is found by integer
+    cross-multiplication, and A is the one Fraction made from it.
     """
     n, table = aux.n, aux.table
     if n > 6:
@@ -353,24 +340,23 @@ def congestion_A(aux) -> CongestionResult:
         monotone = is_weakly_monotone(table)
         build = lambda s, t: path_tree_to_nn(s, t, aux.tree, monotone)
 
-    nn = NearestNeighborChain(table)
     states = aux.space()
-    aux_rows = {s: aux.transition_distribution(s) for s in states}
-    nn_rows = {s: nn.transition_distribution(s) for s in states}
+    masses, mass_id, successors = class_moves(aux, ARRAY_ROWS[aux.kind](aux, states))
+    c_aux = math.lcm(*(x.denominator for x in masses))
+    numerators = [x.numerator * (c_aux // x.denominator) for x in masses]
     weights = perm_weights(table, np.array(states, dtype=np.int8)).tolist()
     weight = dict(zip(states, weights))
-    c_aux, c_nn = aux._terms.common, nn._terms.common
 
     loads: dict = {}
     owners: dict = {}
     max_len = 0
-    edge_count = 0
     legal = floors_held = True
     failure = None
-    for sigma, beta, prob in _moves(aux_rows):
+    rows, slots = np.nonzero(mass_id >= 0)
+    for row, slot in zip(rows.tolist(), slots.tolist()):
+        sigma, beta = states[row], states[successors[row, slot]]
         path = build(sigma, beta)
         length = len(path)
-        edge_count += 1
         max_len = max(max_len, length)
         check = verify_path(path, table, min(weight[sigma], weight[beta]), weight)
         if not check.ok:
@@ -379,7 +365,7 @@ def congestion_A(aux) -> CongestionResult:
             failure = failure or (sigma, beta, path.floor_guaranteed)
         if not check.legal:
             continue  # its steps are not nearest-neighbor edges
-        contribution = length * weight[sigma] * prob.numerator * (c_aux // prob.denominator)
+        contribution = length * weight[sigma] * numerators[mass_id[row, slot]]
         for k in range(length):
             edge = (path.states[k], path.states[k + 1])
             loads[edge] = loads.get(edge, 0) + contribution
@@ -397,21 +383,23 @@ def congestion_A(aux) -> CongestionResult:
             if seen.setdefault(key, owner) != owner:
                 collision_free = False
 
-    best_load, best_flow = 0, 1
+    nn = NearestNeighborChain(table)
+    best_load, best_flow = 0, 1  # the worst load / flow, both times P(u, v)'s denominator
     for (u, v), load in loads.items():
-        p = nn_rows[u].get(v, 0)
-        flow = weight[u] * p.numerator * (c_nn // p.denominator) if p else 0
+        pos, mass = nn._slots[next(k for k in range(n) if u[k] != v[k])]
+        p = mass * nn._law(u, pos)[0]
+        flow = weight[u] * p.numerator
         if flow == 0:
             raise AssertionError("path used a zero-probability edge")
-        if load * best_flow > best_load * flow:
-            best_load, best_flow = load, flow
-    best = Fraction(best_load * c_nn, best_flow * c_aux)
+        if load * p.denominator * best_flow > best_load * flow:
+            best_load, best_flow = load * p.denominator, flow
+    best = Fraction(best_load, best_flow * c_aux)
     return CongestionResult(
         kind=aux.kind,
         n=n,
         congestion=float(best),
         congestion_exact=best,
-        edge_count=edge_count,
+        edge_count=len(rows),
         max_paths_per_edge=max_paths,
         max_path_length=max_len,
         collision_free=collision_free,
@@ -419,8 +407,6 @@ def congestion_A(aux) -> CongestionResult:
         floors_held=floors_held,
         failure=failure,
         pi=_shares(weights),
-        nn=rows_matrix(states, nn_rows.values()),
-        aux=rows_matrix(states, aux_rows.values()),
     )
 
 

@@ -414,16 +414,6 @@ def test_parse_model_specs(tmp_path, demo_tree):
         parse_model_spec("mystery:1")
 
 
-def test_bias_table_json_roundtrip():
-    table = choose_your_weapon(cyw_spec(4))
-    obj = table.to_json_obj()
-    assert obj["n"] == 4 and len(obj["p"]) == 6
-    back = BiasTable.from_json_obj(obj)
-    for i in range(1, 5):
-        for j in range(i + 1, 5):
-            assert abs(float(back.p(i, j) - table.p(i, j))) < 1e-15
-
-
 def test_label_cap_checked_before_any_entry():
     from permchains import _common, analysis
 

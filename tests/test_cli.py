@@ -12,8 +12,10 @@ CLI behavior:
   and for more than 1,000 labels before a bias table is filled), 4 soundness failure
 - a league file as deep as the label cap allows (a 990-leaf caterpillar) samples
   with exit 0, and a 1,001-leaf caterpillar file exits 3
-- exact and scan print the same bytes for inv and tree with the array rows and
-  weights as with the Fraction oracle's
+- exact, scan and paths print the same bytes for inv and tree with the array
+  rows and weights as with the Fraction oracle's
+- a constant model below 1/2 is refused with one wording (exit 2, no
+  coercion notice) for nn, inv and tree, and samples for the walk kernel
 - each row reports the kernel's own size; for walks, the half size
 - paths routes a max-variant inversion model (exit 0), and refuses a
   degenerate bias (a table entry of 0 or 1) with exit 2 before routing
@@ -30,6 +32,8 @@ from pathlib import Path
 import pytest
 
 from permchains.cli import main
+
+from support import truncate_tree_demo
 
 
 def run_cli(args, capsys):
@@ -351,6 +355,25 @@ def test_zero_mass_stationary_law_is_usage_error(capsys, recwarn, args):
     assert not recwarn.list
 
 
+@pytest.mark.parametrize("args", [
+    ["exact", "--chain", "nn", "--model", "constant:0.3", "--n", "4"],
+    ["exact", "--chain", "inv", "--model", "constant:0.3", "--n", "4"],
+    ["exact", "--chain", "tree", "--model", "constant:0.3", "--n", "4"],
+    ["paths", "--kind", "inv", "--model", "constant:0.3", "--n", "4"],
+    ["paths", "--kind", "tree", "--model", "constant:0.3", "--n", "4"],
+])
+def test_constant_bias_below_half_is_refused_with_one_wording(capsys, args):
+    code, out, err = run_cli(args, capsys)
+    assert (code, out, err) == (2, "", "error: constant bias must be >= 1/2, got 3/10\n")
+
+
+def test_walk_samples_a_constant_bias_below_half(capsys):
+    code, out, err = run_cli(
+        ["sample", "--chain", "walk", "--model", "constant:0.3", "--n", "4", "--steps", "10"], capsys
+    )
+    assert code == 0 and out and err == ""
+
+
 def test_degenerate_model_is_refused_before_its_matrix(capsys, monkeypatch):
     from permchains import cli
 
@@ -433,11 +456,16 @@ def test_a_1001_leaf_caterpillar_league_exits_3(tmp_path, capsys):
     ["exact", "--chain", "inv", "--model", "cyw:0.6,0.7,0.8,0.9:max"],
     ["scan", "--chain", "inv", "--model", "constant:0.75", "--n-range", "3:6"],
     ["scan", "--chain", "tree", "--model", "constant:0.75", "--n-range", "3:6"],
+    ["paths", "--kind", "inv", "--model", "cyw:0.6,0.7,0.8,0.9"],
+    ["paths", "--kind", "tree", "--model", "league:{league}"],
 ])
-def test_array_rows_print_the_oracle_bytes(capsys, monkeypatch, args):
+def test_array_rows_print_the_oracle_bytes(capsys, monkeypatch, tmp_path, args):
     from permchains import cli
     from permchains.analysis import distribution
 
+    league = tmp_path / "league.json"
+    league.write_text(truncate_tree_demo(5).to_json())
+    args = [a.format(league=league) for a in args]
     code, fast, _ = run_cli(args, capsys)
     monkeypatch.setattr(cli, "ARRAY_ROWS", {})
     monkeypatch.setattr(

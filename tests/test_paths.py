@@ -12,8 +12,11 @@ Canonical paths and congestion:
 - the routing pass reports the same legality and floor outcome as a
   per-move reference loop, including on trees without the floor guarantee
 - congestion_A on integer weights and loads returns every field equal to the
-  former all-Fraction loop (kept here), on the pass cases and by hypothesis
-  over random cyw tables and random leagues with q = 1 at n <= 5
+  former all-Fraction loop (kept here, with its move enumerator over exact
+  rows), on the pass cases and by hypothesis over random cyw tables and
+  random leagues with q = 1 at n <= 5
+- paths builds one bias table, one weight array and the Fraction rows of the
+  nearest-neighbor chain alone
 - a bias table has a forced pair (an entry of 0 or 1), which ``paths``
   refuses before routing, exactly when some state has weight 0
 - the comparison bound evaluates correctly and dominates exact mixing times
@@ -24,14 +27,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings
 
 from permchains.analysis import (
     distribution,
     mixing_time_exact,
     perm_weights,
-    rows_matrix,
     stationary_exact,
     transition_matrix,
 )
@@ -46,9 +47,7 @@ from permchains.chains import KERNELS, InversionChain, NearestNeighborChain, Tre
 from permchains.cli import main
 from permchains.paths import (
     NotAnEdge,
-    _aux_edges,
     _mirrored_path,
-    _moves,
     comparison_bound,
     congestion_A,
     is_inv_edge,
@@ -63,6 +62,17 @@ from permchains.perms import all_permutations
 from permchains.trees import LeagueTree, caterpillar_tree, leaf, mirror_tree, node
 
 from support import cyw_kernels, cyw_spec, league_kernels, truncate_tree_demo
+
+
+def _moves(rows: dict):
+    """The off-diagonal entries (sigma, beta, P(sigma, beta)) of exact rows."""
+    return ((s, t, p) for s, row in rows.items() for t, p in row.items() if t != s and p > 0)
+
+
+def _aux_edges(aux):
+    """Directed moves (sigma, beta, P'(sigma, beta)) of the auxiliary kernel."""
+    return _moves({s: aux.transition_distribution(s) for s in aux.space()})
+
 
 # neither clause of weak monotonicity holds; every floor still holds at n = 4
 UNGUARANTEED_TREE = LeagueTree(node("0.6", node("0.9", leaf(1), leaf(2)), node("0.9", leaf(3), leaf(4))))
@@ -345,8 +355,6 @@ def _fraction_congestion_A(aux):
         max_paths_per_edge=max_paths, max_path_length=max_len, collision_free=collision_free,
         legal=legal, floors_held=floors_held, failure=failure,
         pi=distribution(weight.values()),
-        nn=rows_matrix(states, nn_rows.values()),
-        aux=rows_matrix(states, aux_rows.values()),
     )
 
 
@@ -363,9 +371,6 @@ def _assert_equals_fraction_loop(aux):
         got, want = getattr(result, f.name), expected[f.name]
         if isinstance(want, np.ndarray):
             assert np.array_equal(got, want), f.name
-        elif sp.issparse(want):
-            for attr in ("indptr", "indices", "data"):
-                assert np.array_equal(getattr(got, attr), getattr(want, attr)), (f.name, attr)
         else:
             assert got == want, f.name
 
@@ -525,8 +530,10 @@ def test_paths_report_matches_the_oracle_pipeline(kind, n, tmp_path, capsys):
 
 @pytest.mark.parametrize("kind", ["inv", "tree"])
 def test_paths_builds_each_table_row_and_weight_once(kind, tmp_path, capsys, monkeypatch):
-    """One bias table, one row per state of each kernel, and every weight from
-    a single perm_weights call: weight_exact is never called."""
+    """One bias table, one Fraction row per state of the nearest-neighbor
+    chain, none of the auxiliary chain (its matrix and moves come from its
+    finder's classes), and every weight from a single perm_weights call:
+    weight_exact is never called."""
     from collections import Counter
 
     from permchains import analysis, bias, chains, paths
@@ -550,4 +557,4 @@ def test_paths_builds_each_table_row_and_weight_once(kind, tmp_path, capsys, mon
     for module in (bias, chains, paths):
         monkeypatch.setattr(module, "weight_exact", counting("weight_exact", weight_exact))
     assert main(["paths", "--kind", kind, *model_args]) == 0
-    assert counts == {"tables": 1, kind: 120, "nn": 120, "perm_weights": 1}
+    assert counts == {"tables": 1, "nn": 120, "perm_weights": 1}
