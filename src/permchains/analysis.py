@@ -89,8 +89,8 @@ def transition_matrix(kernel, states=None) -> sp.csr_matrix:
 
     idx = state_index(states)
     r, cols, vals = [], [], []
-    for i, state in enumerate(states):
-        for t, p in kernel.transition_distribution(state).items():
+    for i, row in enumerate(map(kernel.transition_distribution, states)):
+        for t, p in row.items():
             r.append(i)
             cols.append(idx[t])
             vals.append(float(p))
