@@ -141,12 +141,11 @@ def _shares(weights: list[int]) -> np.ndarray:
     return np.array([w / total for w in weights])
 
 
-def is_fixed_point_exact(kernel, states=None, pi: list[Fraction] | None = None) -> bool:
-    """Exact check that pi P = pi, entry by entry."""
+def is_fixed_point_exact(kernel, states=None) -> bool:
+    """Exact check that pi P = pi, entry by entry, for pi from the kernel's weights."""
     if states is None:
         states = kernel.space()
-    if pi is None:
-        pi = normalized([kernel.stationary_weight(s) for s in states])
+    pi = normalized([kernel.stationary_weight(s) for s in states])
     idx = state_index(states)
     acc = [Fraction(0)] * len(states)
     for i, s in enumerate(states):
@@ -154,10 +153,10 @@ def is_fixed_point_exact(kernel, states=None, pi: list[Fraction] | None = None) 
             continue
         for t, p in kernel.transition_distribution(s).items():
             acc[idx[t]] += pi[i] * p
-    return acc == list(pi)
+    return acc == pi
 
 
-def detailed_balance_violations(kernel, states=None, tol: Fraction = Fraction(0)) -> list:
+def detailed_balance_violations(kernel, states=None) -> list:
     """Pairs (s, t) with pi(s)K(s,t) != pi(t)K(t,s), exact arithmetic."""
     if states is None:
         states = kernel.space()
@@ -171,7 +170,7 @@ def detailed_balance_violations(kernel, states=None, tol: Fraction = Fraction(0)
             if j <= i:
                 continue
             back = rows[j].get(s, Fraction(0))
-            if abs(pi[i] * p - pi[j] * back) > tol:
+            if pi[i] * p != pi[j] * back:
                 bad.append((s, t))
     return bad
 
@@ -364,10 +363,10 @@ def _worst_column(buf: np.ndarray, sums: np.ndarray):
     return buf.sum(axis=0, out=sums[: buf.shape[1]]).max()
 
 
-def spectral_gap(matrix: sp.csr_matrix, pi: np.ndarray, tol: float = 1e-9) -> float:
+def spectral_gap(matrix: sp.csr_matrix, pi: np.ndarray) -> float:
     """1 minus the second-largest eigenvalue modulus of the symmetrized kernel.
 
-    Requires reversibility and pi > 0; the similarity transform
+    Requires reversibility to within 1e-9 and pi > 0; the similarity transform
     D^(1/2) P D^(-1/2) is then symmetric and the spectrum is real.
     """
     m = matrix.shape[0]
@@ -380,7 +379,7 @@ def spectral_gap(matrix: sp.csr_matrix, pi: np.ndarray, tol: float = 1e-9) -> fl
     # are alive at once; the symmetrized matrix is the same, bit for bit
     flows = pi[:, None] * dense
     flows -= flows.T
-    if not np.abs(flows, out=flows).max() <= tol:
+    if not np.abs(flows, out=flows).max() <= 1e-9:
         raise ValueError("kernel is not reversible with respect to pi")
     del flows
     root = np.sqrt(pi)
@@ -680,25 +679,19 @@ def _swap_finder(positions):
 
 @_swap_finder
 def _inv_swaps(kernel, perms: np.ndarray):
-    """Slot (i, +1) swaps label i with the first larger label after it, slot
-    (i, -1) with the last larger label before it; the max variant runs this
-    rule on the mirrored permutations and maps the positions back.  A slot is
-    one class."""
+    """Slot (label, side, acceptance, larger) swaps ``label`` with the nearest
+    label on ``side`` (+1 after it, -1 before it) that is larger than it when
+    ``larger`` holds and smaller otherwise, as ``InversionChain._law`` does.
+    A slot is one class."""
     n = perms.shape[1]
-    mirrored = kernel.variant == "max"
-    if mirrored:
-        perms = n + 1 - perms[:, ::-1]
     places = np.arange(n)
-    for k, ((i, b, _), _) in enumerate(kernel._slots):
+    for k, ((i, side, _, larger), _) in enumerate(kernel._slots):
         at = np.argmax(perms == i, axis=1)
-        side = places > at[:, None] if b == 1 else places < at[:, None]
-        larger = (perms > i) & side
-        j = np.argmax(larger, axis=1) if b == 1 else n - 1 - np.argmax(larger[:, ::-1], axis=1)
-        rows = np.flatnonzero(larger.any(axis=1))
-        first, second = at[rows], j[rows]
-        if mirrored:
-            first, second = n - 1 - first, n - 1 - second
-        yield k, rows, first, second
+        beyond = places > at[:, None] if side == 1 else places < at[:, None]
+        targets = ((perms > i) == larger) & beyond
+        j = np.argmax(targets, axis=1) if side == 1 else n - 1 - np.argmax(targets[:, ::-1], axis=1)
+        rows = np.flatnonzero(targets.any(axis=1))
+        yield k, rows, at[rows], j[rows]
 
 
 @_swap_finder

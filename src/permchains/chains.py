@@ -238,25 +238,22 @@ class NearestNeighborChain(PermutationKernel):
         )
 
 
-def _inv_targets(sigma, i: int) -> tuple[int | None, int | None]:
-    """(first larger label after i, last larger label before i) in sigma."""
-    pos = sigma.index(i)
-    after = next((v for v in sigma[pos + 1 :] if v > i), None)
-    before = next((v for v in reversed(sigma[:pos]) if v > i), None)
-    return after, before
-
-
 class InversionChain(PermutationKernel):
     """Move one inversion-table coordinate by +-1.
 
-    Label i is selected with probability (n-i)/C(n,2), then a fair direction
-    bit: +1 swaps i with the first larger label after it (acceptance 1-r_i),
-    -1 swaps i with the last larger label before it (acceptance r_i).  All
-    skipped labels are smaller than both, so the swap changes only coordinate
-    i of the inversion table.  Holds with probability at least 1/2.
+    Slot (label, side, acceptance, larger) swaps ``label`` with the nearest
+    label on ``side`` (+1 after it, -1 before it) that is larger than it when
+    ``larger`` holds and smaller otherwise, with probability ``acceptance``;
+    with no such label the step holds.  The skipped labels are all smaller
+    than both swapped ones in the min variant and all larger in the max
+    variant, so a move changes one coordinate of the inversion table (of the
+    mirrored permutation, in the max variant).
 
-    The max variant conjugates the min law with the mirror relabeling rather
-    than writing a second one.
+    In the min variant label i is selected with probability (n-i)/C(n,2), then
+    a fair direction bit picks (i, +1, 1-r_i, True) or (i, -1, r_i, True).  The
+    max variant moves L = n+1-i instead, by its own rank r_L, toward smaller
+    labels: (L, -1, 1-r_L, False) or (L, +1, r_L, False).  Holds with
+    probability at least 1/2.
     """
 
     kind = "inv"
@@ -264,19 +261,19 @@ class InversionChain(PermutationKernel):
     def __init__(self, spec: CywSpec):
         self.n = n = spec.n
         self.variant = spec.variant
-        r = (spec.mirrored() if self.variant == "max" else spec).r
         self.table = choose_your_weapon(spec)
-        # slot (i, direction, acceptance) with mass (n-i)/C(n,2) * 1/2; label n
-        # is never selected
+        larger = self.variant == "min"
+        # slot pair i has mass (n-i)/C(n,2) * 1/2 and moves label i (min) or
+        # n+1-i (max), whose rank is r[i-1] of the ranks read from its end
+        r, side = (spec.r, 1) if larger else (spec.r[::-1], -1)
         self._slots = [
-            ((i, b, accept), Fraction(n - i, n * (n - 1)))
+            ((i if larger else n + 1 - i, b * side, accept, larger), Fraction(n - i, n * (n - 1)))
             for i in range(1, n)
             for b, accept in ((1, 1 - r[i - 1]), (-1, r[i - 1]))
         ]
         if not self._slots:
             raise ValueError(f"{self.kind} kernel has no move at this size")
         self._edges = list(accumulate((n - i) / (n * (n - 1) // 2) for i in range(1, n)))
-        self._mirrored = (None, None)  # the last max-variant sigma and its mirror
 
     @classmethod
     def from_model(cls, model: Model, n: int | None) -> "InversionChain":
@@ -302,23 +299,13 @@ class InversionChain(PermutationKernel):
         return self._slots[2 * i - 2 + down][0]
 
     def _law(self, sigma, slot):
-        if self.variant == "min":
-            return self._min_law(sigma, slot)
-        # a row asks once per slot: mirror sigma once, kept with sigma
-        if self._mirrored[0] is not sigma:
-            self._mirrored = (sigma, perms.mirror(sigma))
-        p, yes, _ = self._min_law(self._mirrored[1], slot)
-        # the min law's "no" is its input, whose mirror is sigma
-        return p, perms.mirror(yes), sigma
-
-    @staticmethod
-    def _min_law(sigma, slot):
-        i, b, accept = slot
-        after, before = _inv_targets(sigma, i)
-        j = after if b == 1 else before
+        label, side, accept, larger = slot
+        pos = sigma.index(label)
+        scan = sigma[pos + 1 :] if side == 1 else reversed(sigma[:pos])
+        j = next((v for v in scan if (v > label) == larger), None)
         if j is None:
             return 1, sigma, sigma
-        return accept, perms.swap_values(sigma, i, j), sigma
+        return accept, perms.swap_values(sigma, label, j), sigma
 
     def min_hold_probability(self) -> Fraction:
         return HALF
@@ -366,10 +353,6 @@ class TreeChain(PermutationKernel):
         if not under.isdisjoint(sigma[lo + 1 : hi]):
             return None
         return lo, hi
-
-    def pair_is_free(self, sigma, a: int, b: int) -> bool:
-        """No element between a and b descends from lca(a, b)."""
-        return self._span(tuple(sigma), a, b, self.tree.leaves_under(self.tree.lca(a, b))) is not None
 
     def _law(self, sigma, slot):
         a, b, q, under = slot

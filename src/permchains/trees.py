@@ -140,34 +140,23 @@ class LeagueTree:
 
     @classmethod
     def from_json(cls, text: str) -> "LeagueTree":
-        return cls(_node_from_obj(_load_json(text)))
+        return cls(_node_from_obj(_json_call(json.loads, text, parse_float=Fraction)))
 
     def to_json(self) -> str:
-        """``json.dumps`` of the nested node objects, emitted in preorder from
-        an explicit stack."""
-        parts = []
-        todo: list = [self.root]  # nodes, or text to emit once a subtree is done
-        while todo:
-            item = todo.pop()
-            if isinstance(item, str):
-                parts.append(item)
-            elif item.is_leaf:
-                parts.append(str(item.label))
-            else:
-                parts.append(f'{{"q": {float(item.q)!r}, "left": ')
-                todo += ["}", item.right, ', "right": ', item.left]
-        return "".join(parts)
+        """``json.dumps`` of the nested node objects."""
+        obj = _fold(self.root, lambda lf: lf.label, lambda nd, lt, rt: {"q": float(nd.q), "left": lt, "right": rt})
+        return _json_call(json.dumps, obj)
 
 
-def _load_json(text: str):
-    """``json.loads(text, parse_float=Fraction)`` with room for a league under
-    the label cap: such a tree nests up to LABEL_CAP - 1 objects deep, and
-    ``json`` spends one level of the recursion limit on each.  The limit is
-    raised for the call only; anything deeper holds more labels than the cap."""
+def _json_call(call, *args, **kwargs):
+    """``call(*args, **kwargs)`` with room for a league under the label cap:
+    such a tree nests up to LABEL_CAP - 1 objects deep, and ``json`` spends
+    one level of the recursion limit on each.  The limit is raised for the
+    call only; anything deeper holds more labels than the cap."""
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(limit + LABEL_CAP)
     try:
-        return json.loads(text, parse_float=Fraction)
+        return call(*args, **kwargs)
     except RecursionError:
         raise CapExceeded(f"league JSON nests deeper than a tree of {LABEL_CAP} labels") from None
     finally:

@@ -4,6 +4,8 @@ Kernel behavior:
 - one-step distributions are exact, sum to 1, and have the right support
 - detailed balance holds exactly for every kernel at enumerable sizes
 - hold probabilities respect the documented floors
+- the max-variant inv law is the mirror-conjugated min law, on random cyw
+  tables too
 - trajectories are deterministic given a seed and track the stationary law
 - each kernel's sampler follows its own exact one-step row
 - exact rows equal the per-slot Fraction loop in entries, order and value
@@ -21,7 +23,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from permchains import walks
 from permchains.analysis import (
@@ -62,7 +64,7 @@ from permchains.chains import (
 from permchains.perms import all_permutations, identity, inversion_count, reversal
 from permchains.trees import LeagueTree, complete_tree, truncate_tree
 
-from support import cyw_spec, truncate_tree_demo
+from support import cyw_kernels, cyw_spec, truncate_tree_demo
 
 
 def test_nn_deterministic_swap():
@@ -129,11 +131,22 @@ def test_inv_selection_weights():
 
 def test_inv_targets_worked_example():
     sigma = (8, 1, 5, 3, 7, 4, 6, 2)
-    from permchains.chains import _inv_targets
-
-    after, before = _inv_targets(sigma, 4)
-    assert after == 6  # first larger label after 4
-    assert before == 7  # last larger label before 4
+    r = ("0.6", "0.7", "0.8", "0.9", "0.6", "0.7", "0.8")
+    # (variant, side, acceptance, the state label 4 moves to)
+    cases = [
+        ("min", 1, Fraction(1, 10), (8, 1, 5, 3, 7, 6, 4, 2)),  # first larger label after 4: 6
+        ("min", -1, Fraction(9, 10), (8, 1, 5, 3, 4, 7, 6, 2)),  # last larger label before 4: 7
+        ("max", 1, Fraction(4, 5), (8, 1, 5, 3, 7, 2, 6, 4)),  # first smaller label after 4: 2
+        ("max", -1, Fraction(1, 5), (8, 1, 5, 4, 7, 3, 6, 2)),  # last smaller label before 4: 3
+    ]
+    for variant, side, accept, moved in cases:
+        k = InversionChain(CywSpec(r=r, variant=variant))
+        slot = next(slot for slot, _ in k._slots if slot[:2] == (4, side))
+        assert k._law(sigma, slot) == (accept, moved, sigma)
+    # no label after 7 is larger: the min law holds
+    k = InversionChain(CywSpec(r=r))
+    slot = next(slot for slot, _ in k._slots if slot[:2] == (7, 1))
+    assert k._law(sigma, slot) == (1, sigma, sigma)
 
 
 def test_inv_moves_change_one_coordinate():
@@ -158,13 +171,16 @@ def test_inv_hold_probability_at_least_half():
         assert d[sigma] >= Fraction(1, 2)
 
 
-def test_inv_max_variant_is_mirror_conjugate():
+@settings(max_examples=30, deadline=None)
+@given(cyw_kernels(max_n=6).filter(lambda k: k.variant == "max"))
+@example(InversionChain(CywSpec(r=("0.6", "0.7", "0.8"), variant="max")))
+def test_inv_max_variant_is_mirror_conjugate(k):
     from permchains.perms import mirror
 
-    spec = CywSpec(r=("0.6", "0.7", "0.8"), variant="max")
-    k = InversionChain(spec)
+    # in the max variant p[1][L] is the rank of label L
+    spec = CywSpec(r=tuple(k.table.p(1, L) for L in range(2, k.n + 1)), variant="max")
     k_min = InversionChain(spec.mirrored())
-    for sigma in all_permutations(4):
+    for sigma in all_permutations(k.n):
         d = k.transition_distribution(sigma)
         d_ref = {
             mirror(t): p
@@ -176,11 +192,13 @@ def test_inv_max_variant_is_mirror_conjugate():
 def test_tree_blocking_example(demo_tree):
     k = TreeChain(demo_tree)
     sigma = (5, 1, 9, 3, 8, 6, 7, 4, 2)
+    slots = {slot[:2]: slot for slot, _ in k._slots}
     # between 5 and 7 sit 9, 3, 8, 6, 4; the labels 6, 8, 9 descend from
-    # lca(5,7), so the pair is blocked
-    assert not k.pair_is_free(sigma, 5, 7)
-    # an adjacent pair is always free
-    assert k.pair_is_free(sigma, 5, 1)
+    # lca(5,7), so the pair is blocked and the step holds
+    assert k._law(sigma, slots[5, 7]) == (1, sigma, sigma)
+    # an adjacent pair is always free: put in order with probability q
+    in_order = (1, 5, 9, 3, 8, 6, 7, 4, 2)
+    assert k._law(sigma, slots[1, 5]) == (demo_tree.lca_q(1, 5), in_order, sigma)
 
 
 def test_tree_swap_multiplies_weight_by_pair_ratio(demo_tree):
