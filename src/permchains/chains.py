@@ -288,7 +288,7 @@ class InversionChain(PermutationKernel):
         return cls(model.cyw)
 
     def _draw(self, rng):
-        # float cumulative pick of label i by weight (n - i), then the direction bit
+        # float cumulative pick of slot pair i by weight (n - i), then the direction bit
         u = rng.random()
         for i, edge in enumerate(self._edges, 1):
             if u < edge:
