@@ -172,11 +172,6 @@ class CywSpec:
             return self.r[min(i, j) - 1]
         return self.r[max(i, j) - 2]
 
-    def mirrored(self) -> "CywSpec":
-        """The same model seen through the relabeling v -> n+1-v."""
-        other = "max" if self.variant == "min" else "min"
-        return CywSpec(r=tuple(reversed(self.r)), variant=other)
-
 
 def choose_your_weapon(spec: CywSpec) -> BiasTable:
     return BiasTable(spec.n, lambda i, j: spec.rank_prob(i, j))

@@ -22,10 +22,14 @@ min(weight(start), weight(end)):
 ``congestion_A(aux)`` takes the auxiliary kernel and picks the route from its
 kind; it takes the moves from the kind's finder classes (``class_moves``),
 once per class, and the weights as integer numerators from one
-``perm_weights`` call, checks floors and sums loads on integers, and returns
-A (for the bound 4 ln(1/(eps pi_min)) / ln(1/(2 eps)) * A * tau_aux) as one
-Fraction, with pi.  It builds no matrix: the CLI takes both chains' matrices
-the way ``exact`` does.
+``perm_weights`` call.  A route's swap positions depend only on the move's
+shape: its two positions and which in-between positions hold labels smaller
+than both ends.  So it routes one move per shape with the builders above and
+replays that route's swaps on the array of all the shape's moves, ranking
+every state reached.  It checks legality and floors and sums loads on
+integers, and returns A (for the bound 4 ln(1/(eps pi_min)) / ln(1/(2 eps))
+* A * tau_aux) as one Fraction, with pi.  It builds no matrix: the CLI takes
+both chains' matrices the way ``exact`` does.
 ``witness_caps`` is the one table of the caps each construction meets: at
 most n^2 (inv) or 4n^2 (tree) paths share an edge, and no path is longer than
 2n (inv) or 4n (tree) swaps.
@@ -39,7 +43,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import perms
-from .analysis import ARRAY_ROWS, CapExceeded, _shares, class_moves, perm_weights
+from .analysis import ARRAY_ROWS, CapExceeded, _shares, class_moves, lehmer_ranks, perm_weights
 from .bias import BiasTable, MonotonicityReport, is_weakly_monotone, weight_exact
 from .chains import NearestNeighborChain
 from .trees import LeagueTree
@@ -248,6 +252,15 @@ class PathReport:
         return self.legal and self.floor_ok
 
 
+def _adjacent_swap(s, t) -> int | None:
+    """The position pos where t is s with the entries at pos and pos + 1
+    swapped, or None when t is not such a swap of s."""
+    diff = [pos for pos, (x, y) in enumerate(zip(s, t)) if x != y]
+    if len(diff) != 2 or diff[1] != diff[0] + 1 or s[diff[0]] != t[diff[1]] or s[diff[1]] != t[diff[0]]:
+        return None
+    return diff[0]
+
+
 def verify_path(path: NnPath, table: BiasTable, floor, weight: dict | None = None) -> PathReport:
     """Check step legality under the nearest-neighbor kernel and the weight
     floor.  ``weight`` maps states to weights on one scale, such as the
@@ -258,13 +271,13 @@ def verify_path(path: NnPath, table: BiasTable, floor, weight: dict | None = Non
     legal = True
     for k in range(len(path)):
         s, t = path.states[k], path.states[k + 1]
-        diff = [pos for pos, (x, y) in enumerate(zip(s, t)) if x != y]
-        if len(diff) != 2 or diff[1] != diff[0] + 1 or s[diff[0]] != t[diff[1]] or s[diff[1]] != t[diff[0]]:
+        pos = _adjacent_swap(s, t)
+        if pos is None:
             legal = False
             failures.append(("not-adjacent-swap", k))
             continue
         # the probability of realizing t's arrangement at the chosen position
-        if table.p(t[diff[0]], t[diff[1]]) == 0:
+        if table.p(t[pos], t[pos + 1]) == 0:
             legal = False
             failures.append(("zero-probability-step", k))
     if weight:
@@ -313,87 +326,161 @@ class CongestionResult:
         return self.max_paths_per_edge <= per_edge and self.max_path_length <= length
 
 
+def _shape_keys(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """One int per move (rows of ``first`` -> rows of ``second``, each a
+    transposition): its two positions lo < hi and the mask of the positions
+    between them whose labels are smaller than both endpoints.  The routes
+    read nothing else, so moves with one key take the same swaps."""
+    n = first.shape[1]
+    differ = first != second
+    lo = np.argmax(differ, axis=1)
+    hi = n - 1 - np.argmax(differ[:, ::-1], axis=1)
+    at, places = np.arange(len(first)), np.arange(n)
+    floor = np.minimum(first[at, lo], first[at, hi])
+    small = (first < floor[:, None]) & (places > lo[:, None]) & (places < hi[:, None])
+    return (lo * n + hi) << n | small @ (1 << places)
+
+
+def _route(aux):
+    """The route ``build(sigma, beta)`` of ``aux``'s moves."""
+    if aux.kind == "inv" and aux.variant == "max":
+        # the max law is the min law conjugated with the mirror; so is its route
+        return lambda s, t: _mirrored_path(path_inv_to_nn, s, t)
+    if aux.kind == "inv":
+        return path_inv_to_nn
+    monotone = is_weakly_monotone(aux.table)
+    return lambda s, t: path_tree_to_nn(s, t, aux.tree, monotone)
+
+
+def _replay(path: NnPath, start: np.ndarray):
+    """Take ``path``'s steps on every row of ``start``, moves of ``path``'s
+    shape: yields per step its stage, its position when it is an adjacent
+    swap (None otherwise) and the rows after it."""
+    cur = start
+    for s, t, stage in zip(path.states, path.states[1:], path.stages):
+        cur = cur[:, [s.index(v) for v in t]]
+        yield stage, _adjacent_swap(s, t), cur
+
+
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of ``keys``, sorted, through one sort: plain
+    ``np.unique`` took seconds on a few million int64 keys (numpy 2.4)."""
+    keys = np.sort(keys)
+    return keys[np.diff(keys, prepend=keys[:1] - 1) != 0]
+
+
 def congestion_A(aux) -> CongestionResult:
     """Route every move of ``aux`` (inv or tree, n <= 6) once: legality,
     weight floors and congestion.
 
     The moves come from ``class_moves`` over the kind's ``ARRAY_ROWS`` finder,
-    walked in (row, slot) order, the order the exact rows list them; the
-    weights come from one ``perm_weights`` call: integer numerators W over the
-    table's D, and pi from them.  A legal path adds len * W(sigma) *
-    P'num(sigma, beta) to each nearest-neighbor edge it uses, where P'num is
-    the move's mass times c_aux, the lcm of the masses' denominators.  An edge
-    (u, v) swaps the labels at one position, and its P(u, v) is that slot's
-    mass times the ``NearestNeighborChain`` law there; its flow is W(u) *
-    P(u, v).  D cancels in load / flow, the worst ratio is found by integer
-    cross-multiplication, and A is the one Fraction made from it.
+    and the weights from one ``perm_weights`` call: integer numerators W over
+    the table's D, and pi from them.  The moves are grouped by shape
+    (``_shape_keys``).  One move of each shape is routed and its steps checked
+    as ``verify_path`` does; a step that is not an adjacent swap makes the
+    whole shape illegal.  Its swaps are then replayed on the array of all the
+    shape's moves, ranking every state reached, with a step illegal where the
+    swapped pair has probability 0 and the floor a running minimum of W.  A
+    legal path adds len * W(sigma) * P'num(sigma, beta) to each
+    nearest-neighbor edge it uses, where P'num is the move's mass times c_aux,
+    the lcm of the masses' denominators.  An edge (u, v) swaps the labels at
+    one position, and its P(u, v) is that slot's mass times the
+    ``NearestNeighborChain`` law there; its flow is W(u) * P(u, v).  D
+    cancels in load / flow, the worst ratio is found by integer
+    cross-multiplication, and A is the one Fraction made from it.  The
+    failure reported is the first failing move in (row, slot) order, the
+    order the exact rows list them.
     """
     n, table = aux.n, aux.table
     if n > 6:
         raise CapExceeded(f"path enumeration is capped at n = 6, got {n}")
-    if aux.kind == "inv" and aux.variant == "max":
-        # the max law is the min law conjugated with the mirror; so is its route
-        build = lambda s, t: _mirrored_path(path_inv_to_nn, s, t)
-    elif aux.kind == "inv":
-        build = path_inv_to_nn
-    else:
-        monotone = is_weakly_monotone(table)
-        build = lambda s, t: path_tree_to_nn(s, t, aux.tree, monotone)
-
+    build = _route(aux)
     states = aux.space()
+    m = len(states)
     masses, mass_id, successors = class_moves(aux, ARRAY_ROWS[aux.kind](aux, states))
     c_aux = math.lcm(*(x.denominator for x in masses))
-    numerators = [x.numerator * (c_aux // x.denominator) for x in masses]
-    weights = perm_weights(table, np.array(states, dtype=np.int8)).tolist()
-    weight = dict(zip(states, weights))
+    numerators = np.array([x.numerator * (c_aux // x.denominator) for x in masses], dtype=object)
+    perms_array = np.array(states, dtype=np.int8)
+    weights = perm_weights(table, perms_array)
+    labels = range(1, n + 1)
+    zero = np.zeros((n + 1, n + 1), dtype=bool)  # zero[a, b]: p(a, b) == 0
+    zero[1:, 1:] = [[a != b and table.p(a, b) == 0 for b in labels] for a in labels]
 
-    loads: dict = {}
-    owners: dict = {}
-    max_len = 0
-    legal = floors_held = True
-    failure = None
     rows, slots = np.nonzero(mass_id >= 0)
-    for row, slot in zip(rows.tolist(), slots.tolist()):
-        sigma, beta = states[row], states[successors[row, slot]]
-        path = build(sigma, beta)
+    targets = successors[rows, slots]
+    legal = np.ones(len(rows), dtype=bool)
+    floor_ok = np.ones(len(rows), dtype=bool)
+    guaranteed = np.ones(len(rows), dtype=bool)
+    max_len = 0
+    # per step of a legal path: edge rank(u) * n + pos, stage * n^2 + origin, move, load
+    parts = [[np.empty(0, dtype=np.int64)] * 3 + [np.empty(0, dtype=object)]]
+    shapes, shape_of = np.unique(_shape_keys(perms_array[rows], perms_array[targets]), return_inverse=True)
+    for shape in range(len(shapes)):
+        members = np.flatnonzero(shape_of == shape)  # the first is routed
+        start, end = rows[members], targets[members]
+        path = build(states[start[0]], states[end[0]])
         length = len(path)
         max_len = max(max_len, length)
-        check = verify_path(path, table, min(weight[sigma], weight[beta]), weight)
-        if not check.ok:
-            legal &= check.legal
-            floors_held &= check.floor_ok
-            failure = failure or (sigma, beta, path.floor_guaranteed)
-        if not check.legal:
-            continue  # its steps are not nearest-neighbor edges
-        contribution = length * weight[sigma] * numerators[mass_id[row, slot]]
-        for k in range(length):
-            edge = (path.states[k], path.states[k + 1])
-            loads[edge] = loads.get(edge, 0) + contribution
-            owners.setdefault(edge, []).append(
-                ((sigma, beta), path.stages[k], path.origin)
-            )
+        guaranteed[members] = path.floor_guaranteed
+        ranks, low = start, weights[start]
+        route_legal = np.ones(len(members), dtype=bool)
+        steps = []
+        for stage, pos, cur in _replay(path, perms_array[start]):
+            if pos is None:
+                route_legal[:] = False
+            else:
+                route_legal &= ~zero[cur[:, pos], cur[:, pos + 1]]
+                steps.append((ranks * n + pos, stage))
+            ranks = lehmer_ranks(cur)
+            low = np.minimum(low, weights[ranks])
+        if not np.array_equal(ranks, end):
+            raise AssertionError("path did not terminate at the target state")
+        legal[members] = route_legal
+        floor_ok[members] = low >= np.minimum(weights[start], weights[end])
+        if not route_legal.any():
+            continue
+        kept = np.flatnonzero(route_legal)
+        origin = path.origin[0] * n + path.origin[1]
+        load = length * weights[start[kept]] * numerators[mass_id[start[kept], slots[members[kept]]]]
+        parts.append([
+            np.concatenate([step[kept] for step, _ in steps]),
+            np.repeat([stage * n * n + origin for _, stage in steps], len(kept)),
+            np.tile(start[kept] * m + end[kept], length),
+            np.tile(load, length),
+        ])
+    edges, tags, owners, contributions = map(np.concatenate, zip(*parts))
 
-    collision_free = True
-    max_paths = 0
-    for edge, entries in owners.items():
-        max_paths = max(max_paths, len({owner for owner, _, _ in entries}))
-        seen = {}
-        for owner, stage, origin in entries:
-            key = (stage, origin)
-            if seen.setdefault(key, owner) != owner:
-                collision_free = False
+    # distinct moves per edge, and whether (edge, stage, origin) names one move
+    per_edge = np.unique(_distinct(edges * m * m + owners) // (m * m), return_counts=True)[1]
+    max_paths = int(per_edge.max(initial=0))
+    named = edges * 5 * n * n + tags  # stages run 0..4
+    collision_free = len(_distinct(named * m * m + owners)) == len(_distinct(named))
 
+    by_edge = np.argsort(edges, kind="stable")
+    heads = np.flatnonzero(np.diff(edges[by_edge], prepend=-1))
+    used = edges[by_edge][heads].tolist()
+    loads = np.add.reduceat(contributions[by_edge], heads).tolist() if len(heads) else []
     nn = NearestNeighborChain(table)
+    laws: dict = {}  # (pos, label there, label after) -> P(u, v)
     best_load, best_flow = 0, 1  # the worst load / flow, both times P(u, v)'s denominator
-    for (u, v), load in loads.items():
-        pos, mass = nn._slots[next(k for k in range(n) if u[k] != v[k])]
-        p = mass * nn._law(u, pos)[0]
-        flow = weight[u] * p.numerator
+    for edge, load in zip(used, loads):
+        u, pos = divmod(edge, n)
+        key = (pos, states[u][pos], states[u][pos + 1])
+        if key not in laws:
+            slot, mass = nn._slots[pos]
+            laws[key] = mass * nn._law(states[u], slot)[0]
+        p = laws[key]
+        flow = weights[u] * p.numerator
         if flow == 0:
             raise AssertionError("path used a zero-probability edge")
         if load * p.denominator * best_flow > best_load * flow:
             best_load, best_flow = load * p.denominator, flow
     best = Fraction(best_load, best_flow * c_aux)
+    failing = np.flatnonzero(~(legal & floor_ok))
+    failure = None
+    if len(failing):
+        first = failing[0]
+        failure = (states[rows[first]], states[targets[first]], bool(guaranteed[first]))
     return CongestionResult(
         kind=aux.kind,
         n=n,
@@ -403,10 +490,10 @@ def congestion_A(aux) -> CongestionResult:
         max_paths_per_edge=max_paths,
         max_path_length=max_len,
         collision_free=collision_free,
-        legal=legal,
-        floors_held=floors_held,
+        legal=bool(legal.all()),
+        floors_held=bool(floor_ok.all()),
         failure=failure,
-        pi=_shares(weights),
+        pi=_shares(weights.tolist()),
     )
 
 

@@ -19,6 +19,12 @@ def truncate_tree_demo(n: int) -> LeagueTree:
     return truncate_tree(demo_tree(), n)
 
 
+def mirrored_spec(spec: CywSpec) -> CywSpec:
+    """The same model seen through the relabeling v -> n+1-v."""
+    other = "max" if spec.variant == "min" else "min"
+    return CywSpec(r=tuple(reversed(spec.r)), variant=other)
+
+
 @st.composite
 def cyw_kernels(draw, max_n: int):
     """Inversion chains of random rational cyw tables, min and max variants."""

@@ -64,7 +64,7 @@ from permchains.chains import (
 from permchains.perms import all_permutations, identity, inversion_count, reversal
 from permchains.trees import LeagueTree, complete_tree, truncate_tree
 
-from support import cyw_kernels, cyw_spec, truncate_tree_demo
+from support import cyw_kernels, cyw_spec, mirrored_spec, truncate_tree_demo
 
 
 def test_nn_deterministic_swap():
@@ -179,7 +179,7 @@ def test_inv_max_variant_is_mirror_conjugate(k):
 
     # in the max variant p[1][L] is the rank of label L
     spec = CywSpec(r=tuple(k.table.p(1, L) for L in range(2, k.n + 1)), variant="max")
-    k_min = InversionChain(spec.mirrored())
+    k_min = InversionChain(mirrored_spec(spec))
     for sigma in all_permutations(k.n):
         d = k.transition_distribution(sigma)
         d_ref = {

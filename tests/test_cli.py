@@ -10,6 +10,7 @@ CLI behavior:
   an --n that contradicts a sized model, --n given with --n-range and a
   scan over one size included), 3 cap exceeded (checked before the state space is enumerated,
   and for more than 1,000 labels before a bias table is filled), 4 soundness failure
+  (an inv or tree route with one swap dropped is an illegal canonical path)
 - a league file as deep as the label cap allows (a 990-leaf caterpillar) samples
   with exit 0, and a 1,001-leaf caterpillar file exits 3
 - exact, scan and paths print the same bytes for inv and tree with the array
@@ -194,6 +195,25 @@ def test_paths_broken_route_is_soundness_failure(capsys, monkeypatch):
     code, out, err = run_cli(
         ["paths", "--kind", "inv", "--model", "cyw:0.6,0.7,0.8,0.9", "--n", "5"], capsys
     )
+    assert code == 4
+    assert "illegal canonical path" in err
+    assert out == ""
+
+
+def test_paths_broken_tree_route_is_soundness_failure(capsys, monkeypatch):
+    from permchains import paths
+
+    route = paths.transposition_path
+
+    def skip_a_swap(sigma, beta):
+        path = route(sigma, beta)
+        if len(path) > 1:
+            del path.states[1], path.stages[1]
+        return path
+
+    monkeypatch.setattr(paths, "transposition_path", skip_a_swap)
+    league = Path(__file__).resolve().parent.parent / "perfbench" / "inputs" / "league6.json"
+    code, out, err = run_cli(["paths", "--kind", "tree", "--model", f"league:{league}"], capsys)
     assert code == 4
     assert "illegal canonical path" in err
     assert out == ""

@@ -11,6 +11,11 @@ Canonical paths and congestion:
   collision-free paths
 - the routing pass reports the same legality and floor outcome as a
   per-move reference loop, including on trees without the floor guarantee
+- moves of one shape (end positions and the in-between positions holding
+  labels smaller than both ends) take one route: each move's own route has
+  the states its shape's first route reaches when replayed on it, with the
+  same stages, origin and floor flag, on the pass cases and by hypothesis
+  over random cyw tables (min and max) and random leagues at n <= 5
 - congestion_A on integer weights and loads returns every field equal to the
   former all-Fraction loop (kept here, with its move enumerator over exact
   rows), on the pass cases and by hypothesis over random cyw tables and
@@ -27,10 +32,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from permchains.analysis import (
+    ARRAY_ROWS,
+    class_moves,
     distribution,
+    lehmer_ranks,
     mixing_time_exact,
     perm_weights,
     stationary_exact,
@@ -48,6 +56,9 @@ from permchains.cli import main
 from permchains.paths import (
     NotAnEdge,
     _mirrored_path,
+    _replay,
+    _route,
+    _shape_keys,
     comparison_bound,
     congestion_A,
     is_inv_edge,
@@ -61,7 +72,7 @@ from permchains.paths import (
 from permchains.perms import all_permutations
 from permchains.trees import LeagueTree, caterpillar_tree, leaf, mirror_tree, node
 
-from support import cyw_kernels, cyw_spec, league_kernels, truncate_tree_demo
+from support import cyw_kernels, cyw_spec, league_kernels, mirrored_spec, truncate_tree_demo
 
 
 def _moves(rows: dict):
@@ -393,6 +404,47 @@ def test_congestion_equals_the_fraction_loop_for_random_leagues(aux):
     _assert_equals_fraction_loop(aux)
 
 
+def _assert_replay_is_the_route(aux):
+    """Every move's own route is its shape's first route replayed on it: the
+    same states (compared as ranks), stages, origin and floor flag."""
+    states = aux.space()
+    perms_array = np.array(states, dtype=np.int8)
+    _, mass_id, successors = class_moves(aux, ARRAY_ROWS[aux.kind](aux, states))
+    rows, slots = np.nonzero(mass_id >= 0)
+    targets = successors[rows, slots]
+    build = _route(aux)
+    keys = _shape_keys(perms_array[rows], perms_array[targets])
+    for key in np.unique(keys):
+        members = np.flatnonzero(keys == key)
+        first = build(states[rows[members[0]]], states[targets[members[0]]])
+        replay = list(_replay(first, perms_array[rows[members]]))
+        ranks = np.array([rows[members]] + [lehmer_ranks(cur) for _, _, cur in replay])
+        stages = [stage for stage, _, _ in replay]
+        for i, move in enumerate(members):
+            path = build(states[rows[move]], states[targets[move]])
+            assert lehmer_ranks(np.array(path.states, dtype=np.int8)).tolist() == ranks[:, i].tolist()
+            assert (path.stages, path.origin, path.floor_guaranteed) == (stages, first.origin, first.floor_guaranteed)
+
+
+@pytest.mark.parametrize("case", sorted(PASS_CASES))
+def test_replay_is_the_route(case):
+    kind, model = PASS_CASES[case]
+    _assert_replay_is_the_route(KERNELS[kind](model))
+
+
+@settings(max_examples=30, deadline=None)
+@given(cyw_kernels(max_n=5))
+@example(InversionChain(CywSpec(r=("0.6", "0.7", "0.8", "0.9"), variant="max")))
+def test_replay_is_the_route_for_random_cyw_tables(aux):
+    _assert_replay_is_the_route(aux)
+
+
+@settings(max_examples=30, deadline=None)
+@given(league_kernels(max_n=5))
+def test_replay_is_the_route_for_random_leagues(aux):
+    _assert_replay_is_the_route(aux)
+
+
 @settings(max_examples=40, deadline=None)
 @given(league_kernels(max_n=5))
 def test_a_forced_pair_is_a_zero_weight_state(aux):
@@ -439,7 +491,7 @@ def test_congestion_witnesses(n):
 def test_max_variant_congestion_equals_the_mirrored_min_variant(r, expected):
     spec = CywSpec(r=r, variant="max")
     result = congestion_A(InversionChain(spec))
-    assert result.congestion_exact == congestion_A(InversionChain(spec.mirrored())).congestion_exact
+    assert result.congestion_exact == congestion_A(InversionChain(mirrored_spec(spec))).congestion_exact
     assert result.congestion_exact == expected
     assert result.legal and result.floors_held and result.failure is None
     assert result.collision_free and result.within_witness_caps
