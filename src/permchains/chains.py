@@ -6,15 +6,15 @@ Every kernel writes its transition law once, as a list of selection slots
 returning ``(p, yes, no)``: with probability p the chain goes to ``yes``,
 otherwise to ``no``.  The base class derives both views from it:
 
-* ``step(state, rng)`` draws one transition.  The random draws come in a
-  frozen order: the selection (``_draw``; one uniform, plus a fair direction
-  bit for the inversion kernel, none for the one-dimensional walk), then one
-  acceptance uniform u, going to ``yes`` when u < p.  A blocked slot has the
-  law ``(1, state, state)``, so it still spends its acceptance draw, and
-  trajectories are reproducible from (kernel, start, steps, seed) alone.
-  The acceptance test is exact and cheap: u is k / 2**53 for an integer k,
-  so u < p is compared on integers, never through a float rounding of p;
-  a uniform slot pick is floor(k * count / 2**53), also on integers.
+* ``step(state, rng)`` draws one transition.  A step spends ``uniforms``
+  uniforms in a frozen order: the selection (``_draw``, by the kernel's rule
+  ``_select``), then one acceptance uniform u, going to ``yes`` when u < p.
+  A blocked slot has the law ``(1, state, state)``, so it still spends its
+  acceptance draw, and trajectories are reproducible from (kernel, start,
+  steps, seed) alone.  Every uniform u is k / 2**53 for an integer k, and
+  the rules read k: the acceptance test ``_accepts`` compares u < p on
+  integers, never through a float rounding of p, and a uniform slot pick
+  (``_pick``) is floor(k * count / 2**53), also on integers.
 * ``transition_distribution(state)`` returns the exact one-step distribution
   as a dict of successor -> Fraction, which the analysis code turns into
   matrices.  Self-loops are folded into one hold entry, inserted last.
@@ -46,10 +46,13 @@ coercion notice and usage errors) and declares its size ``n``, its
 ``observable``, a ``default_start()`` and ``space_size()``, which counts
 ``space()`` without enumerating it.  ``build`` looks kinds up in ``KERNELS``.
 
-``run`` serves the uniforms of ``make_rng(seed)`` from blocks of array draws
-(``BlockUniforms``); Philox gives an array draw the same values as repeated
-scalar draws, so a trajectory is the same as one drawn a uniform at a time and
-``step`` is the only sampling code path.
+``run`` draws the k of ``make_rng(seed)``'s uniforms ``BLOCK`` steps at a time;
+Philox gives an array draw the same values as repeated scalar draws.  It makes
+a block's picks with one array expression of ``_select`` and loops only over
+``_law`` and ``_accepts``, so a trajectory is the one repeated ``step`` calls
+draw.  Uniforms per step: 2 for the uniform picks of nn, tree, asep, walk and
+walk-transposition (pick, acceptance); 3 for inv (its float cumulative pick
+of a slot pair, a fair direction bit k >= 2**52, the acceptance); 1 for oned.
 """
 from __future__ import annotations
 
@@ -58,7 +61,7 @@ import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from itertools import accumulate, chain, combinations
+from itertools import accumulate, combinations
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -72,7 +75,8 @@ HALF = Fraction(1, 2)
 # numpy's uniform doubles are k * 2**-53 with an integer 0 <= k < 2**53
 UNIT_BITS = 53
 UNIT = float(1 << UNIT_BITS)
-BLOCK = 2048  # uniforms per array draw in ``run``
+BLOCK = 1024  # steps per array draw in ``run``
+PICK_CAP = 1 << 35  # the most slots ``_pick`` splits exactly in int64
 
 
 class StepOutcome(NamedTuple):
@@ -85,22 +89,25 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
-class BlockUniforms:
-    """``random()`` yields the uniforms of ``make_rng(seed)`` in order, drawn
-    ``BLOCK`` at a time: the same values as repeated ``make_rng(seed).random()``."""
-
-    def __init__(self, seed: int):
-        gen = make_rng(seed)
-        self.random = chain.from_iterable(iter(lambda: gen.random(BLOCK).tolist(), None)).__next__
+def _integers(rng, count: int) -> np.ndarray:
+    """The k = u * 2**53 of the next ``count`` uniforms, as int64 (the product is exact)."""
+    return (rng.random(count) * UNIT).astype(np.int64)
 
 
 def _notice(text: str):
     print(f"notice: {text}", file=sys.stderr)
 
 
-def _pick_uniform(u: float, count: int) -> int:
-    # floor(k * count / 2**53) for u = k / 2**53: each slot gets floor or ceil of 2**53 / count values of k
-    return (int(u * UNIT) * count) >> UNIT_BITS
+def _accepts(k: int, p) -> bool:
+    """u < p exactly, for a Fraction or int p, with u = k / 2**53."""
+    return k * p.denominator < p.numerator << UNIT_BITS
+
+
+def _pick(k, count: int):
+    """floor(k * count / 2**53), on an int k or an int64 array: each slot gets floor or ceil
+    of 2**53 / count values of k.  For k = a * 2**26 + b it sums a * count + floor(b * count
+    / 2**26), whose terms stay below 2**63 for count <= ``PICK_CAP``."""
+    return ((k >> 26) * count + (((k & ((1 << 26) - 1)) * count) >> 26)) >> 27
 
 
 class Kernel:
@@ -110,6 +117,7 @@ class Kernel:
     observable: str  # a key of OBSERVABLES
     n: int
     _slots: list  # (slot, exact selection mass)
+    uniforms = 2  # per step: the slot pick, then the acceptance
 
     def _law(self, state, slot) -> tuple:
         raise NotImplementedError
@@ -118,15 +126,21 @@ class Kernel:
         """Slots of equal selection mass; a kernel needs at least one."""
         if not slots:
             raise ValueError(f"{self.kind} kernel has no move at this size")
+        if len(slots) > PICK_CAP:
+            raise ValueError(f"{self.kind} kernel has {len(slots)} slots; an exact pick allows at most {PICK_CAP}")
         return [(slot, Fraction(1, len(slots))) for slot in slots]
 
+    def _select(self, k=0):
+        """The slot index of a step's pick k (an int, or an int64 array elementwise);
+        with no pick uniform (``uniforms == 1``) the one slot."""
+        return _pick(k, len(self._slots))
+
     def _draw(self, rng):
-        return self._slots[_pick_uniform(rng.random(), len(self._slots))][0]
+        return self._slots[self._select(*(int(rng.random() * UNIT) for _ in range(self.uniforms - 1)))][0]
 
     def step(self, state, rng) -> StepOutcome:
         p, yes, no = self._law(state, self._draw(rng))
-        # u < p exactly, for a Fraction or int p, with u = k / 2**53
-        new = yes if int(rng.random() * UNIT) * p.denominator < p.numerator << UNIT_BITS else no
+        new = yes if _accepts(int(rng.random() * UNIT), p) else no
         return StepOutcome(new, new != state)
 
     @cached_property
@@ -257,6 +271,7 @@ class InversionChain(PermutationKernel):
     """
 
     kind = "inv"
+    uniforms = 3  # the slot pair, the direction bit, the acceptance
 
     def __init__(self, spec: CywSpec):
         self.n = n = spec.n
@@ -273,7 +288,7 @@ class InversionChain(PermutationKernel):
         ]
         if not self._slots:
             raise ValueError(f"{self.kind} kernel has no move at this size")
-        self._edges = list(accumulate((n - i) / (n * (n - 1) // 2) for i in range(1, n)))
+        self._edges = np.array(list(accumulate((n - i) / (n * (n - 1) // 2) for i in range(1, n))))
 
     @classmethod
     def from_model(cls, model: Model, n: int | None) -> "InversionChain":
@@ -287,16 +302,11 @@ class InversionChain(PermutationKernel):
             raise ValueError("chain inv requires a cyw (or constant) model")
         return cls(model.cyw)
 
-    def _draw(self, rng):
-        # float cumulative pick of slot pair i by weight (n - i), then the direction bit
-        u = rng.random()
-        for i, edge in enumerate(self._edges, 1):
-            if u < edge:
-                break
-        else:
-            i = self.n - 1
-        down = rng.random() >= 0.5
-        return self._slots[2 * i - 2 + down][0]
+    def _select(self, pair, bit):
+        # float cumulative pick of slot pair i by weight (n - i): the first pair whose edge
+        # exceeds u, else the last (the float edges can end below u); then the bit u >= 1/2
+        i = np.minimum(np.searchsorted(self._edges, pair / UNIT, side="right"), self.n - 2)
+        return 2 * i + (bit >= 1 << (UNIT_BITS - 1))
 
     def _law(self, sigma, slot):
         label, side, accept, larger = slot
@@ -375,6 +385,7 @@ class OnedChain(Kernel):
 
     kind = "oned"
     observable = "value"
+    uniforms = 1  # the acceptance; the one slot needs no pick
 
     def __init__(self, r, k: int):
         self.r = as_probability(r)
@@ -402,9 +413,6 @@ class OnedChain(Kernel):
         if self.r == 1:
             return Fraction(1) if h == self.k else Fraction(0)
         return (self.r / (1 - self.r)) ** h
-
-    def _draw(self, rng):
-        return None
 
     def _law(self, h: int, slot):
         if not 0 <= h <= self.k:
@@ -642,18 +650,26 @@ class Trajectory:
 
 def run(kernel, start, steps: int, seed: int, stride: int = 0) -> Trajectory:
     """Deterministic trajectory: same (kernel, start, steps, seed) -> same output."""
-    rng = BlockUniforms(seed)
+    rng = make_rng(seed)
     obs = OBSERVABLES[kernel.observable]
+    law, uniforms = kernel._law, kernel.uniforms
+    slots = [slot for slot, _ in kernel._slots]
     state = start
     traj = Trajectory(final_state=start, steps=steps, seed=seed, observable=kernel.observable)
     if stride:
         traj.records.append((0, obs(state)))
     moves = 0
-    for t in range(1, steps + 1):
-        state, moved = kernel.step(state, rng)
-        moves += moved
-        if stride and t % stride == 0:
-            traj.records.append((t, obs(state)))
+    for first in range(0, steps, BLOCK):
+        count = min(BLOCK, steps - first)
+        *picks, accepts = _integers(rng, count * uniforms).reshape(count, uniforms).T
+        picked = map(slots.__getitem__, np.broadcast_to(kernel._select(*picks), count).tolist())
+        for t, slot, k in zip(range(first + 1, first + count + 1), picked, accepts.tolist()):
+            p, yes, no = law(state, slot)
+            new = yes if _accepts(k, p) else no
+            moves += new != state
+            state = new
+            if stride and t % stride == 0:
+                traj.records.append((t, obs(state)))
     traj.final_state = state
     traj.moves = moves
     return traj

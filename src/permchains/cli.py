@@ -21,7 +21,9 @@ matrix, ``paths`` in its bias table before routing, and both refuse inv's
 constant:1 before building the kernel.  ``exact``, ``scan`` and ``paths``
 take every matrix from ``_matrix``: the array rows of ``analysis.ARRAY_ROWS``
 kinds, assembled by ``analysis.class_rows_matrix`` from the kind's finder,
-and the Fraction rows of the others.
+and the Fraction rows of the others.  The commands import ``analysis``,
+``paths`` and ``verify`` when they run, so ``sample``, ``--help`` and usage
+errors do not load them.
 """
 from __future__ import annotations
 
@@ -31,28 +33,28 @@ import math
 import sys
 
 from . import __version__
-from .analysis import (
-    ARRAY_ROWS,
-    CapExceeded,
-    STATE_CAP,
-    class_rows_matrix,
-    conductance_of_cut,
-    level_cuts_by_weight,
-    loglog_slope,
-    mixing_time_exact,
-    slowmix_cut_report,
-    spectral_gap,
-    stationary_exact,
-    transition_matrix,
-)
+from ._common import CapExceeded
 from .bias import parse_model_spec
 from .chains import KERNELS, build, run
-from .paths import comparison_bound, congestion_A
-from .verify import run_suite
 
 
 class UsageError(ValueError):
     pass
+
+
+# the analysis names the commands use stay readable as cli.<name> (perfbench's tracer reads them)
+_ANALYSIS_NAMES = frozenset((
+    "ARRAY_ROWS", "STATE_CAP", "class_rows_matrix", "conductance_of_cut", "level_cuts_by_weight", "loglog_slope",
+    "mixing_time_exact", "slowmix_cut_report", "spectral_gap", "stationary_exact", "transition_matrix",
+))
+
+
+def __getattr__(name: str):
+    if name not in _ANALYSIS_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import analysis
+
+    return getattr(analysis, name)
 
 
 class SoundnessError(RuntimeError):
@@ -160,22 +162,26 @@ def _kernel(kind: str, text: str, model, n: int | None):
 
 def _matrix(kernel, states):
     """The kernel's matrix on ``states``, from its finder's classes or its Fraction rows."""
+    from .analysis import ARRAY_ROWS, class_rows_matrix, transition_matrix
+
     finder = ARRAY_ROWS.get(kernel.kind)
     return transition_matrix(kernel, states) if finder is None else class_rows_matrix(kernel, finder(kernel, states))
 
 
 def _exact_rows(args, ns: list[int | None]):
     """One row per size; a size of None takes the model's own."""
+    from . import analysis
+
     model = parse_model_spec(args.model)
     rows = []
     for requested in ns:
         kernel = _kernel(args.chain, args.model, model, requested)
         n = kernel.n
         size = kernel.space_size()
-        if size > STATE_CAP:
-            raise CapExceeded(f"{size} states at n={n} exceed the cap {STATE_CAP}")
+        if size > analysis.STATE_CAP:
+            raise CapExceeded(f"{size} states at n={n} exceed the cap {analysis.STATE_CAP}")
         states = kernel.space()
-        pi = stationary_exact(kernel, states)
+        pi = analysis.stationary_exact(kernel, states)
         if not pi.all():
             raise _degenerate(args.model, f"{int((pi == 0).sum())} of {len(states)} states have", n)
         matrix = _matrix(kernel, states)
@@ -186,11 +192,11 @@ def _exact_rows(args, ns: list[int | None]):
             # the first and last states: for permutations, the identity and the reversal
             starts = [0, len(states) - 1]
             caveat = "extreme-starts"
-        res = mixing_time_exact(matrix, pi, args.eps, starts=starts)
-        gap = spectral_gap(matrix, pi) if len(states) <= 2000 else float("nan")
+        res = analysis.mixing_time_exact(matrix, pi, args.eps, starts=starts)
+        gap = analysis.spectral_gap(matrix, pi) if len(states) <= 2000 else float("nan")
         # any explicit cut lower-bounds the mixing time: tau >= (1/2 - eps)/phi - 1/2
-        for cut in level_cuts_by_weight(pi, count=4):
-            phi = conductance_of_cut(matrix, pi, cut)
+        for cut in analysis.level_cuts_by_weight(pi, count=4):
+            phi = analysis.conductance_of_cut(matrix, pi, cut)
             bound = (0.5 - args.eps) / phi - 0.5 if phi > 0 else 0.0
             if res.tau is not None and res.tau < bound - 1e-9:
                 raise SoundnessError(f"tau={res.tau} violates the conductance bound {bound:.2f}")
@@ -207,6 +213,8 @@ def cmd_exact(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    from .analysis import loglog_slope
+
     ns = _parse_n_range(args.n_range)
     _check_eps(args.eps, 1)
     if len(ns) < 2:
@@ -226,6 +234,8 @@ def cmd_scan(args) -> int:
 
 
 def cmd_slowmix(args) -> int:
+    from .analysis import STATE_CAP, slowmix_cut_report
+
     ns = _sizes(args)
     if ns == [None]:
         raise UsageError("slowmix needs --n or --n-range")
@@ -253,6 +263,8 @@ def cmd_slowmix(args) -> int:
 
 
 def cmd_paths(args) -> int:
+    from . import analysis, paths
+
     _check_eps(args.eps, 0.5)
     aux = _kernel(args.kind, args.model, parse_model_spec(args.model), args.n)
     forced = aux.table.forced_pair()
@@ -260,7 +272,7 @@ def cmd_paths(args) -> int:
         # zero-weight states leave A and pi_min of the bound undefined
         i, j = forced
         raise _degenerate(args.model, f"p({i}, {j}) = {aux.table.p(i, j)} leaves some states with", aux.n)
-    result = congestion_A(aux)
+    result = paths.congestion_A(aux)
     if result.failure and (not result.legal or result.failure[2]):
         what = "illegal canonical path" if not result.legal else "weight floor violated"
         raise SoundnessError(f"{what}; first failing move {result.failure[0]} -> {result.failure[1]}")
@@ -268,9 +280,9 @@ def cmd_paths(args) -> int:
         raise SoundnessError("path witness bounds violated")
 
     states = aux.space()
-    tau_nn = mixing_time_exact(_matrix(KERNELS["nn"](aux.table), states), result.pi, args.eps).tau
-    tau_aux = mixing_time_exact(_matrix(aux, states), result.pi, args.eps).tau
-    bound = comparison_bound(result.congestion, tau_aux, float(result.pi.min()), args.eps)
+    tau_nn = analysis.mixing_time_exact(_matrix(KERNELS["nn"](aux.table), states), result.pi, args.eps).tau
+    tau_aux = analysis.mixing_time_exact(_matrix(aux, states), result.pi, args.eps).tau
+    bound = paths.comparison_bound(result.congestion, tau_aux, float(result.pi.min()), args.eps)
     if tau_nn is not None and bound < tau_nn:
         raise SoundnessError(f"comparison bound {bound:.1f} below exact tau {tau_nn}")
 
@@ -288,6 +300,8 @@ def cmd_paths(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_suite
+
     result = run_suite(fast=args.fast, seed=args.seed)
     return 0 if result.failed == 0 else 1
 

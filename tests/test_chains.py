@@ -11,8 +11,10 @@ Kernel behavior:
 - exact rows equal the per-slot Fraction loop in entries, order and value
   types, cold or warm, when the memo's common denominator grows inside a row,
   and on random rational nn tables
-- the integer acceptance test equals u < p exactly, block-served uniforms
-  equal scalar draws, and ``run`` reproduces the scalar-draw sampler
+- the integer acceptance test equals u < p exactly, uniform slot picks are
+  exact at every slot count on ints and int64 arrays, inv's array pick agrees
+  with its scalar draw at the float edges, ``run``'s block draws equal scalar
+  draws, and ``run`` reproduces the scalar-draw sampler
 - the walk kernels obey the ratio and height-jump claims
 - every registered kernel starts inside its space, counts that space without
   enumerating it, and names an observable defined on its states
@@ -47,8 +49,8 @@ from permchains.chains import (
     BLOCK,
     KERNELS,
     OBSERVABLES,
+    PICK_CAP,
     AsepChain,
-    BlockUniforms,
     InversionChain,
     Kernel,
     NearestNeighborChain,
@@ -56,7 +58,8 @@ from permchains.chains import (
     TreeChain,
     WalkChain,
     WalkTranspositionChain,
-    _pick_uniform,
+    _integers,
+    _pick,
     build,
     make_rng,
     run,
@@ -474,22 +477,71 @@ def _first_k(j: int, count: int) -> int:
     return -(-j * UNIT // count)
 
 
-@given(st.integers(2, 2**40), st.data())
+@given(st.integers(2, PICK_CAP), st.data())
 def test_uniform_pick_is_exact_at_slot_boundaries(count, data):
     j = data.draw(st.integers(1, count - 1))
     start, end = _first_k(j, count), _first_k(j + 1, count)
-    assert _pick_uniform(start / UNIT, count) == j
-    assert _pick_uniform((start - 1) / UNIT, count) == j - 1
-    assert _pick_uniform((end - 1) / UNIT, count) == j
+    assert _pick(start, count) == j
+    assert _pick(start - 1, count) == j - 1
+    assert _pick(end - 1, count) == j
     assert end - start in (UNIT // count, -(-UNIT // count))
-    assert _pick_uniform((UNIT - 1) / UNIT, count) == count - 1
+    assert _pick(UNIT - 1, count) == count - 1
 
 
 def test_uniform_pick_where_the_float_product_rounds_up():
     # u * 3 = 2 - 2**-53 rounds to 2.0, so int(u * 3) would pick slot 2
     k = _first_k(2, 3) - 1
     assert int(k / UNIT * 3) == 2
-    assert _pick_uniform(k / UNIT, 3) == 1
+    assert _pick(k, 3) == 1
+
+
+# slot counts around the int64 limit of the unsplit product k * count (2**10), up to
+# the C(1000, 2) pairs of a tree at the label cap, and the cap of the split one
+PICK_COUNTS = [2, 3, 7, 1_023, 1_024, 1_025, 1_225, 4_096, 65_537, 499_500, 2**33 + 1, PICK_CAP]
+
+
+@pytest.mark.parametrize("count", PICK_COUNTS)
+def test_array_pick_equals_the_exact_pick(count):
+    rng = np.random.default_rng(count)
+    edges = [_first_k(j, count) + d for j in rng.integers(1, count, 50).tolist() for d in (-1, 0)]
+    ks = [0, UNIT - 1, *edges, *rng.integers(0, UNIT, 500).tolist()]
+    exact = [(k * count) >> 53 for k in ks]  # on Python ints, which do not wrap
+    assert _pick(np.array(ks, dtype=np.int64), count).tolist() == exact
+    assert [_pick(k, count) for k in ks] == exact
+
+
+def test_uniform_kernels_refuse_more_slots_than_the_pick_allows():
+    with pytest.raises(ValueError, match="an exact pick allows at most"):
+        _Coin(1)._uniform(range(PICK_CAP + 1))
+
+
+def _inv_pick(kernel, u: float, bit: float) -> int:
+    """The float cumulative pick as first written: the first pair whose edge exceeds u,
+    else the last pair; then the direction bit."""
+    for i, edge in enumerate(kernel._edges, 1):
+        if u < edge:
+            break
+    else:
+        i = kernel.n - 1
+    return 2 * i - 2 + (bit >= 0.5)
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_inv_array_pick_agrees_with_its_draw_at_the_float_edges(n):
+    kernel = InversionChain(cyw_spec(n))
+    *interior, last = kernel._edges.tolist()
+    # n = 4's float edges end below 1, so u in [last edge, 1) falls past them; n = 6's end at 1
+    assert (last < 1) == (n == 4)
+    firsts = [math.ceil(Fraction(edge) * UNIT) for edge in interior]  # the first k with k / 2**53 >= edge
+    pairs = [k + d for k in firsts for d in (-1, 0)] + [math.ceil(Fraction(last) * UNIT) - 1, UNIT - 1]
+    if last < 1:
+        pairs += [math.ceil(Fraction(last) * UNIT), (UNIT - 1 + math.ceil(Fraction(last) * UNIT)) // 2]
+    cases = [(k, bit) for k in pairs for bit in (0, UNIT // 2 - 1, UNIT // 2, UNIT - 1)]
+    picks = kernel._select(*np.array(cases, dtype=np.int64).T).tolist()
+    slots = [slot for slot, _ in kernel._slots]
+    for (k, bit), pick in zip(cases, picks):
+        expected = _inv_pick(kernel, k / UNIT, bit / UNIT)
+        assert pick == expected and kernel._draw(_Uniforms(k / UNIT, bit / UNIT)) == slots[expected]
 
 
 def test_integer_acceptance_for_int_probabilities():
@@ -498,10 +550,12 @@ def test_integer_acceptance_for_int_probabilities():
     assert _accepts(0.0, 1) and _accepts(largest, 1)
 
 
-def test_block_uniforms_equal_scalar_draws():
-    count = 2 * BLOCK + 17  # crosses two block boundaries
-    blocks, scalar = BlockUniforms(5), make_rng(5)
-    assert [blocks.random() for _ in range(count)] == [scalar.random() for _ in range(count)]
+def test_run_block_draws_equal_scalar_draws():
+    uniforms = InversionChain.uniforms
+    blocks, scalar = make_rng(5), make_rng(5)
+    # two full blocks and a partial one, as run draws them: crosses two block boundaries
+    drawn = [k for count in (BLOCK, BLOCK, 17) for k in _integers(blocks, count * uniforms).tolist()]
+    assert [k / UNIT for k in drawn] == [scalar.random() for _ in range((2 * BLOCK + 17) * uniforms)]
 
 
 def _reference_run(kernel, start, steps: int, seed: int):
@@ -524,6 +578,14 @@ def test_run_matches_scalar_reference_loop(name):
     start = states[0]
     traj = run(make(), start, 3_000, seed=17, stride=1)
     assert (traj.final_state, traj.moves, traj.records) == _reference_run(make(), start, 3_000, 17)
+
+
+def test_run_matches_scalar_reference_loop_past_the_int64_product():
+    # 1,225 slots: k * count would wrap in int64 for most k
+    kernel = TreeChain(complete_tree(50, Fraction(7, 10)))
+    assert len(kernel._slots) == 1_225
+    traj = run(kernel, kernel.default_start(), 2_500, seed=3, stride=1)
+    assert (traj.final_state, traj.moves, traj.records) == _reference_run(kernel, kernel.default_start(), 2_500, 3)
 
 
 # -- exact rows against the per-slot Fraction loop ----------------------------------

@@ -395,13 +395,14 @@ def test_walk_samples_a_constant_bias_below_half(capsys):
 
 
 def test_degenerate_model_is_refused_before_its_matrix(capsys, monkeypatch):
-    from permchains import cli
+    from permchains import analysis
 
     def unbuilt(*args):
         raise AssertionError("the matrix of a degenerate model was built")
 
-    monkeypatch.setattr(cli, "transition_matrix", unbuilt)
-    monkeypatch.setattr(cli, "class_rows_matrix", unbuilt)
+    # the CLI imports its analysis names when a command runs, so they are patched at their source
+    monkeypatch.setattr(analysis, "transition_matrix", unbuilt)
+    monkeypatch.setattr(analysis, "class_rows_matrix", unbuilt)
     code, out, err = run_cli(["exact", "--chain", "nn", "--model", "constant:1", "--n", "8"], capsys)
     assert code == 2
     assert out == ""
@@ -480,16 +481,16 @@ def test_a_1001_leaf_caterpillar_league_exits_3(tmp_path, capsys):
     ["paths", "--kind", "tree", "--model", "league:{league}"],
 ])
 def test_array_rows_print_the_oracle_bytes(capsys, monkeypatch, tmp_path, args):
-    from permchains import cli
+    from permchains import analysis
     from permchains.analysis import distribution
 
     league = tmp_path / "league.json"
     league.write_text(truncate_tree_demo(5).to_json())
     args = [a.format(league=league) for a in args]
     code, fast, _ = run_cli(args, capsys)
-    monkeypatch.setattr(cli, "ARRAY_ROWS", {})
+    monkeypatch.setattr(analysis, "ARRAY_ROWS", {})
     monkeypatch.setattr(
-        cli, "stationary_exact", lambda kernel, states: distribution(kernel.stationary_weight(s) for s in states)
+        analysis, "stationary_exact", lambda kernel, states: distribution(kernel.stationary_weight(s) for s in states)
     )
     oracle_code, oracle, _ = run_cli(args, capsys)
     assert code == oracle_code == 0
@@ -548,12 +549,12 @@ def test_conductance_check_uses_the_given_eps(capsys):
 
 
 def test_paths_refuses_a_league_with_a_q_1_node_before_routing(tmp_path, capsys, monkeypatch):
-    from permchains import cli
+    from permchains import paths
 
     tree_file = tmp_path / "t.json"
     tree_file.write_text('{"q": 1, "left": {"q": 0.7, "left": 1, "right": 2}, "right": 3}')
     model = f"league:{tree_file}"
-    monkeypatch.setattr(cli, "congestion_A", None)  # routing would raise TypeError
+    monkeypatch.setattr(paths, "congestion_A", None)  # routing would raise TypeError
     code, out, err = run_cli(["paths", "--kind", "tree", "--model", model], capsys)
     assert code == 2
     assert out == ""
@@ -579,17 +580,20 @@ SAMPLE_MODELS = {
 }
 EXACT_ARGS = ["exact", "--chain", "nn", "--model", "constant:0.75", "--n", "4"]
 
-# Runs in a fresh interpreter: each step's exit code and the scipy modules
-# loaded after it, in order, then the stdout of exact.
-_SCIPY_PROBE = """
+# Runs in a fresh interpreter: each step's exit code and the watched modules
+# (those named in argv[2], and their submodules) loaded after it, in order,
+# then the stdout of the last step.
+_MODULE_PROBE = """
 import contextlib, io, json, sys
 
-def scipy_modules():
-    return sorted(k for k in sys.modules if k == "scipy" or k.startswith("scipy."))
+WATCHED = json.loads(sys.argv[2])
+
+def watched_modules():
+    return sorted(k for k in sys.modules if any(k == w or k.startswith(w + ".") for w in WATCHED))
 
 steps = []
 from permchains import cli
-steps.append(["import", 0, scipy_modules()])
+steps.append(["import", 0, watched_modules()])
 
 def step(name, argv):
     out = io.StringIO()
@@ -598,7 +602,7 @@ def step(name, argv):
             code = cli.main(argv)
         except SystemExit as exc:
             code = exc.code
-    steps.append([name, code, scipy_modules()])
+    steps.append([name, code, watched_modules()])
     return out.getvalue()
 
 for name, argv in json.loads(sys.argv[1]):
@@ -607,7 +611,9 @@ print(json.dumps({"steps": steps, "stdout": stdout}))
 """
 
 
-def test_only_commands_that_build_matrices_load_scipy(capsys):
+def _probe_light_steps(watched: list[str]) -> tuple[list, dict]:
+    """Run every sample kernel, --help and two usage errors, then exact, in one
+    fresh interpreter watching ``watched``; the plan and the probe's record."""
     from permchains.chains import KERNELS
 
     assert set(SAMPLE_MODELS) == set(KERNELS)
@@ -616,19 +622,31 @@ def test_only_commands_that_build_matrices_load_scipy(capsys):
         ["--help", ["--help"]],
         ["argparse error", ["sample", "--chain", "nn"]],
         ["usage error", ["sample", "--chain", "nn", "--model", "constant:0.7", "--n", "3", "--steps", "-3"]],
-        ["exact", EXACT_ARGS],  # last: it loads scipy
+        ["exact", EXACT_ARGS],  # last: it loads the matrix code
     ]
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, json.dumps(plan)],
+    proc = subprocess.run([sys.executable, "-c", _MODULE_PROBE, json.dumps(plan), json.dumps(watched)],
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     probe = json.loads(proc.stdout)
-    *before, (name, code, loaded) = probe["steps"]
+    *before, _ = probe["steps"]
     codes = {"--help": 0, "argparse error": 2, "usage error": 2}
     assert [(step, code, modules) for step, code, modules in before] == [
         (step, codes.get(step, 0), []) for step in ["import", *(name for name, _ in plan[:-1])]
     ]
+    return plan, probe
+
+
+def test_only_commands_that_build_matrices_load_scipy(capsys):
+    _, probe = _probe_light_steps(["scipy"])
+    name, code, loaded = probe["steps"][-1]
     assert (name, code) == ("exact", 0) and "scipy.sparse" in loaded
     assert main(EXACT_ARGS) == 0
     assert probe["stdout"] == capsys.readouterr().out
+
+
+def test_only_commands_that_use_them_load_analysis_paths_and_verify():
+    _, probe = _probe_light_steps(["permchains.analysis", "permchains.paths", "permchains.verify"])
+    name, code, loaded = probe["steps"][-1]
+    assert (name, code) == ("exact", 0) and loaded == ["permchains.analysis"]

@@ -17,7 +17,10 @@ Pairs alternate which side runs first, so a drift in the host's speed falls
 on both sides alike.  The file, rewritten after each workload, holds every
 run's end-to-end metrics and ``failed`` count and, for each metric of each
 workload, both sides' medians and quartiles, how many pairs the change won
-(ties count for neither) and the ratio of the medians.  Under ``host`` it
+(ties count for neither), the ratio of the medians, the metric's ``bound``
+from BENCHMARK.json and ``beyond_bound``: whether that ratio is worse than
+1 + bound (lower is better) or 1 - bound (higher is better).  Each breach is
+also printed as one line on stderr when its workload finishes.  Under ``host`` it
 records the machine's CPU count and the CPUs of this process's affinity
 mask (the two differ under a cpuset), and whether ``PYTHONDONTWRITEBYTECODE``
 is set for the runs it starts: without cached bytecode every run compiles the
@@ -72,20 +75,26 @@ def spread(values: list[float]) -> dict:
     return {"median": statistics.median(values), "q1": q1, "q3": q3}
 
 
-def summarize(pairs: list[dict], better: dict) -> dict:
+def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
+    """Per metric of ``end_to_end`` (BENCHMARK.json's entries): both sides' spread,
+    the change's wins, the ratio of medians and whether it is beyond the bound."""
     out = {}
-    for name, direction in better.items():
+    for metric in end_to_end:
+        name, direction, bound = metric["name"], metric["better"], metric["bound"]
         values = {side: [p[side]["metrics"][name] for p in pairs] for side in SIDES}
         sign = 1 if direction == "lower" else -1
         wins = sum(sign * (p["parent"]["metrics"][name] - p["change"]["metrics"][name]) > 0 for p in pairs)
         stats = {side: spread(values[side]) for side in SIDES}
         parent_median = stats["parent"]["median"]
+        ratio = stats["change"]["median"] / parent_median if parent_median else None
         out[name] = dict(
             stats,
             better=direction,
             change_wins=wins,
             pairs=len(pairs),
-            ratio_of_medians=stats["change"]["median"] / parent_median if parent_median else None,
+            ratio_of_medians=ratio,
+            bound=bound,
+            beyond_bound=ratio is not None and sign * (ratio - 1) > bound,
         )
     return out
 
@@ -102,7 +111,6 @@ def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in spec["workloads"]]
     seconds = spec["run_seconds"]
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     doc = {
         "parent": git("rev-parse", args.parent),
         "change": git("rev-parse", "HEAD"),
@@ -133,8 +141,13 @@ def main(argv=None) -> int:
                     print(f"{workload} seed {seed} {side}: {pair[side]['metrics']} failed {pair[side]['failed']}",
                           file=sys.stderr, flush=True)
                 pairs.append(pair)
-            doc["workloads"][workload] = {"pairs": pairs, "summary": summarize(pairs, better)}
+            summary = summarize(pairs, spec["end_to_end"])
+            doc["workloads"][workload] = {"pairs": pairs, "summary": summary}
             out.write_text(json.dumps(doc, indent=1) + "\n")  # each finished workload survives a later failure
+            for name, s in summary.items():
+                if s["beyond_bound"]:
+                    print(f"beyond bound: {workload} {name} ratio of medians {s['ratio_of_medians']:.3f}, "
+                          f"bound {s['bound']}", file=sys.stderr, flush=True)
     print(out)
     return 0
 
