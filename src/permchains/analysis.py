@@ -32,13 +32,14 @@ on integers, equal to a per-slot Fraction loop, which the tests keep as the
 reference.  ``nn`` keeps the Fraction rows in every command.
 
 ``mixing_time_exact`` steps the start distributions in cache-sized chunks of
-columns, or one vector per explicit start, each run only as far as the first
-t at which every start is within eps: its distances and tau equal stepping
-the whole (states, starts) block, which the tests keep as the reference, bit
-for bit.  With every state a start, the chunks run on a thread pool with one
-worker per usable CPU (``WORKERS``), each bound to a CPU of its own and
-stepping into buffers that the calling thread made; a column's steps depend
-on that column alone, so the results do not depend on the number of cores.
+columns, or one vector per explicit start, until the first t at which every
+start is within eps: its distances and tau equal stepping the whole (states,
+starts) block, which the tests keep as the reference, bit for bit.  Two or
+more chunks run on a thread pool with one worker per usable CPU
+(``WORKERS``), each bound to a CPU of its own and stepping into buffers that
+the calling thread made; with a worker per chunk, a chunk within eps steps on
+while another is above it.  A column's steps depend on that column alone, so
+the results do not depend on the number of cores.
 
 scipy is imported where a sparse matrix is made (``transition_matrix``,
 ``class_rows_matrix`` and ``mixing_time_exact``'s transpose) and where
@@ -204,22 +205,23 @@ def mixing_time_exact(
     own curve of worst TV per step: with starts=None, (states, w) blocks of
     w <= CHUNK columns, small enough to stay in cache; with explicit starts,
     one vector per start.  Each pass runs every chunk up to the largest step
-    count T reached so far and then on to its first crossing of eps; passes
-    repeat until all chunks stand at one T.  Then each t < T has a chunk above
-    eps (one that stepped on from t), and no chunk is above eps at T: T is the
-    first t whose worst start is within eps, found without assuming that the
-    distances fall monotonically.  No chunk steps past T, so each start column
-    takes exactly the steps that stepping the whole block would, and
-    distances[t] is the largest of the chunks' values.
+    count reached so far and then on to its first crossing of eps, until tau,
+    the first t among the steps that every chunk has taken at which every
+    chunk is within eps (``_first_within``), exists or the horizon is spent.
+    No monotonicity of the distances is assumed.  distances[t] is the largest
+    chunk value at t, as stepping the whole block gives it; later values are
+    dropped.
 
     A column's steps depend on that column alone, so the chunks of a pass run
-    in any order: with starts=None and two or more chunks, on a pool of
-    ``WORKERS`` threads, each bound to a CPU of its own (see ``_pool``),
-    which the sparse products and array reductions let run at once.  The
-    result is the same T and the same values on any number of cores.  Each step writes into buffers that the calling thread
-    allocates, once per worker and once per chunk (see ``_run_chunk``); a
-    chunk takes at most ``LOG`` steps per pass.  Explicit starts stay on
-    the calling thread: one vector per step is too little work to share.
+    in any order: with two or more chunks, on a pool of up to ``WORKERS``
+    threads, each bound to a CPU of its own (see ``_pool``), which the sparse
+    products and array reductions let run at once.  While every chunk has a
+    worker of its own, a chunk within eps steps on while another is above eps
+    or ahead of it, and never waits (see ``_run_chunk``); with chunks queued,
+    none steps past what it owes.  The result is the same on any number of
+    cores.  Each step writes into buffers that the calling thread allocates,
+    once per worker and once per chunk; a chunk takes at most ``LOG`` steps
+    per pass.
     """
     pi = np.asarray(pi)
     m = matrix.shape[0]
@@ -247,7 +249,7 @@ def mixing_time_exact(
     import scipy.sparse as sp
 
     transposed = sp.csc_matrix(matrix.T, dtype=float)  # formed once
-    workers = min(WORKERS, len(xs)) if starts is None else 1
+    workers = min(WORKERS, len(xs))
     # every buffer the workers write is made here (see _run_chunk)
     spares: queue.SimpleQueue = queue.SimpleQueue()
     width = max(x.size for x in xs)
@@ -256,27 +258,36 @@ def mixing_time_exact(
     logs = np.empty((len(xs), LOG))
     curves = [[] for _ in xs]  # curves[k][t - 1]: chunk k's worst TV at step t
     reached = 1  # distances[0] > eps: every chunk takes step 1
+    fronts = None  # see _run_chunk; None: no chunk steps past what it owes
 
     def run(k):
         spare = spares.get()
         curve = curves[k]
         last = curve[-1] if curve else math.inf
-        taken = _run_chunk(transposed, pi, xs[k], spare, logs[k], len(curve), last, reached, eps, horizon)
-        spares.put(spare)
-        return taken
+        try:
+            return _run_chunk(transposed, pi, xs[k], spare, logs[k], len(curve), last, reached, eps, horizon, fronts, k)
+        finally:
+            spares.put(spare)
 
     with _pool(workers) as pool:
         spread = map if pool is None else pool.map
         while True:
+            if 1 < len(xs) == workers:  # a worker per chunk: none waits in a queue
+                fronts = [len(c) if c and c[-1] <= eps else math.inf for c in curves]
             for curve, log, taken in zip(curves, logs, spread(run, range(len(xs)))):
                 curve.extend(log[:taken].tolist())
+            tau = _first_within(curves, eps)
             reached = max(map(len, curves))
-            if all(len(curve) == reached and (reached == horizon or curve[-1] <= eps) for curve in curves):
+            if tau is not None or min(map(len, curves)) == horizon:
                 break
-    distances.extend(map(max, zip(*curves)))
-    if distances[-1] <= eps:
-        return MixingResult(reached, eps, distances, True, caveat)
-    return MixingResult(None, eps, distances, False, caveat)
+    distances.extend(list(map(max, zip(*curves)))[:tau])
+    return MixingResult(tau, eps, distances, tau is not None, caveat)
+
+
+def _first_within(curves, eps: float) -> int | None:
+    """The first step t, among the steps that every chunk has taken, at which
+    every chunk's worst TV ``curves[k][t - 1]`` is within eps; None if none is."""
+    return next((t for t, worst in enumerate(map(max, zip(*curves)), 1) if worst <= eps), None)
 
 
 def _pool(workers: int):
@@ -307,10 +318,16 @@ def _bind_worker(cpus: queue.SimpleQueue) -> None:
         pass
 
 
-def _run_chunk(transposed, pi, x, spare, log, t, last, reached, eps, horizon) -> int:
-    """Step chunk x on from step t (worst TV ``last``) to the first step at or
-    past ``reached`` within eps, to horizon, or until ``log`` is full; write
+def _run_chunk(transposed, pi, x, spare, log, t, last, reached, eps, horizon, fronts, k) -> int:
+    """Step chunk k, x, on from step t (worst TV ``last``) to the first step at
+    or past ``reached`` within eps, to horizon, or until ``log`` is full; write
     each step's worst TV into ``log`` and return the number of steps taken.
+
+    With ``fronts`` a list, one entry per chunk, ``reached`` is its largest
+    entry, read before each step.  The chunk keeps its own entry at infinity
+    while above eps and at its step count otherwise, and once it leaves in
+    any way, so a chunk within eps steps on while another is above eps or
+    ahead of it.  Each chunk writes only its own entry: no lock, no waiting.
 
     Each step zeroes y and calls the sparsetools kernel that ``transposed @ x``
     calls into its own zeroed result, so the values are those of ``@``; then
@@ -333,17 +350,25 @@ def _run_chunk(transposed, pi, x, spare, log, t, last, reached, eps, horizon) ->
     rows, cols = transposed.shape
     args = (transposed.indptr, transposed.indices, transposed.data)
     taken = 0
-    while taken < len(log) and t + taken < horizon and (t + taken < reached or last > eps):
-        y.fill(0.0)
-        if x.ndim == 1 or x.shape[1] == 1:
-            _sparsetools.csc_matvec(rows, cols, *args, x.ravel(), y.ravel())
-        else:
-            _sparsetools.csc_matvecs(rows, cols, x.shape[1], *args, x.ravel(), y.ravel())
-        x, y = y, x
-        np.subtract(x, centre, out=y)
-        np.abs(y, out=y)
-        last = log[taken] = _worst_column(y, sums) * 0.5
-        taken += 1
+    try:
+        while taken < len(log) and t + taken < horizon:
+            if last <= eps and t + taken >= (reached if fronts is None else max(fronts)):
+                break
+            y.fill(0.0)
+            if x.ndim == 1 or x.shape[1] == 1:
+                _sparsetools.csc_matvec(rows, cols, *args, x.ravel(), y.ravel())
+            else:
+                _sparsetools.csc_matvecs(rows, cols, x.shape[1], *args, x.ravel(), y.ravel())
+            x, y = y, x
+            np.subtract(x, centre, out=y)
+            np.abs(y, out=y)
+            last = log[taken] = _worst_column(y, sums) * 0.5
+            taken += 1
+            if fronts is not None:
+                fronts[k] = math.inf if last > eps else t + taken
+    finally:
+        if fronts is not None:
+            fronts[k] = t + taken
     if x is not own:
         own[...] = x
     return taken
@@ -459,7 +484,8 @@ def slowmix_cut_report(n: int, compute_comparison: bool = True) -> SlowMixReport
     arrays = walks.walk_arrays(n)
     chain = WalkChain.fluctuating(spec)
     pi = walk_stationary(chain, arrays)
-    matrix = class_rows_matrix(chain, _walk_swaps(chain, arrays))
+    classes = list(_walk_swaps(chain, arrays))  # those of every WalkChain of size n
+    matrix = class_rows_matrix(chain, classes)
     phi = conductance_of_cut(matrix, pi, np.flatnonzero(arrays.max_height < spec.level).tolist())
     phi_t = long_swap_conductance(WalkTranspositionChain(spec), arrays, pi)
 
@@ -467,7 +493,7 @@ def slowmix_cut_report(n: int, compute_comparison: bool = True) -> SlowMixReport
     label = ""
     if compute_comparison:
         cmp_chain = WalkChain.constant(n, COMPARISON_P)
-        cmp_matrix = class_rows_matrix(cmp_chain, _walk_swaps(cmp_chain, arrays))
+        cmp_matrix = class_rows_matrix(cmp_chain, classes)
         cmp_pi = walk_stationary(cmp_chain, arrays)
         # the lowest and the highest walk have the smallest and the largest code
         res = mixing_time_exact(cmp_matrix, cmp_pi, 0.25, starts=[0, len(arrays.codes) - 1])
@@ -512,15 +538,23 @@ def walk_stationary(chain, arrays: walks.WalkArrays) -> np.ndarray:
     A walk kernel's weight gamma^flat * xi^steep depends on the tile counts
     alone, so one walk stands for its class.
     """
-    keys = np.stack([arrays.flat, arrays.steep], axis=1)
-    _, first, inverse, sizes = np.unique(
-        keys, axis=0, return_index=True, return_inverse=True, return_counts=True
-    )
+    first, inverse = _row_classes(np.stack([arrays.flat, arrays.steep], axis=1))
     weights = [chain.stationary_weight(arrays.walk(row)) for row in first.tolist()]
-    total = sum(size * w for size, w in zip(sizes.tolist(), weights))
+    total = sum(size * w for size, w in zip(np.bincount(inverse).tolist(), weights))
     if total == 0:
         raise ValueError("all states have zero weight")
-    return np.array([float(w / total) for w in weights])[inverse.reshape(-1)]
+    return np.array([float(w / total) for w in weights])[inverse]
+
+
+def _row_classes(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first row of each class of equal rows of a non-negative integer
+    array, and each row's class id, from one 1-D unique per column: a column
+    folds into the ids of the columns before it, which stay below the row
+    count, so the integer key cannot overflow however many columns there are."""
+    first, key = np.zeros(1, dtype=np.intp), np.zeros(len(columns), dtype=np.int64)
+    for column in columns.T:
+        _, first, key = np.unique(key * (int(column.max()) + 1) + column, return_index=True, return_inverse=True)
+    return first, key
 
 
 def class_moves(kernel, classes) -> tuple[list[Fraction], np.ndarray, np.ndarray]:
@@ -561,12 +595,12 @@ def class_rows_matrix(kernel, classes) -> sp.csr_matrix:
     mass_id = np.column_stack([mass_id, np.full(m, -1)])  # the last column is the hold
     cols = np.column_stack([cols, np.arange(m)])
     counts = np.stack([(mass_id == k).sum(axis=1) for k in range(len(exact))], axis=1)
-    patterns, inverse = np.unique(counts, axis=0, return_inverse=True)
+    first, inverse = _row_classes(counts)
     common = math.lcm(*(x.denominator for x in exact))
     numerators = [x.numerator * (common // x.denominator) for x in exact]
-    holds = [(common - sum(c * v for c, v in zip(row, numerators))) / common for row in patterns.tolist()]
+    holds = [(common - sum(c * v for c, v in zip(row, numerators))) / common for row in counts[first].tolist()]
     vals = np.append([float(x) for x in exact], 0.0)[mass_id]
-    vals[:, -1] = np.asarray(holds)[inverse.reshape(-1)]
+    vals[:, -1] = np.asarray(holds)[inverse]
     keep = mass_id >= 0
     keep[:, -1] = True
     return sp.csr_matrix((vals[keep], (np.nonzero(keep)[0], cols[keep])), shape=(m, m))

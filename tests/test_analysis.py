@@ -10,16 +10,20 @@ Exact analysis machinery:
   loop step for step (720-state all-starts runs, extreme starts at 5,040
   permutations and 3,432 and 12,870 walks, a single-column chunk, a horizon
   that runs out, eps met at t = 0, a single start), with one worker and with
-  two, and with a chunk stepping at most five steps per pass; only all-starts
-  runs of two or more chunks start a thread pool, and no thread outlives the
-  call
+  two, and with a chunk stepping at most five steps per pass; tau is the
+  first step every chunk has taken with every chunk within eps; only runs of
+  two or more chunks start a thread pool, no thread outlives the call, a
+  worker's exception reaches the caller without a hang, chunks within eps step
+  on only while each has a worker, and the extreme starts finish in one pass
 - every explicit cut lower-bounds the exact mixing time; the vectorised cut
   flow equals the former loop over COO entries
 - the product bound is sound on a 4-state toy and reproduces the plug-in form
 - coupling and hitting-time estimates agree with birth-death formulas
 - the n=4 monotone grid has no gap below the uniform table
 - the array-backed walk matrices, stationary law, long-swap conductance and
-  height profile equal their Fraction-oracle builds bit for bit at n = 4..7
+  height profile equal their Fraction-oracle builds bit for bit at n = 4..7,
+  and the matrices and law of slowmix's two chains at n = 8; the row classes
+  keyed by one integer hold where one mixed-radix key would overflow
 - the array-backed inv and tree matrices equal ``transition_matrix`` in
   indptr, indices and data at n = 2..7 and, by hypothesis, for random
   rational cyw tables (min and max) and random league trees with q = 1
@@ -32,6 +36,7 @@ Exact analysis machinery:
   ``distribution``, also where a p = 1 pair leaves states with zero weight
 """
 import math
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -250,9 +255,12 @@ def test_mixing_distances_equal_the_former_loop(case, monkeypatch):
         assert res.tau > 1
 
 
-@pytest.mark.parametrize("case", ["tree-constant:0.75", "chunk-plus-one", "horizon-runs-out"])
+@pytest.mark.parametrize("case", [
+    "tree-constant:0.75", "chunk-plus-one", "horizon-runs-out", "slowmix-comparison-8", "walk-slowmix:7",
+])
 def test_mixing_distances_hold_across_many_passes(case, monkeypatch):
-    # five steps per chunk and pass: tau 172 and 672 take 35 and 135 passes
+    # five steps per chunk and pass: tau 172, 672 and 750 take 35, 135 and 150
+    # passes, and the extreme starts' chunks step on across the pass boundaries
     build_case, eps, horizon = FORMER_LOOP_CASES[case]
     matrix, pi, starts = build_case()
     monkeypatch.setattr(analysis, "WORKERS", 2)
@@ -261,18 +269,134 @@ def test_mixing_distances_hold_across_many_passes(case, monkeypatch):
     assert res.distances == _distances_by_transposed_block(matrix, pi, eps, starts, horizon)
 
 
+@pytest.mark.parametrize("curves, tau", [
+    ([[0.5, 0.3, 0.2], [0.4, 0.2, 0.1, 0.1]], 3),  # uneven lengths
+    ([[0.5, 0.2, 0.1, 0.05, 0.01], [0.5, 0.3, 0.2]], 3),  # a chunk ran past tau
+    ([[0.5, 0.2, 0.3, 0.2], [0.5, 0.4, 0.3, 0.1]], 4),  # a dip below eps, then a rise
+    ([[0.25, 0.3, 0.1], [0.3, 0.25, 0.2]], 3),  # each at eps once, never at one t
+    ([[0.3, 0.25], [0.3, 0.25]], 2),  # eps itself is within
+    ([[0.5, 0.2, 0.1], [0.5]], None),  # past the common prefix
+    ([[0.5, 0.4], [0.3, 0.3]], None),  # the horizon ran out
+])
+def test_tau_is_the_first_common_step_with_every_chunk_within_eps(curves, tau):
+    assert analysis._first_within(curves, 0.25) == tau
+
+
+def _steps_per_chunk(monkeypatch):
+    """Record the step count each pass leaves each chunk at, keyed by chunk."""
+    real, reached = analysis._run_chunk, {}
+
+    def recording(*args):
+        taken = real(*args)
+        reached.setdefault(args[-1], []).append(args[5] + taken)  # t + taken
+        return taken
+
+    monkeypatch.setattr(analysis, "_run_chunk", recording)
+    return reached
+
+
+def test_no_chunk_steps_past_tau_with_chunks_queued(monkeypatch):
+    # six chunks on two workers: speculation would take a queued chunk's turn
+    monkeypatch.setattr(analysis, "WORKERS", 2)
+    reached = _steps_per_chunk(monkeypatch)
+    matrix, pi, _ = _kernel_case("tree", "constant:0.75", 6)
+    res = mixing_time_exact(matrix, pi, 0.25)
+    assert len(reached) == 6 and {steps[-1] for steps in reached.values()} == {res.tau}
+
+
+def test_extreme_starts_finish_together_in_one_pass(monkeypatch):
+    # the highest walk is within eps at step 19 and the lowest at 550: the
+    # former steps on while the latter is above eps, and the latter catches up
+    # with it, so one pass finds tau; a front read just before it changed may
+    # take one step more
+    monkeypatch.setattr(analysis, "WORKERS", 2)
+    monkeypatch.setattr(analysis, "LOG", 4096)
+    reached = _steps_per_chunk(monkeypatch)
+    matrix, pi, starts = _walk_case(WalkChain.constant(7, Fraction(3, 4)))
+    res = mixing_time_exact(matrix, pi, 0.25, starts=starts)
+    (low,), (high,) = reached[0], reached[1]
+    assert res.tau == 550 and min(low, high) >= 550 and abs(low - high) <= 1
+
+
 @pytest.mark.parametrize("horizon", [200_000, 10])
 def test_all_starts_pool_leaves_no_thread(horizon, monkeypatch):
-    # CHUNK + 1 states: two chunks, so two workers; horizon 10 runs out
+    # CHUNK + 1 states: two chunks, so two workers, and two explicit starts
+    # with a worker each; horizon 10 runs out
     monkeypatch.setattr(analysis, "WORKERS", 2)
     matrix, pi, _ = _kernel_case("oned", f"oned:0.6,{CHUNK}")
+    for starts in (None, [0, CHUNK]):
+        before = threading.active_count()
+        res = mixing_time_exact(matrix, pi, 0.25, starts=starts, horizon=horizon)
+        assert res.converged == (horizon > 10)
+        assert threading.active_count() == before
+
+
+def _within(seconds, call):
+    """Run ``call`` on a daemon thread; its result or exception, which must
+    come within ``seconds``."""
+    outcome = []
+
+    def run():
+        try:
+            outcome.append(call())
+        except Exception as exc:  # handed to the test, which checks it
+            outcome.append(exc)
+
+    caller = threading.Thread(target=run, daemon=True)
+    caller.start()
+    caller.join(timeout=seconds)
+    assert not caller.is_alive()
+    return outcome[0]
+
+
+def test_speculation_holds_with_more_workers_than_cores(monkeypatch):
+    # four explicit starts with a worker each, more workers than a small host
+    # has CPUs; a switch interval of a microsecond and five steps a pass make
+    # the chunks read each other's fronts mid-write and across many passes
+    monkeypatch.setattr(analysis, "WORKERS", 4)
+    monkeypatch.setattr(analysis, "LOG", 5)
+    matrix, pi, _ = _kernel_case("tree", "constant:0.75", 6)
+    starts = [0, 100, 500, 719]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        res = _within(60, lambda: mixing_time_exact(matrix, pi, 0.25, starts=starts))
+    finally:
+        sys.setswitchinterval(interval)
+    assert res.distances == _distances_by_transposed_block(matrix, pi, 0.25, starts)
+
+
+class _FailingPi(np.ndarray):
+    """A stationary law whose first use in a step raises."""
+
+    def __array_ufunc__(self, *args, **kwargs):
+        raise RuntimeError("chunk 1 failed")
+
+
+def test_a_worker_exception_neither_hangs_nor_leaks(monkeypatch):
+    # the highest walk's chunk fails in its first step, after its sparse
+    # product, while the lowest walk's chunk is far above eps
+    real = analysis._run_chunk
+
+    def failing(transposed, pi, *rest):
+        return real(transposed, pi.view(_FailingPi) if rest[-1] == 1 else pi, *rest)
+
+    monkeypatch.setattr(analysis, "_run_chunk", failing)
+    monkeypatch.setattr(analysis, "WORKERS", 2)
+    monkeypatch.setattr(analysis, "LOG", 4096)  # one pass: the lowest walk crosses at 550
+    reached = _steps_per_chunk(monkeypatch)
+    matrix, pi, starts = _walk_case(WalkChain.constant(7, Fraction(3, 4)))
     before = threading.active_count()
-    res = mixing_time_exact(matrix, pi, 0.25, horizon=horizon)
-    assert res.converged == (horizon > 10)
+    outcome = _within(10, lambda: mixing_time_exact(matrix, pi, 0.25, starts=starts))
+    assert isinstance(outcome, RuntimeError) and str(outcome) == "chunk 1 failed"
     assert threading.active_count() == before
+    # the failed chunk left its entry at its step count: the other chunk
+    # stopped at its own first crossing instead of stepping on to LOG
+    alone = _distances_by_transposed_block(matrix, pi, 0.25, starts[:1])
+    assert reached == {0: [len(alone) - 1]} and len(alone) - 1 < analysis.LOG
 
 
-def test_pool_only_for_two_or_more_all_starts_chunks(monkeypatch):
+def test_pool_only_for_two_or_more_chunks(monkeypatch):
     pools = []
 
     class Recording(ThreadPoolExecutor):
@@ -283,26 +407,27 @@ def test_pool_only_for_two_or_more_all_starts_chunks(monkeypatch):
     monkeypatch.setattr(analysis, "ThreadPoolExecutor", Recording)
     monkeypatch.setattr(analysis, "WORKERS", 2)
     matrix, pi, _ = _kernel_case("tree", "constant:0.75", 6)
-    mixing_time_exact(matrix, pi, 0.25, starts=[0, 719])  # explicit starts
+    mixing_time_exact(matrix, pi, 0.25, starts=[719])  # a single start
     mixing_time_exact(*_kernel_case("oned", f"oned:0.6,{CHUNK - 1}")[:2], 0.25)  # one chunk
     assert pools == []
-    mixing_time_exact(matrix, pi, 0.25)  # six chunks
+    mixing_time_exact(matrix, pi, 0.25, starts=[0, 719])  # two explicit starts
     assert pools == [2]
+    mixing_time_exact(matrix, pi, 0.25)  # six chunks
+    assert pools == [2, 2]
 
 
 def test_pool_binds_each_worker_to_its_own_cpu(monkeypatch):
     # the calling thread keeps its mask; each worker takes one CPU of it
-    bound = []
     monkeypatch.setattr(analysis.os, "sched_getaffinity", lambda pid: {3, 5, 7})
-    monkeypatch.setattr(analysis.os, "sched_setaffinity", lambda pid, cpus: bound.append((threading.get_ident(), cpus)))
     monkeypatch.setattr(analysis, "WORKERS", 2)
     matrix, pi, _ = _kernel_case("tree", "constant:0.75", 6)
-    mixing_time_exact(matrix, pi, 0.25, starts=[0, 719])
-    assert bound == []
-    mixing_time_exact(matrix, pi, 0.25)
-    assert sorted(cpus for _, cpus in bound) == [{3}, {5}]
-    assert len({thread for thread, _ in bound}) == 2
-    assert threading.get_ident() not in {thread for thread, _ in bound}
+    for starts in ([0, 719], None):
+        bound = []
+        monkeypatch.setattr(analysis.os, "sched_setaffinity", lambda pid, cpus: bound.append((threading.get_ident(), cpus)))
+        mixing_time_exact(matrix, pi, 0.25, starts=starts)
+        assert sorted(cpus for _, cpus in bound) == [{3}, {5}]
+        assert len({thread for thread, _ in bound}) == 2
+        assert threading.get_ident() not in {thread for thread, _ in bound}
 
 
 def test_pool_runs_unbound_past_the_mask(monkeypatch):
@@ -609,6 +734,21 @@ def test_assembly_matches_oracle_for_every_finder(finder):
     _assert_matrix_matches_oracle(*FINDER_GATES[finder]())
 
 
+def test_row_classes_hold_past_the_int64_range():
+    # 20 columns of values up to 15: one mixed-radix key would need 16^20 =
+    # 2^80, and wrapped to 64 bits it would lose the first four columns, so the
+    # rows that differ there alone would share a class
+    rows = np.random.default_rng(5).integers(0, 16, size=(300, 20))
+    rows[0] = 15
+    shifted = rows.copy()
+    shifted[:, 0] = 15 - shifted[:, 0]
+    rows = np.concatenate([rows, shifted, rows[::7]])
+    first, inverse = analysis._row_classes(rows)
+    _, first_rows = np.unique(rows, axis=0, return_index=True)
+    assert np.array_equal(np.sort(first), np.sort(first_rows))  # each class's first row
+    assert np.array_equal(rows[first][inverse], rows)  # each row in its own class
+
+
 # -- array-backed walk spaces against the Fraction oracle -------------------------
 
 WALK_SIZES = [4, 5, 6, 7]
@@ -625,8 +765,9 @@ WALK_CHAINS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(WALK_CHAINS))
-@pytest.mark.parametrize("n", WALK_SIZES)
+# n = 8 for the two chains that slowmix builds there
+@pytest.mark.parametrize("n, name", [(n, name) for n in WALK_SIZES for name in sorted(WALK_CHAINS)]
+                         + [(8, "constant-3/4"), (8, "fluctuating")])
 def test_walk_matrix_and_pi_match_oracle(n, name):
     chain = WALK_CHAINS[name](n)
     arrays = walks.walk_arrays(n)

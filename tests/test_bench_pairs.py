@@ -1,5 +1,6 @@
-"""``tools/bench_pairs.summarize`` on synthetic pairs: medians, wins, ratios and
-the bound flags read from BENCHMARK.json's end-to-end entries."""
+"""``tools/bench_pairs.summarize`` on synthetic pairs: medians, wins, ratios,
+the bound flags read from BENCHMARK.json's end-to-end entries, and whether a
+gain lies beyond the parent's quartile spread."""
 import importlib.util
 import json
 from pathlib import Path
@@ -49,3 +50,21 @@ def test_the_bound_is_read_in_the_worse_direction(better, change, beyond):
     metric = {"name": "m", "unit": "1", "better": better, "bound": 0.25}
     summary = bench_pairs.summarize(_pairs({"m": 1.0}, {"m": change}), [metric])["m"]
     assert (summary["bound"], summary["beyond_bound"]) == (0.25, beyond)
+
+
+@pytest.mark.parametrize("better, parent, change, beyond", [
+    # the parent's quartiles are 0.9 and 1.1: a change median of 0.95 lies
+    # inside them, 0.85 below q1, and 1.25 on the worse side
+    ("lower", [0.8, 0.9, 1.0, 1.1, 1.2], [0.95] * 5, False),
+    ("lower", [0.8, 0.9, 1.0, 1.1, 1.2], [0.85] * 5, True),
+    ("lower", [0.8, 0.9, 1.0, 1.1, 1.2], [1.25] * 5, False),
+    ("higher", [0.8, 0.9, 1.0, 1.1, 1.2], [1.05] * 5, False),
+    ("higher", [0.8, 0.9, 1.0, 1.1, 1.2], [1.15] * 5, True),
+    ("higher", [0.8, 0.9, 1.0, 1.1, 1.2], [0.75] * 5, False),
+])
+def test_a_gain_must_lie_beyond_the_parent_spread(better, parent, change, beyond):
+    metric = {"name": "m", "unit": "1", "better": better, "bound": 0.25}
+    pairs = [{"parent": {"metrics": {"m": p}}, "change": {"metrics": {"m": c}}} for p, c in zip(parent, change)]
+    summary = bench_pairs.summarize(pairs, [metric])["m"]
+    assert (summary["parent"]["q1"], summary["parent"]["q3"]) == pytest.approx((0.9, 1.1))
+    assert summary["beyond_parent_spread"] is beyond

@@ -18,8 +18,11 @@ on both sides alike.  The file, rewritten after each workload, holds every
 run's end-to-end metrics and ``failed`` count and, for each metric of each
 workload, both sides' medians and quartiles, how many pairs the change won
 (ties count for neither), the ratio of the medians, the metric's ``bound``
-from BENCHMARK.json and ``beyond_bound``: whether that ratio is worse than
-1 + bound (lower is better) or 1 - bound (higher is better).  Each breach is
+from BENCHMARK.json, ``beyond_bound``: whether that ratio is worse than
+1 + bound (lower is better) or 1 - bound (higher is better), and
+``beyond_parent_spread``: whether the change's median lies past the parent's
+quartile range on the better side (below q1 when lower is better, above q3
+when higher is better), the test a claimed gain must pass.  Each breach is
 also printed as one line on stderr when its workload finishes.  Under ``host`` it
 records the machine's CPU count and the CPUs of this process's affinity
 mask (the two differ under a cpuset), and whether ``PYTHONDONTWRITEBYTECODE``
@@ -77,7 +80,8 @@ def spread(values: list[float]) -> dict:
 
 def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
     """Per metric of ``end_to_end`` (BENCHMARK.json's entries): both sides' spread,
-    the change's wins, the ratio of medians and whether it is beyond the bound."""
+    the change's wins, the ratio of medians, whether it is beyond the bound, and
+    whether the change's median is beyond the parent's quartile range."""
     out = {}
     for metric in end_to_end:
         name, direction, bound = metric["name"], metric["better"], metric["bound"]
@@ -95,6 +99,8 @@ def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
             ratio_of_medians=ratio,
             bound=bound,
             beyond_bound=ratio is not None and sign * (ratio - 1) > bound,
+            beyond_parent_spread=(stats["change"]["median"] < stats["parent"]["q1"] if sign == 1
+                                  else stats["change"]["median"] > stats["parent"]["q3"]),
         )
     return out
 
