@@ -485,8 +485,9 @@ def slowmix_cut_report(n: int, compute_comparison: bool = True) -> SlowMixReport
     chain = WalkChain.fluctuating(spec)
     pi = walk_stationary(chain, arrays)
     classes = list(_walk_swaps(chain, arrays))  # those of every WalkChain of size n
-    matrix = class_rows_matrix(chain, classes)
-    phi = conductance_of_cut(matrix, pi, np.flatnonzero(arrays.max_height < spec.level).tolist())
+    low = np.flatnonzero(arrays.max_height < spec.level).tolist()
+    # a temporary matrix: it is freed before the comparison chain's is built
+    phi = conductance_of_cut(class_rows_matrix(chain, classes), pi, low)
     phi_t = long_swap_conductance(WalkTranspositionChain(spec), arrays, pi)
 
     tau_cmp = None
