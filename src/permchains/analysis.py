@@ -71,7 +71,7 @@ STATE_CAP = 100_000
 DENSE_CAP = 10_000
 CHUNK = 128  # start columns stepped together by mixing_time_exact
 LOG = 512  # steps a chunk may take per pass of mixing_time_exact
-# threads for mixing_time_exact's all-starts chunks: the CPUs this process may use
+# threads for mixing_time_exact's chunks: the CPUs this process may use
 WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 COMPARISON_P = Fraction(3, 4)  # bias of the slowmix report's constant-bias chain
 
