@@ -37,9 +37,9 @@ start is within eps: its distances and tau equal stepping the whole (states,
 starts) block, which the tests keep as the reference, bit for bit.  Two or
 more chunks run on a thread pool with one worker per usable CPU
 (``WORKERS``), each bound to a CPU of its own and stepping into buffers that
-the calling thread made; with a worker per chunk, a chunk within eps steps on
-while another is above it.  A column's steps depend on that column alone, so
-the results do not depend on the number of cores.
+the calling thread made; a chunk below eps by a margin retires, as a start's
+TV to a stationary pi never grows.  A column's steps depend on that column
+alone, so the results do not depend on the number of cores.
 
 scipy is imported where a sparse matrix is made (``transition_matrix``,
 ``class_rows_matrix`` and ``mixing_time_exact``'s transpose) and where
@@ -55,6 +55,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import zip_longest
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -204,24 +205,19 @@ def mixing_time_exact(
     "extreme-starts" caveat.  The starts are stepped in chunks, each with its
     own curve of worst TV per step: with starts=None, (states, w) blocks of
     w <= CHUNK columns, small enough to stay in cache; with explicit starts,
-    one vector per start.  Each pass runs every chunk up to the largest step
-    count reached so far and then on to its first crossing of eps, until tau,
-    the first t among the steps that every chunk has taken at which every
-    chunk is within eps (``_first_within``), exists or the horizon is spent.
-    No monotonicity of the distances is assumed.  distances[t] is the largest
-    chunk value at t, as stepping the whole block gives it; later values are
-    dropped.
-
-    A column's steps depend on that column alone, so the chunks of a pass run
-    in any order: with two or more chunks, on a pool of up to ``WORKERS``
-    threads, each bound to a CPU of its own (see ``_pool``), which the sparse
-    products and array reductions let run at once.  While every chunk has a
-    worker of its own, a chunk within eps steps on while another is above eps
-    or ahead of it, and never waits (see ``_run_chunk``); with chunks queued,
-    none steps past what it owes.  The result is the same on any number of
-    cores.  Each step writes into buffers that the calling thread allocates,
-    once per worker and once per chunk; a chunk takes at most ``LOG`` steps
-    per pass.
+    one vector per start.  A start's TV to a stationary pi never grows along
+    a stochastic matrix (Levin, Peres and Wilmer, ch. 4), so a chunk within
+    eps by a margin retires (``_retired``) and steps no further, unless
+    ``_retirement_floor`` finds the premise false.  Each pass steps every live
+    chunk until it retires or, within eps, reaches the largest step count of
+    the live chunks (with a worker per chunk, until it retires), until tau
+    and the distances (``_tau``) exist or the horizon is spent; they equal
+    stepping the whole block, since before tau the largest value exceeds eps
+    and no retired chunk's later value does, and at tau a retired chunk not
+    below distances[tau] by the floor steps on to tau.  Columns step alone,
+    so chunks run in any order: with two or more live chunks, on up to
+    ``WORKERS`` threads bound to a CPU each (``_pool``), into buffers the
+    calling thread made, at most ``LOG`` steps per pass.
     """
     pi = np.asarray(pi)
     m = matrix.shape[0]
@@ -231,24 +227,23 @@ def mixing_time_exact(
     else:
         groups = [[s] for s in starts]
         caveat = "extreme-starts"
-    xs = []
-    worst0 = []
+    xs, curves = [], []  # curves[k][t]: chunk k's worst TV at step t
     for group in groups:
         rows = np.zeros((len(group), m))
         rows[np.arange(len(group)), group] = 1.0
-        worst0.append(np.abs(rows - pi).sum(axis=1).max())
+        curves.append([float(np.abs(rows - pi).sum(axis=1).max() * 0.5)])
         # a C-contiguous (states, w) block, the layout the sparsetools kernel
         # reads and writes, so nothing is transposed per step.  One column
         # split off a wider block is a vector; a single start keeps its
         # (states, 1) block (see _worst_column).
         split = len(group) == 1 and len(groups) > 1
         xs.append(rows[0] if split else np.ascontiguousarray(rows.T))
-    distances = [float(max(worst0) * 0.5)]
-    if distances[-1] <= eps:
-        return MixingResult(0, eps, distances, True, caveat)
+    if max(c[0] for c in curves) <= eps:
+        return MixingResult(0, eps, [max(c[0] for c in curves)], True, caveat)
     import scipy.sparse as sp
 
     transposed = sp.csc_matrix(matrix.T, dtype=float)  # formed once
+    floor = _retirement_floor(transposed, pi, eps, horizon)
     workers = min(WORKERS, len(xs))
     # every buffer the workers write is made here (see _run_chunk)
     spares: queue.SimpleQueue = queue.SimpleQueue()
@@ -256,38 +251,68 @@ def mixing_time_exact(
     for _ in range(workers):
         spares.put((np.empty(width), np.empty(CHUNK)))
     logs = np.empty((len(xs), LOG))
-    curves = [[] for _ in xs]  # curves[k][t - 1]: chunk k's worst TV at step t
-    reached = 1  # distances[0] > eps: every chunk takes step 1
-    fronts = None  # see _run_chunk; None: no chunk steps past what it owes
+    retired: set = set()
+    side_by_side = 1 < len(xs) == workers  # a chunk within eps steps on until it retires
+    stepping, reached, retiring = range(len(xs)), horizon if side_by_side else 1, floor
 
     def run(k):
         spare = spares.get()
-        curve = curves[k]
-        last = curve[-1] if curve else math.inf
         try:
-            return _run_chunk(transposed, pi, xs[k], spare, logs[k], len(curve), last, reached, eps, horizon, fronts, k)
+            return _run_chunk(transposed, pi, xs[k], spare, logs[k], curves[k], reached, eps, horizon, retiring)
         finally:
             spares.put(spare)
 
     with _pool(workers) as pool:
-        spread = map if pool is None else pool.map
-        while True:
-            if 1 < len(xs) == workers:  # a worker per chunk: none waits in a queue
-                fronts = [len(c) if c and c[-1] <= eps else math.inf for c in curves]
-            for curve, log, taken in zip(curves, logs, spread(run, range(len(xs)))):
-                curve.extend(log[:taken].tolist())
-            tau = _first_within(curves, eps)
-            reached = max(map(len, curves))
-            if tau is not None or min(map(len, curves)) == horizon:
-                break
-    distances.extend(list(map(max, zip(*curves)))[:tau])
-    return MixingResult(tau, eps, distances, tau is not None, caveat)
+        while stepping:
+            spread = map if pool is None or len(stepping) == 1 else pool.map
+            for k, taken in zip(stepping, spread(run, stepping)):
+                curve = curves[k]
+                curve.extend(logs[k, :taken].tolist())
+                if retiring is not None and len(curve) > 1 and _retired(curve[-2], curve[-1], eps, retiring):
+                    retired.add(k)
+            tau, distances = _tau(curves, eps, retired)
+            if tau is None:
+                live = [k for k in range(len(xs)) if k not in retired]
+                stepping = [k for k in live if len(curves[k]) <= horizon]
+                if not side_by_side:
+                    reached = max(len(curves[k]) for k in live) - 1
+            else:
+                # resume: a retired chunk steps on to tau where its value could be the largest
+                stepping = [k for k in retired if len(curves[k]) <= tau and curves[k][-1] + floor > distances[tau]]
+                reached, retiring = tau, None
+    return MixingResult(tau, eps, distances[: None if tau is None else tau + 1], tau is not None, caveat)
 
 
-def _first_within(curves, eps: float) -> int | None:
-    """The first step t, among the steps that every chunk has taken, at which
-    every chunk's worst TV ``curves[k][t - 1]`` is within eps; None if none is."""
-    return next((t for t, worst in enumerate(map(max, zip(*curves)), 1) if worst <= eps), None)
+def _tau(curves, eps: float, retired=()) -> tuple[int | None, list]:
+    """tau (None before it) and the distances, each step's largest worst TV
+    over the chunks that took it, to the last step every live chunk took (or
+    any took, once all retired): a retired chunk's later values count for nothing."""
+    live = [len(curve) for k, curve in enumerate(curves) if k not in retired]
+    distances = list(map(max, zip_longest(*curves, fillvalue=-math.inf)))[: min(live) if live else None]
+    return next((t for t, worst in enumerate(distances) if worst <= eps), None), distances
+
+
+def _retirement_floor(transposed, pi: np.ndarray, eps: float, horizon: int) -> float | None:
+    """The least margin below eps at which a chunk may retire; None (a
+    negative entry, or a pi that is not stationary) where none may.
+
+    ||(x - pi) P||_1 <= ||x - pi||_1 for P >= 0 with rows summing to 1.  A
+    float step may add the rows' largest defect from 1, ||pi P - pi||_1 and a
+    column's rounding, and a measured TV is off by the state count times the
+    machine epsilon: over the horizon, at least 1e-9, that is the floor.
+    """
+    unit = np.finfo(float).eps
+    rows = np.abs(np.asarray(transposed.sum(axis=0)).ravel() - 1).max()
+    drift = np.abs(transposed @ pi - pi).sum()
+    terms = np.diff(transposed.indptr).max()
+    floor = max(1e-9, float(horizon * (rows + drift + terms * unit) + len(pi) * unit))
+    return floor if floor < eps and not (transposed.data < 0).any() else None
+
+
+def _retired(prev: float, last: float, eps: float, floor: float) -> bool:
+    """Whether a chunk whose worst TV stepped from ``prev`` to ``last`` retires:
+    ``last`` lies below eps by twice that drop, and at least by ``floor``."""
+    return last <= eps - max(2 * (prev - last), floor)
 
 
 def _pool(workers: int):
@@ -318,28 +343,21 @@ def _bind_worker(cpus: queue.SimpleQueue) -> None:
         pass
 
 
-def _run_chunk(transposed, pi, x, spare, log, t, last, reached, eps, horizon, fronts, k) -> int:
-    """Step chunk k, x, on from step t (worst TV ``last``) to the first step at
-    or past ``reached`` within eps, to horizon, or until ``log`` is full; write
-    each step's worst TV into ``log`` and return the number of steps taken.
-
-    With ``fronts`` a list, one entry per chunk, ``reached`` is its largest
-    entry, read before each step.  The chunk keeps its own entry at infinity
-    while above eps and at its step count otherwise, and once it leaves in
-    any way, so a chunk within eps steps on while another is above eps or
-    ahead of it.  Each chunk writes only its own entry: no lock, no waiting.
+def _run_chunk(transposed, pi, x, spare, log, curve, reached, eps, horizon, floor) -> int:
+    """Step chunk x on from step t = len(curve) - 1 until it retires (never
+    when ``floor`` is None), is within eps at a step at or past ``reached``,
+    reaches horizon or fills ``log`` with its worst TV per step; return the
+    number of steps taken.
 
     Each step zeroes y and calls the sparsetools kernel that ``transposed @ x``
     calls into its own zeroed result, so the values are those of ``@``; then
     x and y swap, and the former x takes |x - pi|.  The chunk's last values
     are copied back into its own array.
 
-    Nothing a step writes is allocated in the worker thread: y and the column
-    sums are views of the worker's ``spare``, and the values go into ``log``,
-    all made by the calling thread.  A block that a worker allocates and the
-    calling thread frees enters the calling thread's malloc cache; reused and
-    grown by realloc there, it draws that thread's later allocations into the
-    worker's arena, which raised peak RSS.
+    y and the column sums are views of the worker's ``spare``: nothing a step
+    writes is allocated in the worker thread, whose blocks, freed by the
+    calling thread and grown by realloc there, drew its later allocations
+    into the worker's malloc arena and raised peak RSS.
     """
     from scipy.sparse import _sparsetools
 
@@ -349,26 +367,23 @@ def _run_chunk(transposed, pi, x, spare, log, t, last, reached, eps, horizon, fr
     centre = pi if x.ndim == 1 else pi[:, None]
     rows, cols = transposed.shape
     args = (transposed.indptr, transposed.indices, transposed.data)
+    t = len(curve) - 1
+    prev, last = curve[-2] if t else math.inf, curve[-1]
     taken = 0
-    try:
-        while taken < len(log) and t + taken < horizon:
-            if last <= eps and t + taken >= (reached if fronts is None else max(fronts)):
-                break
-            y.fill(0.0)
-            if x.ndim == 1 or x.shape[1] == 1:
-                _sparsetools.csc_matvec(rows, cols, *args, x.ravel(), y.ravel())
-            else:
-                _sparsetools.csc_matvecs(rows, cols, x.shape[1], *args, x.ravel(), y.ravel())
-            x, y = y, x
-            np.subtract(x, centre, out=y)
-            np.abs(y, out=y)
-            last = log[taken] = _worst_column(y, sums) * 0.5
-            taken += 1
-            if fronts is not None:
-                fronts[k] = math.inf if last > eps else t + taken
-    finally:
-        if fronts is not None:
-            fronts[k] = t + taken
+    while taken < len(log) and t + taken < horizon:
+        if last <= eps and (t + taken >= reached or floor is not None and _retired(prev, last, eps, floor)):
+            break
+        y.fill(0.0)
+        if x.ndim == 1 or x.shape[1] == 1:
+            _sparsetools.csc_matvec(rows, cols, *args, x.ravel(), y.ravel())
+        else:
+            _sparsetools.csc_matvecs(rows, cols, x.shape[1], *args, x.ravel(), y.ravel())
+        x, y = y, x
+        np.subtract(x, centre, out=y)
+        np.abs(y, out=y)
+        prev, last = last, _worst_column(y, sums) * 0.5
+        log[taken] = last
+        taken += 1
     if x is not own:
         own[...] = x
     return taken
@@ -485,9 +500,7 @@ def slowmix_cut_report(n: int, compute_comparison: bool = True) -> SlowMixReport
     chain = WalkChain.fluctuating(spec)
     pi = walk_stationary(chain, arrays)
     classes = list(_walk_swaps(chain, arrays))  # those of every WalkChain of size n
-    low = np.flatnonzero(arrays.max_height < spec.level).tolist()
-    # a temporary matrix: it is freed before the comparison chain's is built
-    phi = conductance_of_cut(class_rows_matrix(chain, classes), pi, low)
+    phi = class_cut_conductance(chain, classes, pi, arrays.max_height < spec.level)
     phi_t = long_swap_conductance(WalkTranspositionChain(spec), arrays, pi)
 
     tau_cmp = None
@@ -562,24 +575,28 @@ def class_moves(kernel, classes) -> tuple[list[Fraction], np.ndarray, np.ndarray
     """The moves of a kernel whose moves a finder gives in classes.
 
     ``classes`` yields (slot index, rows, successor rows, one state of the
-    class) for each class of states that the slot moves with one probability.
-    ``_law`` runs on that state once, and the move is the branch whose target
-    differs from it.  Returns the distinct exact off-diagonal masses, in the
-    order first met, and two (states, slots) arrays: each move's mass id (-1
-    where the state stays) and its successor row.
+    class) for each class of states that the slot moves with one probability,
+    ``_move_mass`` of that state.  Returns the distinct exact off-diagonal
+    masses, in the order first met, and two (states, slots) arrays: each
+    move's mass id (-1 where the state stays) and its successor row.
     """
     m, slots = kernel.space_size(), len(kernel._slots)
     masses: dict[Fraction, int] = {}  # exact off-diagonal mass -> id
     mass_id = np.full((m, slots), -1)
     successors = np.empty((m, slots), dtype=np.int64)
     for k, rows, targets, state in classes:
-        slot, mass = kernel._slots[k]
-        p, _, no = kernel._law(state, slot)
-        prob = p if no == state else 1 - p
-        if prob:
-            mass_id[rows, k] = masses.setdefault(mass * prob, len(masses))
+        move = _move_mass(kernel, k, state)
+        if move:
+            mass_id[rows, k] = masses.setdefault(move, len(masses))
             successors[rows, k] = targets
     return list(masses), mass_id, successors
+
+
+def _move_mass(kernel, k: int, state) -> Fraction:
+    """Slot k's exact probability of moving ``state``: one ``_law``, its branch away."""
+    slot, mass = kernel._slots[k]
+    p, _, no = kernel._law(state, slot)
+    return mass * (p if no == state else 1 - p)
 
 
 def class_rows_matrix(kernel, classes) -> sp.csr_matrix:
@@ -605,6 +622,27 @@ def class_rows_matrix(kernel, classes) -> sp.csr_matrix:
     keep = mass_id >= 0
     keep[:, -1] = True
     return sp.csr_matrix((vals[keep], (np.nonzero(keep)[0], cols[keep])), shape=(m, m))
+
+
+def class_cut_conductance(kernel, classes, pi: np.ndarray, inside: np.ndarray) -> float:
+    """``conductance_of_cut`` of the states where ``inside`` holds on
+    ``class_rows_matrix(kernel, classes)``, from the moves out of the cut (or
+    its complement, by the same rule), one ``_move_mass`` per class that has
+    one, added in sequence by (row, target) as on the matrix: the same float."""
+    mass = float(pi[inside].sum())
+    if mass > 0.5:
+        inside, mass = ~inside, 1.0 - mass
+    moves = []  # (rows, targets, float masses) of the moves out of the cut
+    for k, rows, successors, state in classes:
+        leaving = inside[rows] & ~inside[successors]
+        if leaving.any():
+            move = float(_move_mass(kernel, k, state))
+            moves.append((rows[leaving], successors[leaving], np.full(leaving.sum(), move)))
+    if not moves:
+        return 0.0
+    sources, targets, values = map(np.concatenate, zip(*moves))
+    order = np.lexsort((targets, sources))
+    return _running_total(pi[sources[order]] * values[order]) / mass
 
 
 def _walk_swaps(chain: WalkChain, arrays: walks.WalkArrays):

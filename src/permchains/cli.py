@@ -173,13 +173,13 @@ def _exact_rows(args, ns: list[int | None]):
     from . import analysis
 
     model = parse_model_spec(args.model)
+    kernels = [_kernel(args.chain, args.model, model, requested) for requested in ns]
+    for kernel in kernels:  # every size's counted space, before any is enumerated
+        if kernel.space_size() > analysis.STATE_CAP:
+            raise CapExceeded(f"{kernel.space_size()} states at n={kernel.n} exceed the cap {analysis.STATE_CAP}")
     rows = []
-    for requested in ns:
-        kernel = _kernel(args.chain, args.model, model, requested)
+    for kernel in kernels:
         n = kernel.n
-        size = kernel.space_size()
-        if size > analysis.STATE_CAP:
-            raise CapExceeded(f"{size} states at n={n} exceed the cap {analysis.STATE_CAP}")
         states = kernel.space()
         pi = analysis.stationary_exact(kernel, states)
         if not pi.all():
@@ -244,12 +244,13 @@ def cmd_slowmix(args) -> int:
         "phi_bound", "tau_lower", "piS2_widened", "ratio_widened",
         "phi_bound_transposition", "tau_lower_transposition", "tau_comparison", "comparison_model",
     ]
-    rows = []
-    for n in ns:
+    for n in ns:  # every size, before any is computed
         if n < 4:
             raise UsageError("slowmix needs n >= 4")
         if math.comb(2 * n, n) > STATE_CAP:
             raise CapExceeded(f"walk space at n={n} exceeds the cap")
+    rows = []
+    for n in ns:
         rep = slowmix_cut_report(n, compute_comparison=not args.no_comparison)
         rows.append([
             rep.n, rep.delta, rep.xi, rep.level, rep.pi_s1, rep.pi_s2, rep.pi_s3,

@@ -9,14 +9,19 @@ Exact analysis machinery:
   tau equal a ``block @ matrix`` reference and the former transposed-block
   loop step for step (720-state all-starts runs, extreme starts at 5,040
   permutations and 3,432 and 12,870 walks, a single-column chunk, a horizon
-  that runs out, eps met at t = 0, a single start), with one worker and with
-  two, and with a chunk stepping at most five steps per pass; tau is the
-  first step every chunk has taken with every chunk within eps; only runs of
-  two or more chunks start a thread pool, no thread outlives the call, a
-  worker's exception reaches the caller without a hang, chunks within eps step
-  on only while each has a worker, and the extreme starts finish in one pass
+  that runs out, eps met at t = 0, a single start, a pi that is not
+  stationary), with one worker and with two, and with a chunk stepping at
+  most five steps per pass; tau is the first step every live chunk has taken
+  with every chunk within eps, a retired chunk counting as within; a pi that
+  is not stationary turns retirement off, and a chunk that retired above the
+  final maximum is stepped on to tau; only runs of two or more chunks start a
+  thread pool, no thread outlives the call, a worker's exception reaches the
+  caller without a hang, no chunk steps past tau with chunks queued, and the
+  extreme starts finish in one pass with the highest walk retired a few steps
+  after its crossing
 - every explicit cut lower-bounds the exact mixing time; the vectorised cut
-  flow equals the former loop over COO entries
+  flow equals the former loop over COO entries, and the slowmix level cut's
+  flow from the walk classes equals it on the built matrix at n = 4..9
 - the product bound is sound on a 4-state toy and reproduces the plug-in form
 - coupling and hitting-time estimates agree with birth-death formulas
 - the n=4 monotone grid has no gap below the uniform table
@@ -233,6 +238,8 @@ FORMER_LOOP_CASES = {
     "horizon-runs-out": (lambda: _kernel_case("oned", f"oned:0.6,{CHUNK}"), 0.25, 10),
     "eps-met-at-0": (lambda: _kernel_case("tree", "constant:0.75", 6), 1.0, 200_000),
     "single-start": (lambda: _kernel_case("tree", "constant:0.75", 6)[:2] + ([719],), 0.25, 200_000),
+    # uniform pi on a biased chain: ||pi P - pi||_1 = 0.13, so no chunk may retire
+    "nn-uniform-pi": (lambda: (_kernel_case("nn", "constant:0.75", 6)[0], np.full(720, 1 / 720), None), 0.8, 200_000),
 }
 
 
@@ -279,16 +286,34 @@ def test_mixing_distances_hold_across_many_passes(case, monkeypatch):
     ([[0.5, 0.4], [0.3, 0.3]], None),  # the horizon ran out
 ])
 def test_tau_is_the_first_common_step_with_every_chunk_within_eps(curves, tau):
-    assert analysis._first_within(curves, 0.25) == tau
+    # each curve starts at its t = 0 value
+    assert analysis._tau([[1.0] + curve for curve in curves], 0.25)[0] == tau
+
+
+@pytest.mark.parametrize("curves, retired, distances, tau", [
+    # a retired chunk counts as within eps past its last step
+    ([[1, 0.5, 0.3, 0.2], [1, 0.2, 0.1]], {1}, [1, 0.5, 0.3, 0.2], 3),
+    # a retired chunk ahead of the live one: only the live one's steps count
+    ([[1, 0.5, 0.3], [1, 0.6, 0.2, 0.1, 0.05]], {1}, [1, 0.6, 0.3], None),
+    # every chunk retired: every step taken counts
+    ([[1, 0.2, 0.1], [1, 0.5, 0.2, 0.1]], {0, 1}, [1, 0.5, 0.2, 0.1], 2),
+    # a live chunk past eps, the other retired before it crossed: not yet tau
+    ([[1, 0.4, 0.3], [1, 0.2, 0.1]], {1}, [1, 0.4, 0.3], None),
+])
+def test_tau_counts_a_retired_chunk_as_within_eps(curves, retired, distances, tau):
+    assert analysis._tau(curves, 0.25, retired) == (tau, distances)
 
 
 def _steps_per_chunk(monkeypatch):
-    """Record the step count each pass leaves each chunk at, keyed by chunk."""
-    real, reached = analysis._run_chunk, {}
+    """Record the step count each pass leaves each chunk at, keyed by the
+    state of the chunk's first start, and each pass's ``floor``."""
+    real, reached, keys = analysis._run_chunk, {}, {}
 
-    def recording(*args):
-        taken = real(*args)
-        reached.setdefault(args[-1], []).append(args[5] + taken)  # t + taken
+    def recording(transposed, pi, x, spare, log, curve, reached_, eps, horizon, floor):
+        if len(curve) == 1:  # t = 0: the chunk's first nonzero is its first start
+            keys[id(curve)] = int(np.flatnonzero(x)[0]) // (x.shape[1] if x.ndim > 1 else 1)
+        taken = real(transposed, pi, x, spare, log, curve, reached_, eps, horizon, floor)
+        reached.setdefault(keys[id(curve)], []).append((len(curve) - 1 + taken, floor))
         return taken
 
     monkeypatch.setattr(analysis, "_run_chunk", recording)
@@ -296,26 +321,83 @@ def _steps_per_chunk(monkeypatch):
 
 
 def test_no_chunk_steps_past_tau_with_chunks_queued(monkeypatch):
-    # six chunks on two workers: speculation would take a queued chunk's turn
+    # six chunks on two workers: a chunk within eps stops at its first
+    # crossing past the others' step counts, or retires before it
     monkeypatch.setattr(analysis, "WORKERS", 2)
     reached = _steps_per_chunk(monkeypatch)
     matrix, pi, _ = _kernel_case("tree", "constant:0.75", 6)
     res = mixing_time_exact(matrix, pi, 0.25)
-    assert len(reached) == 6 and {steps[-1] for steps in reached.values()} == {res.tau}
+    ends = [steps[-1][0] for steps in reached.values()]
+    assert len(ends) == 6 and max(ends) == res.tau == 172 and min(ends) < res.tau
+
+
+def _retirement_step(matrix, pi, start, eps):
+    """The step at which ``start`` alone retires, from the reference loop."""
+    import scipy.sparse as sp
+
+    floor = analysis._retirement_floor(sp.csc_matrix(matrix.T), pi, eps, 200_000)
+    curve = _distances_by_transposed_block(matrix, pi, eps / 2, [start])
+    return next(t for t in range(1, len(curve)) if analysis._retired(curve[t - 1], curve[t], eps, floor))
 
 
 def test_extreme_starts_finish_together_in_one_pass(monkeypatch):
-    # the highest walk is within eps at step 19 and the lowest at 550: the
-    # former steps on while the latter is above eps, and the latter catches up
-    # with it, so one pass finds tau; a front read just before it changed may
-    # take one step more
+    # the highest walk is within eps at step 19 and the lowest at 550: with a
+    # worker each, each steps on past its crossing until it retires, so one
+    # pass finds tau and no chunk is resumed
     monkeypatch.setattr(analysis, "WORKERS", 2)
     monkeypatch.setattr(analysis, "LOG", 4096)
     reached = _steps_per_chunk(monkeypatch)
     matrix, pi, starts = _walk_case(WalkChain.constant(7, Fraction(3, 4)))
     res = mixing_time_exact(matrix, pi, 0.25, starts=starts)
-    (low,), (high,) = reached[0], reached[1]
-    assert res.tau == 550 and min(low, high) >= 550 and abs(low - high) <= 1
+    crossing = len(_distances_by_transposed_block(matrix, pi, 0.25, starts[1:])) - 1
+    retiring = _retirement_step(matrix, pi, starts[1], 0.25)
+    [(low, _)], [(high, _)] = reached[starts[0]], reached[starts[1]]
+    assert res.tau == 550 and low >= 550 and high == retiring <= crossing + 3 < 550
+
+
+def test_a_pi_that_is_not_stationary_turns_retirement_off(monkeypatch):
+    # with no chunk retired, each stops at a crossing at or past the largest
+    # step count of the pass before, so none ends before tau
+    import scipy.sparse as sp
+
+    build_case, eps, horizon = FORMER_LOOP_CASES["nn-uniform-pi"]
+    matrix, pi, _ = build_case()
+    assert analysis._retirement_floor(sp.csc_matrix(matrix.T), pi, eps, horizon) is None
+    monkeypatch.setattr(analysis, "WORKERS", 2)
+    reached = _steps_per_chunk(monkeypatch)
+    res = mixing_time_exact(matrix, pi, eps)
+    assert res.distances == _distances_by_transposed_block(matrix, pi, eps, None)
+    assert len(reached) == 6
+    assert all(steps[-1][0] >= res.tau and floor is None for steps in reached.values() for _, floor in steps)
+
+
+@pytest.mark.parametrize("chain, model, n", [
+    ("nn", "constant:0.75", 6), ("tree", "constant:0.75", 6), ("walk", "slowmix:7", None),
+])
+def test_the_retirement_floor_holds_on_stochastic_matrices(chain, model, n):
+    # the rows' and pi's defects are rounding, so 1e-9 is the floor; a
+    # negative entry turns retirement off
+    import scipy.sparse as sp
+
+    matrix, pi, _ = _kernel_case(chain, model, n)
+    transposed = sp.csc_matrix(matrix.T)
+    assert analysis._retirement_floor(transposed, pi, 0.25, 200_000) == 1e-9
+    transposed.data[0] = -transposed.data[0]
+    assert analysis._retirement_floor(transposed, pi, 0.25, 200_000) is None
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_chunk_retired_above_the_final_maximum_is_resumed(workers, monkeypatch):
+    # with no margin, a chunk retires at its crossing; three of the six cross
+    # at 129 to 135 with values above distances[172], so they step on to tau
+    monkeypatch.setattr(analysis, "_retired", lambda prev, last, eps, floor: last <= eps)
+    monkeypatch.setattr(analysis, "WORKERS", workers)
+    reached = _steps_per_chunk(monkeypatch)
+    matrix, pi, _ = _kernel_case("tree", "constant:0.75", 6)
+    res = mixing_time_exact(matrix, pi, 0.25)
+    assert res.distances == _distances_by_transposed_block(matrix, pi, 0.25, None)
+    resumed = [steps for steps in reached.values() if steps[-1][1] is None]
+    assert len(resumed) == 3 and all(steps[-1][0] == res.tau > steps[-2][0] for steps in resumed)
 
 
 @pytest.mark.parametrize("horizon", [200_000, 10])
@@ -352,7 +434,7 @@ def _within(seconds, call):
 def test_speculation_holds_with_more_workers_than_cores(monkeypatch):
     # four explicit starts with a worker each, more workers than a small host
     # has CPUs; a switch interval of a microsecond and five steps a pass make
-    # the chunks read each other's fronts mid-write and across many passes
+    # the threads switch mid-step and the chunks retire across many passes
     monkeypatch.setattr(analysis, "WORKERS", 4)
     monkeypatch.setattr(analysis, "LOG", 5)
     matrix, pi, _ = _kernel_case("tree", "constant:0.75", 6)
@@ -378,8 +460,8 @@ def test_a_worker_exception_neither_hangs_nor_leaks(monkeypatch):
     # product, while the lowest walk's chunk is far above eps
     real = analysis._run_chunk
 
-    def failing(transposed, pi, *rest):
-        return real(transposed, pi.view(_FailingPi) if rest[-1] == 1 else pi, *rest)
+    def failing(transposed, pi, x, *rest):
+        return real(transposed, pi.view(_FailingPi) if x[-1] == 1 else pi, x, *rest)
 
     monkeypatch.setattr(analysis, "_run_chunk", failing)
     monkeypatch.setattr(analysis, "WORKERS", 2)
@@ -390,10 +472,11 @@ def test_a_worker_exception_neither_hangs_nor_leaks(monkeypatch):
     outcome = _within(10, lambda: mixing_time_exact(matrix, pi, 0.25, starts=starts))
     assert isinstance(outcome, RuntimeError) and str(outcome) == "chunk 1 failed"
     assert threading.active_count() == before
-    # the failed chunk left its entry at its step count: the other chunk
-    # stopped at its own first crossing instead of stepping on to LOG
-    alone = _distances_by_transposed_block(matrix, pi, 0.25, starts[:1])
-    assert reached == {0: [len(alone) - 1]} and len(alone) - 1 < analysis.LOG
+    # the other chunk stopped where it retired, a few steps past its own
+    # crossing, instead of stepping on to LOG
+    retiring = _retirement_step(matrix, pi, starts[0], 0.25)
+    assert [steps for steps, _ in reached[starts[0]]] == [retiring] and 550 < retiring <= 553
+    assert list(reached) == [starts[0]]
 
 
 def test_pool_only_for_two_or_more_chunks(monkeypatch):
@@ -559,6 +642,20 @@ def test_conductance_equals_the_entry_loop_on_the_slowmix_level_cut(n):
     pi = walk_stationary(chain, arrays)
     cut = np.flatnonzero(arrays.max_height < spec.level).tolist()
     assert conductance_of_cut(m, pi, cut) == reference_conductance(m, pi, cut) > 0
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 9])
+def test_level_cut_flow_from_the_walk_classes_equals_the_matrix(n):
+    # slowmix's cut, and its complement, which holds more than half the mass
+    spec = SlowMixSpec(n=n, delta=solve_delta(n))
+    arrays = walks.walk_arrays(n)
+    chain = WalkChain.fluctuating(spec)
+    classes = list(analysis._walk_swaps(chain, arrays))
+    matrix, pi = class_rows_matrix(chain, classes), walk_stationary(chain, arrays)
+    low = arrays.max_height < spec.level
+    for inside in (low, ~low):
+        expected = conductance_of_cut(matrix, pi, np.flatnonzero(inside).tolist())
+        assert analysis.class_cut_conductance(chain, classes, pi, inside) == expected > 0
 
 
 def test_conductance_without_outgoing_flow_equals_the_entry_loop():

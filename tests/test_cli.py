@@ -281,16 +281,24 @@ def test_slowmix_small_n_rejected(capsys):
 
 
 def test_slowmix_cap_checked_without_enumerating(capsys, monkeypatch):
-    from permchains import walks
+    from permchains import analysis, walks
 
     def enumerate_walks(n):
         raise AssertionError("the cap check enumerated the walk space")
 
+    def report(n, compute_comparison=True):
+        raise AssertionError(f"n={n} was computed before the range was checked")
+
     monkeypatch.setattr(walks, "all_walks", enumerate_walks)
-    code, out, err = run_cli(["slowmix", "--n", "12"], capsys)
-    assert code == 3
-    assert "cap" in err
-    assert out == ""
+    monkeypatch.setattr(analysis, "slowmix_cut_report", report)
+    for sizes, first in ((["--n", "12"], 12), (["--n-range", "8:12"], 10)):
+        code, out, err = run_cli(["slowmix", *sizes], capsys)
+        assert code == 3
+        assert f"walk space at n={first} exceeds the cap" in err
+        assert out == ""
+    # the first size that fails decides: n = 3 is a usage error before n = 10 breaks the cap
+    code, out, err = run_cli(["slowmix", "--n-range", "3:12"], capsys)
+    assert (code, out) == (2, "") and "n >= 4" in err
 
 
 @pytest.mark.parametrize("command", [["slowmix"], ["exact", "--chain", "nn", "--model", "constant:0.7"]])
@@ -429,10 +437,18 @@ def test_exact_cap_checked_without_enumerating(capsys, monkeypatch):
         raise AssertionError("the cap check enumerated the permutations")
 
     monkeypatch.setattr(perms, "all_permutations", enumerate_permutations)
-    code, out, err = run_cli(["exact", "--chain", "nn", "--model", "constant:0.7", "--n", "9"], capsys)
-    assert code == 3
-    assert "362880 states at n=9 exceed the cap" in err
-    assert out == ""
+    for sizes in (["--n", "9"], ["--n-range", "3:9"]):
+        code, out, err = run_cli(["exact", "--chain", "nn", "--model", "constant:0.7", *sizes], capsys)
+        assert code == 3
+        assert "362880 states at n=9 exceed the cap" in err
+        assert out == ""
+    # zero stationary mass shows only once a size is enumerated, so the cap
+    # breach at n = 9 wins over the degenerate constant:1 at n = 3
+    code, out, err = run_cli(["exact", "--chain", "nn", "--model", "constant:1", "--n-range", "3:9"], capsys)
+    assert (code, out) == (3, "") and "362880 states at n=9 exceed the cap" in err
+    # inv refuses constant:1 when it builds the kernel, before any size's cap is read
+    code, out, err = run_cli(["exact", "--chain", "inv", "--model", "constant:1", "--n-range", "3:9"], capsys)
+    assert (code, out) == (2, "") and "degenerate" in err
 
 
 @pytest.mark.parametrize("chain", ["nn", "inv", "tree"])
