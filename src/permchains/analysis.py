@@ -252,7 +252,7 @@ def mixing_time_exact(
         spares.put((np.empty(width), np.empty(CHUNK)))
     logs = np.empty((len(xs), LOG))
     retired: set = set()
-    side_by_side = 1 < len(xs) == workers  # a chunk within eps steps on until it retires
+    side_by_side = 1 < len(xs) == workers  # a worker per chunk: within eps, it steps on until it retires
     stepping, reached, retiring = range(len(xs)), horizon if side_by_side else 1, floor
 
     def run(k):
