@@ -210,14 +210,14 @@ def mixing_time_exact(
     eps by a margin retires (``_retired``) and steps no further, unless
     ``_retirement_floor`` finds the premise false.  Each pass steps every live
     chunk until it retires or, within eps, reaches the largest step count of
-    the live chunks (with a worker per chunk, until it retires), until tau
-    and the distances (``_tau``) exist or the horizon is spent; they equal
-    stepping the whole block, since before tau the largest value exceeds eps
-    and no retired chunk's later value does, and at tau a retired chunk not
-    below distances[tau] by the floor steps on to tau.  Columns step alone,
-    so chunks run in any order: with two or more live chunks, on up to
-    ``WORKERS`` threads bound to a CPU each (``_pool``), into buffers the
-    calling thread made, at most ``LOG`` steps per pass.
+    the live chunks, until tau and the distances (``_tau``) exist or the
+    horizon is spent; they equal stepping the whole block, since before tau
+    the largest value exceeds eps and no retired chunk's later value does,
+    and at tau a retired chunk not below distances[tau] by the floor steps on
+    to tau.  Columns step alone, so chunks run in any order: with two or more
+    live chunks, on up to ``WORKERS`` threads bound to a CPU each
+    (``_pool``), into buffers the calling thread made, at most ``LOG`` steps
+    per pass.
     """
     pi = np.asarray(pi)
     m = matrix.shape[0]
@@ -252,8 +252,7 @@ def mixing_time_exact(
         spares.put((np.empty(width), np.empty(CHUNK)))
     logs = np.empty((len(xs), LOG))
     retired: set = set()
-    side_by_side = 1 < len(xs) == workers  # a worker per chunk: within eps, it steps on until it retires
-    stepping, reached, retiring = range(len(xs)), horizon if side_by_side else 1, floor
+    stepping, reached, retiring = range(len(xs)), 1, floor
 
     def run(k):
         spare = spares.get()
@@ -274,8 +273,7 @@ def mixing_time_exact(
             if tau is None:
                 live = [k for k in range(len(xs)) if k not in retired]
                 stepping = [k for k in live if len(curves[k]) <= horizon]
-                if not side_by_side:
-                    reached = max(len(curves[k]) for k in live) - 1
+                reached = max(len(curves[k]) for k in live) - 1
             else:
                 # resume: a retired chunk steps on to tau where its value could be the largest
                 stepping = [k for k in retired if len(curves[k]) <= tau and curves[k][-1] + floor > distances[tau]]
@@ -297,14 +295,15 @@ def _retirement_floor(transposed, pi: np.ndarray, eps: float, horizon: int) -> f
     negative entry, or a pi that is not stationary) where none may.
 
     ||(x - pi) P||_1 <= ||x - pi||_1 for P >= 0 with rows summing to 1.  A
-    float step may add the rows' largest defect from 1, ||pi P - pi||_1 and a
-    column's rounding, and a measured TV is off by the state count times the
-    machine epsilon: over the horizon, at least 1e-9, that is the floor.
+    float step may add the rows' largest defect from 1, ||pi P - pi||_1 and
+    the rounding of an entry of xP, a sum over a column of P, and a measured
+    TV is off by the state count times the machine epsilon: over the
+    horizon, at least 1e-9, that is the floor.
     """
     unit = np.finfo(float).eps
     rows = np.abs(np.asarray(transposed.sum(axis=0)).ravel() - 1).max()
     drift = np.abs(transposed @ pi - pi).sum()
-    terms = np.diff(transposed.indptr).max()
+    terms = np.bincount(transposed.indices, minlength=len(pi)).max()  # a column of P's nonzeros
     floor = max(1e-9, float(horizon * (rows + drift + terms * unit) + len(pi) * unit))
     return floor if floor < eps and not (transposed.data < 0).any() else None
 

@@ -173,10 +173,12 @@ def _exact_rows(args, ns: list[int | None]):
     from . import analysis
 
     model = parse_model_spec(args.model)
-    kernels = [_kernel(args.chain, args.model, model, requested) for requested in ns]
-    for kernel in kernels:  # every size's counted space, before any is enumerated
-        if kernel.space_size() > analysis.STATE_CAP:
+    kernels = []
+    for requested in ns:  # every size's counted space, before any is enumerated
+        kernel = _kernel(args.chain, args.model, model, requested)
+        if kernel.space_size() > analysis.STATE_CAP:  # no later size is built
             raise CapExceeded(f"{kernel.space_size()} states at n={kernel.n} exceed the cap {analysis.STATE_CAP}")
+        kernels.append(kernel)
     rows = []
     for kernel in kernels:
         n = kernel.n

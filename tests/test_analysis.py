@@ -16,9 +16,10 @@ Exact analysis machinery:
   is not stationary turns retirement off, and a chunk that retired above the
   final maximum is stepped on to tau; only runs of two or more chunks start a
   thread pool, no thread outlives the call, a worker's exception reaches the
-  caller without a hang, no chunk steps past tau with chunks queued, and the
-  extreme starts finish in one pass with the highest walk retired a few steps
-  after its crossing
+  caller without a hang, no chunk steps past tau with chunks queued, the
+  lowest extreme start reaches tau in its first pass, and the highest walk
+  retires a few steps after its crossing; the retirement floor counts the
+  terms of a dense column
 - every explicit cut lower-bounds the exact mixing time; the vectorised cut
   flow equals the former loop over COO entries, and the slowmix level cut's
   flow from the walk classes equals it on the built matrix at n = 4..9
@@ -341,9 +342,10 @@ def _retirement_step(matrix, pi, start, eps):
 
 
 def test_extreme_starts_finish_together_in_one_pass(monkeypatch):
-    # the highest walk is within eps at step 19 and the lowest at 550: with a
-    # worker each, each steps on past its crossing until it retires, so one
-    # pass finds tau and no chunk is resumed
+    # the highest walk is within eps at step 19 and the lowest at 550: the
+    # lowest reaches tau in its first pass and never waits, and the highest
+    # stops at its crossing, then takes the few steps to retire in the next
+    # pass, while the lowest takes none; no chunk is resumed
     monkeypatch.setattr(analysis, "WORKERS", 2)
     monkeypatch.setattr(analysis, "LOG", 4096)
     reached = _steps_per_chunk(monkeypatch)
@@ -351,8 +353,10 @@ def test_extreme_starts_finish_together_in_one_pass(monkeypatch):
     res = mixing_time_exact(matrix, pi, 0.25, starts=starts)
     crossing = len(_distances_by_transposed_block(matrix, pi, 0.25, starts[1:])) - 1
     retiring = _retirement_step(matrix, pi, starts[1], 0.25)
-    [(low, _)], [(high, _)] = reached[starts[0]], reached[starts[1]]
-    assert res.tau == 550 and low >= 550 and high == retiring <= crossing + 3 < 550
+    low, high = ([steps for steps, floor in reached[s] if floor is not None] for s in starts)
+    assert res.tau == 550 and low == [550, 550]
+    assert high == [crossing, retiring] and crossing < retiring <= crossing + 3
+    assert sum(map(len, reached.values())) == 4  # two passes, nothing resumed
 
 
 def test_a_pi_that_is_not_stationary_turns_retirement_off(monkeypatch):
@@ -384,6 +388,19 @@ def test_the_retirement_floor_holds_on_stochastic_matrices(chain, model, n):
     assert analysis._retirement_floor(transposed, pi, 0.25, 200_000) == 1e-9
     transposed.data[0] = -transposed.data[0]
     assert analysis._retirement_floor(transposed, pi, 0.25, 200_000) is None
+
+
+def test_the_retirement_floor_counts_the_terms_of_a_dense_column():
+    # every state holds or moves to state 0 with probability 1/2: a row has
+    # at most two nonzeros, but entry 0 of xP sums all m of column 0
+    import scipy.sparse as sp
+
+    m, horizon = 1000, 200_000
+    rows = np.concatenate([np.arange(m), np.arange(m)])
+    matrix = sp.csr_matrix((np.full(2 * m, 0.5), (rows, np.r_[np.arange(m), np.zeros(m, int)])), shape=(m, m))
+    pi = np.eye(m)[0]  # stationary: state 0 holds
+    floor = analysis._retirement_floor(sp.csc_matrix(matrix.T), pi, 0.25, horizon)
+    assert floor == pytest.approx((horizon + 1) * m * np.finfo(float).eps) and floor > 1e-9
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -472,10 +489,8 @@ def test_a_worker_exception_neither_hangs_nor_leaks(monkeypatch):
     outcome = _within(10, lambda: mixing_time_exact(matrix, pi, 0.25, starts=starts))
     assert isinstance(outcome, RuntimeError) and str(outcome) == "chunk 1 failed"
     assert threading.active_count() == before
-    # the other chunk stopped where it retired, a few steps past its own
-    # crossing, instead of stepping on to LOG
-    retiring = _retirement_step(matrix, pi, starts[0], 0.25)
-    assert [steps for steps, _ in reached[starts[0]]] == [retiring] and 550 < retiring <= 553
+    # the other chunk stopped at its crossing, instead of stepping on to LOG
+    assert [steps for steps, _ in reached[starts[0]]] == [550]
     assert list(reached) == [starts[0]]
 
 

@@ -1,8 +1,6 @@
 """``tools/bench_pairs.summarize`` on synthetic pairs: medians, wins, ratios,
 the bound flags read from BENCHMARK.json's end-to-end entries, and whether a
-gain lies beyond the parent's quartile spread; ``main`` with stubbed runs
-runs only the workloads ``--workload`` names, all by default, records them,
-and refuses a name BENCHMARK.json does not declare."""
+gain lies beyond the parent's quartile spread."""
 import importlib.util
 import json
 from pathlib import Path
@@ -70,37 +68,3 @@ def test_a_gain_must_lie_beyond_the_parent_spread(better, parent, change, beyond
     summary = bench_pairs.summarize(pairs, [metric])["m"]
     assert (summary["parent"]["q1"], summary["parent"]["q3"]) == pytest.approx((0.9, 1.1))
     assert summary["beyond_parent_spread"] is beyond
-
-
-@pytest.mark.parametrize("selected, expected", [
-    ([], ["sample", "exact-perm", "paths", "slowmix"]),
-    (["--workload", "slowmix"], ["slowmix"]),
-    (["--workload", "slowmix", "--workload", "sample"], ["sample", "slowmix"]),
-])
-def test_only_the_named_workloads_run(selected, expected, tmp_path, monkeypatch):
-    # the runs and the git calls are stubbed; the file goes to a copy of the root
-    (tmp_path / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
-    runs = []
-
-    def run_once(checkout, workload, seed, seconds):
-        runs.append(workload)
-        return {"failed": 0, "attempted": 1, "metrics": {m["name"]: 1.0 for m in END_TO_END}}
-
-    @bench_pairs.contextmanager
-    def exported(rev, side):
-        yield tmp_path
-
-    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
-    monkeypatch.setattr(bench_pairs, "git", lambda *args, **kwargs: "")
-    monkeypatch.setattr(bench_pairs, "exported", exported)
-    monkeypatch.setattr(bench_pairs, "run_once", run_once)
-    assert bench_pairs.main(["--parent", "p", "--pr", "t", "--first-seed", "1", *selected]) == 0
-    doc = json.loads((tmp_path / "BENCH_t.json").read_text())
-    assert doc["workloads_run"] == list(doc["workloads"]) == expected
-    assert runs == [name for name in expected for _ in range(2 * bench_pairs.PAIRS)]
-
-
-def test_an_unknown_workload_is_refused(capsys):
-    with pytest.raises(SystemExit) as exit_:
-        bench_pairs.main(["--parent", "p", "--pr", "t", "--first-seed", "1", "--workload", "nope"])
-    assert exit_.value.code == 2 and "invalid choice" in capsys.readouterr().err

@@ -451,6 +451,24 @@ def test_exact_cap_checked_without_enumerating(capsys, monkeypatch):
     assert (code, out) == (2, "") and "degenerate" in err
 
 
+@pytest.mark.parametrize("chain", ["nn", "tree"])
+def test_exact_range_stops_building_at_its_first_size_over_the_cap(capsys, monkeypatch, chain):
+    # a range past the label cap: no kernel is built after n = 9, whose
+    # counted space breaks the state cap, so n = 1001's label cap is not reached
+    from permchains import bias, chains
+
+    table, tree = bias.Model.bias_table, chains.complete_tree
+
+    def guard(n):
+        if n > 9:
+            raise AssertionError(f"the kernel of n={n} was built past the first size over the cap")
+
+    monkeypatch.setattr(bias.Model, "bias_table", lambda self, n=None: guard(n) or table(self, n))
+    monkeypatch.setattr(chains, "complete_tree", lambda n, q: guard(n) or tree(n, q))
+    code, out, err = run_cli(["exact", "--chain", chain, "--model", "constant:0.7", "--n-range", "3:1001"], capsys)
+    assert (code, out) == (3, "") and "362880 states at n=9 exceed the cap" in err
+
+
 @pytest.mark.parametrize("chain", ["nn", "inv", "tree"])
 def test_sample_label_cap_checked_before_the_table(capsys, chain):
     code, out, err = run_cli(

@@ -4,9 +4,8 @@ Run from anywhere inside a checkout of the change, with the change committed:
 
     python3 tools/bench_pairs.py --parent HEAD~1 --pr <number> --first-seed <seed>
 
-For every workload of BENCHMARK.json, or only those named by ``--workload``
-(repeatable; the file's ``workloads_run`` lists them), and each of its 10
-pairs k it runs, once on each side,
+For every workload of BENCHMARK.json and each of its 10 pairs k it runs, once
+on each side,
 
     python3 perfbench/run.py --workload W --seed <first-seed + k> --seconds S --trace 0
 
@@ -107,19 +106,16 @@ def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
 
 
 def main(argv=None) -> int:
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    names = [w["name"] for w in spec["workloads"]]
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="git revision of the parent commit")
     parser.add_argument("--pr", required=True, help="names the output file BENCH_<pr>.json")
     parser.add_argument("--first-seed", type=int, required=True)
-    parser.add_argument("--workload", action="append", choices=names,
-                        help="run only this workload's pairs (repeatable; default: every workload)")
     args = parser.parse_args(argv)
     if git("status", "--porcelain", "--untracked-files=no"):
         parser.error("tracked files differ from HEAD; commit the change first")
 
-    workloads = [name for name in names if args.workload is None or name in args.workload]
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = [w["name"] for w in spec["workloads"]]
     seconds = spec["run_seconds"]
     doc = {
         "parent": git("rev-parse", args.parent),
@@ -135,7 +131,6 @@ def main(argv=None) -> int:
             # the runs inherit this environment; a non-empty value is "set" to Python
             "dont_write_bytecode": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
         },
-        "workloads_run": workloads,
         "workloads": {},
     }
     out = ROOT / f"BENCH_{args.pr}.json"
