@@ -31,15 +31,18 @@ bit for bit.  Its rows come from memoized slot products with the hold summed
 on integers, equal to a per-slot Fraction loop, which the tests keep as the
 reference.  ``nn`` keeps the Fraction rows in every command.
 
-``mixing_time_exact`` steps the start distributions in cache-sized chunks of
-columns, or one vector per explicit start, until the first t at which every
-start is within eps: its distances and tau equal stepping the whole (states,
-starts) block, which the tests keep as the reference, bit for bit.  Two or
-more chunks run on a thread pool with one worker per usable CPU
-(``WORKERS``), each bound to a CPU of its own and stepping into buffers that
-the calling thread made; a chunk below eps by a margin retires, as a start's
-TV to a stationary pi never grows.  A column's steps depend on that column
-alone, so the results do not depend on the number of cores.
+``mixing_time_exact`` steps the start distributions in chunks, each a
+C-contiguous (states, w) block of w <= CHUNK columns, until the first t at
+which every start is within eps: every state split evenly into cache-sized
+chunks, or one column per explicit start.  Its distances and tau equal
+stepping each chunk's block on its own, which the tests keep as the reference,
+bit for bit; for every start that is the whole (states, states) block, and an
+explicit start's curve does not depend on the starts passed with it.  Two or
+more chunks run on a thread pool with one worker per usable CPU (``WORKERS``),
+each bound to a CPU of its own and stepping into buffers that the calling
+thread made; a chunk below eps by a margin retires, as a start's TV to a
+stationary pi never grows.  A column's steps depend on that column alone, so
+the results do not depend on the number of cores.
 
 scipy is imported where a sparse matrix is made (``transition_matrix``,
 ``class_rows_matrix`` and ``mixing_time_exact``'s transpose) and where
@@ -186,9 +189,7 @@ def tv_distance(mu, nu) -> float:
 @dataclass
 class MixingResult:
     tau: int | None         # None when the horizon ran out
-    eps: float
     distances: list         # worst-start TV at t = 0, 1, ...
-    converged: bool
     caveat: str             # "all-starts" or "extreme-starts"
 
 
@@ -202,27 +203,30 @@ def mixing_time_exact(
     """Smallest t with worst-start TV <= eps, and the worst-start TV at each t.
 
     starts=None uses every state ("all-starts"); explicit starts are the
-    "extreme-starts" caveat.  The starts are stepped in chunks, each with its
-    own curve of worst TV per step: with starts=None, (states, w) blocks of
-    w <= CHUNK columns, small enough to stay in cache; with explicit starts,
-    one vector per start.  A start's TV to a stationary pi never grows along
-    a stochastic matrix (Levin, Peres and Wilmer, ch. 4), so a chunk within
-    eps by a margin retires (``_retired``) and steps no further, unless
-    ``_retirement_floor`` finds the premise false.  Each pass steps every live
-    chunk until it retires or, within eps, reaches the largest step count of
-    the live chunks, until tau and the distances (``_tau``) exist or the
-    horizon is spent; they equal stepping the whole block, since before tau
-    the largest value exceeds eps and no retired chunk's later value does,
-    and at tau a retired chunk not below distances[tau] by the floor steps on
-    to tau.  Columns step alone, so chunks run in any order: with two or more
-    live chunks, on up to ``WORKERS`` threads bound to a CPU each
-    (``_pool``), into buffers the calling thread made, at most ``LOG`` steps
-    per pass.
+    "extreme-starts" caveat.  The starts are stepped in chunks, each a
+    C-contiguous (states, w) block with its own curve of worst TV per step:
+    with starts=None, the states split evenly into ceil(states / CHUNK)
+    blocks, small enough to stay in cache and, with two or more states, two or
+    more columns wide, as numpy sums such a block's states in the order of the
+    whole block; with explicit starts, one column per start.  A start's TV to
+    a stationary pi never grows along a stochastic matrix (Levin, Peres and
+    Wilmer, ch. 4), so a chunk within eps by a margin retires (``_retired``)
+    and steps no further, unless ``_retirement_floor`` finds the premise
+    false.  Each pass steps every live chunk until it retires or, within eps,
+    reaches the largest step count of the live chunks, until tau and the
+    distances (``_tau``) exist or the horizon is spent; they equal stepping
+    each chunk's block on its own, and with starts=None the whole block, since
+    before tau the largest value exceeds eps and no retired chunk's later
+    value does, and at tau a retired chunk not below distances[tau] by the
+    floor steps on to tau.  Columns step alone, so chunks run in any order:
+    with two or more live chunks, on up to ``WORKERS`` threads bound to a CPU
+    each (``_pool``), into buffers the calling thread made, at most ``LOG``
+    steps per pass.
     """
     pi = np.asarray(pi)
     m = matrix.shape[0]
     if starts is None:
-        groups = [range(a, min(a + CHUNK, m)) for a in range(0, m, CHUNK)]
+        groups = np.array_split(np.arange(m), -(-m // CHUNK))
         caveat = "all-starts"
     else:
         groups = [[s] for s in starts]
@@ -233,13 +237,10 @@ def mixing_time_exact(
         rows[np.arange(len(group)), group] = 1.0
         curves.append([float(np.abs(rows - pi).sum(axis=1).max() * 0.5)])
         # a C-contiguous (states, w) block, the layout the sparsetools kernel
-        # reads and writes, so nothing is transposed per step.  One column
-        # split off a wider block is a vector; a single start keeps its
-        # (states, 1) block (see _worst_column).
-        split = len(group) == 1 and len(groups) > 1
-        xs.append(rows[0] if split else np.ascontiguousarray(rows.T))
+        # reads and writes, so nothing is transposed per step
+        xs.append(np.ascontiguousarray(rows.T))
     if max(c[0] for c in curves) <= eps:
-        return MixingResult(0, eps, [max(c[0] for c in curves)], True, caveat)
+        return MixingResult(0, [max(c[0] for c in curves)], caveat)
     import scipy.sparse as sp
 
     transposed = sp.csc_matrix(matrix.T, dtype=float)  # formed once
@@ -278,7 +279,7 @@ def mixing_time_exact(
                 # resume: a retired chunk steps on to tau where its value could be the largest
                 stepping = [k for k in retired if len(curves[k]) <= tau and curves[k][-1] + floor > distances[tau]]
                 reached, retiring = tau, None
-    return MixingResult(tau, eps, distances[: None if tau is None else tau + 1], tau is not None, caveat)
+    return MixingResult(tau, distances[: None if tau is None else tau + 1], caveat)
 
 
 def _tau(curves, eps: float, retired=()) -> tuple[int | None, list]:
@@ -350,8 +351,9 @@ def _run_chunk(transposed, pi, x, spare, log, curve, reached, eps, horizon, floo
 
     Each step zeroes y and calls the sparsetools kernel that ``transposed @ x``
     calls into its own zeroed result, so the values are those of ``@``; then
-    x and y swap, and the former x takes |x - pi|.  The chunk's last values
-    are copied back into its own array.
+    x and y swap, the former x takes |x - pi|, and the worst TV is the largest
+    of its column sums.  The chunk's last values are copied back into its own
+    array.
 
     y and the column sums are views of the worker's ``spare``: nothing a step
     writes is allocated in the worker thread, whose blocks, freed by the
@@ -363,7 +365,8 @@ def _run_chunk(transposed, pi, x, spare, log, curve, reached, eps, horizon, floo
     own = x
     block, sums = spare
     y = block[: x.size].reshape(x.shape)
-    centre = pi if x.ndim == 1 else pi[:, None]
+    width = x.shape[1]
+    centre = pi[:, None]
     rows, cols = transposed.shape
     args = (transposed.indptr, transposed.indices, transposed.data)
     t = len(curve) - 1
@@ -373,33 +376,19 @@ def _run_chunk(transposed, pi, x, spare, log, curve, reached, eps, horizon, floo
         if last <= eps and (t + taken >= reached or floor is not None and _retired(prev, last, eps, floor)):
             break
         y.fill(0.0)
-        if x.ndim == 1 or x.shape[1] == 1:
+        if width == 1:
             _sparsetools.csc_matvec(rows, cols, *args, x.ravel(), y.ravel())
         else:
-            _sparsetools.csc_matvecs(rows, cols, x.shape[1], *args, x.ravel(), y.ravel())
+            _sparsetools.csc_matvecs(rows, cols, width, *args, x.ravel(), y.ravel())
         x, y = y, x
         np.subtract(x, centre, out=y)
         np.abs(y, out=y)
-        prev, last = last, _worst_column(y, sums) * 0.5
+        prev, last = last, y.sum(axis=0, out=sums[:width]).max() * 0.5
         log[taken] = last
         taken += 1
     if x is not own:
         own[...] = x
     return taken
-
-
-def _worst_column(buf: np.ndarray, sums: np.ndarray):
-    """The largest column sum of |x - pi|, as the whole (states, starts) block
-    gives it; a block's column sums go into ``sums``.
-
-    numpy adds a block's states in sequence when it has two or more columns,
-    and pairwise when it has one.  A vector split off a wider block therefore
-    takes a running total: its pairwise sum would change the distances in
-    their last bits.
-    """
-    if buf.ndim == 1:
-        return np.add.accumulate(buf, out=buf)[-1]
-    return buf.sum(axis=0, out=sums[: buf.shape[1]]).max()
 
 
 def spectral_gap(matrix: sp.csr_matrix, pi: np.ndarray) -> float:

@@ -14,11 +14,13 @@ state space against the cap before enumerating it.
 
 Exit codes: 0 success, 1 invariant failure, 2 usage error (``--eps`` outside
 (0, 1), or (0, 1/2) for ``paths``), 3 resource cap exceeded (also a bias
-table or league tree of more than ``LABEL_CAP`` labels), 4 internal soundness
-failure.  A model whose states include some of zero stationary mass is a
-usage error: ``exact`` and ``scan`` find them in pi before building the
-matrix, ``paths`` in its bias table before routing, and both refuse inv's
-constant:1 before building the kernel.  ``exact``, ``scan`` and ``paths``
+table or league tree of more than ``LABEL_CAP`` labels, and a tau that
+``scan``'s fit or ``paths``' bound needs but that does not come within the
+step horizon of ``mixing_time_exact``), 4 internal soundness failure.  A
+model whose states include some of zero stationary mass is a usage error:
+``exact`` and ``scan`` find them in pi before building the matrix, ``paths``
+in its bias table before routing, and both refuse inv's constant:1 before
+building the kernel.  ``exact``, ``scan`` and ``paths``
 take every matrix from ``_matrix``: the array rows of ``analysis.ARRAY_ROWS``
 kinds, assembled by ``analysis.class_rows_matrix`` from the kind's finder,
 and the Fraction rows of the others.  The commands import ``analysis``,
@@ -168,8 +170,17 @@ def _matrix(kernel, states):
     return transition_matrix(kernel, states) if finder is None else class_rows_matrix(kernel, finder(kernel, states))
 
 
-def _exact_rows(args, ns: list[int | None]):
-    """One row per size; a size of None takes the model's own."""
+def _reached(res, n: int) -> int:
+    """The tau of ``res``, which a later step needs: one that did not come
+    within the step horizon exceeds a cap."""
+    if res.tau is None:
+        raise CapExceeded(f"tau not reached at n={n} within the horizon of {len(res.distances) - 1} steps")
+    return res.tau
+
+
+def _exact_rows(args, ns: list[int | None], need_tau: bool = False):
+    """One row per size; a size of None takes the model's own.  With
+    ``need_tau``, a size whose tau does not come within the horizon exceeds a cap."""
     from . import analysis
 
     model = parse_model_spec(args.model)
@@ -187,14 +198,11 @@ def _exact_rows(args, ns: list[int | None]):
         if not pi.all():
             raise _degenerate(args.model, f"{int((pi == 0).sum())} of {len(states)} states have", n)
         matrix = _matrix(kernel, states)
-        if len(states) <= 720:
-            starts = None
-            caveat = "all-starts"
-        else:
-            # the first and last states: for permutations, the identity and the reversal
-            starts = [0, len(states) - 1]
-            caveat = "extreme-starts"
+        # above 720 states, the first and last: for permutations, the identity and the reversal
+        starts = None if len(states) <= 720 else [0, len(states) - 1]
         res = analysis.mixing_time_exact(matrix, pi, args.eps, starts=starts)
+        if need_tau:
+            _reached(res, n)
         gap = analysis.spectral_gap(matrix, pi) if len(states) <= 2000 else float("nan")
         # any explicit cut lower-bounds the mixing time: tau >= (1/2 - eps)/phi - 1/2
         for cut in analysis.level_cuts_by_weight(pi, count=4):
@@ -202,7 +210,7 @@ def _exact_rows(args, ns: list[int | None]):
             bound = (0.5 - args.eps) / phi - 0.5 if phi > 0 else 0.0
             if res.tau is not None and res.tau < bound - 1e-9:
                 raise SoundnessError(f"tau={res.tau} violates the conductance bound {bound:.2f}")
-        rows.append([n, args.chain, args.model, args.eps, res.tau, gap, float(pi.min()), caveat])
+        rows.append([n, args.chain, args.model, args.eps, res.tau, gap, float(pi.min()), res.caveat])
     return rows
 
 
@@ -221,7 +229,7 @@ def cmd_scan(args) -> int:
     _check_eps(args.eps, 1)
     if len(ns) < 2:
         raise UsageError("scan needs at least two sizes")
-    rows = _exact_rows(args, ns)
+    rows = _exact_rows(args, ns, need_tau=True)
     taus = [r[4] for r in rows]
     slope = loglog_slope(ns, taus)
     element_slope = loglog_slope(ns, [t / n for t, n in zip(taus, ns)])
@@ -284,7 +292,7 @@ def cmd_paths(args) -> int:
 
     states = aux.space()
     tau_nn = analysis.mixing_time_exact(_matrix(KERNELS["nn"](aux.table), states), result.pi, args.eps).tau
-    tau_aux = analysis.mixing_time_exact(_matrix(aux, states), result.pi, args.eps).tau
+    tau_aux = _reached(analysis.mixing_time_exact(_matrix(aux, states), result.pi, args.eps), aux.n)
     bound = paths.comparison_bound(result.congestion, tau_aux, float(result.pi.min()), args.eps)
     if tau_nn is not None and bound < tau_nn:
         raise SoundnessError(f"comparison bound {bound:.1f} below exact tau {tau_nn}")

@@ -168,16 +168,32 @@ def test_mixing_time_deterministic_climb():
     assert mixing_time_exact(m, pi, 0.1).tau == 5
 
 
+def _start_blocks(m, starts, whole=False):
+    """The (starts, states) blocks a reference steps: the whole identity for
+    every start, else one (1, states) block per explicit start, or all of
+    them in one block if ``whole``."""
+    eye = np.eye(m)
+    if starts is None:
+        return [eye]
+    return [eye[starts]] if whole else [eye[[s]] for s in starts]
+
+
+def _stepped_distances(step, pi, eps, blocks, horizon):
+    """The worst TV over ``blocks`` at each step of ``step``, until it is
+    within eps or the horizon is spent."""
+    def worst():
+        return max(float(np.abs(block - pi).sum(axis=1).max() * 0.5) for block in blocks)
+
+    distances = [worst()]
+    while distances[-1] > eps and len(distances) <= horizon:
+        blocks = [step(block) for block in blocks]
+        distances.append(worst())
+    return distances
+
+
 def _distances_by_rmatmul(matrix, pi, eps, starts):
     """Worst-start TV curve stepped with ``block @ matrix``: the reference."""
-    block = np.eye(matrix.shape[0])
-    if starts is not None:
-        block = block[starts]
-    distances = [float(np.abs(block - pi).sum(axis=1).max() * 0.5)]
-    while distances[-1] > eps:
-        block = block @ matrix
-        distances.append(float(np.abs(block - pi).sum(axis=1).max() * 0.5))
-    return distances
+    return _stepped_distances(lambda block: block @ matrix, pi, eps, _start_blocks(matrix.shape[0], starts), 200_000)
 
 
 @pytest.mark.parametrize("chain", ["nn", "walk"])
@@ -195,18 +211,13 @@ def test_mixing_iteration_matches_rmatmul(chain):
     assert res.distances == _distances_by_rmatmul(matrix, pi, 0.25, starts)
 
 
-def _distances_by_transposed_block(matrix, pi, eps, starts, horizon=200_000):
+def _distances_by_transposed_block(matrix, pi, eps, starts, horizon=200_000, whole=False):
     """The former stepping loop, kept as the reference: a (starts, states) block
-    stepped through ``(matrix.T @ block.T).T``, a new |block - pi| every step."""
-    block = np.eye(matrix.shape[0])
-    if starts is not None:
-        block = block[starts]
-    distances = [float(np.abs(block - pi).sum(axis=1).max() * 0.5)]
+    stepped through ``(matrix.T @ block.T).T``, a new |block - pi| every step.
+    Explicit starts step one block each, unless ``whole`` (the former loop)."""
     transposed = matrix.T
-    while distances[-1] > eps and len(distances) <= horizon:
-        block = (transposed @ block.T).T
-        distances.append(float(np.abs(block - pi).sum(axis=1).max() * 0.5))
-    return distances
+    blocks = _start_blocks(matrix.shape[0], starts, whole)
+    return _stepped_distances(lambda block: (transposed @ block.T).T, pi, eps, blocks, horizon)
 
 
 def _kernel_case(kind, model, n=None, extreme=False):
@@ -228,13 +239,13 @@ FORMER_LOOP_CASES = {
     "nn-cyw:0.6,0.7,0.8,0.9,0.75": (lambda: _kernel_case("nn", "cyw:0.6,0.7,0.8,0.9,0.75"), 0.25, 200_000),
     "inv-constant:0.75": (lambda: _kernel_case("inv", "constant:0.75", 6), 0.25, 200_000),
     "tree-constant:0.75": (lambda: _kernel_case("tree", "constant:0.75", 6), 0.25, 200_000),
-    # extreme starts, one vector each: exact at n = 7 and the slowmix walks
+    # extreme starts, a (states, 1) block each: exact at n = 7 and the slowmix walks
     "nn-5040": (lambda: _kernel_case("nn", "constant:0.75", 7, extreme=True), 0.25, 200_000),
     "inv-5040": (lambda: _kernel_case("inv", "constant:0.75", 7, extreme=True), 0.25, 200_000),
     "tree-5040": (lambda: _kernel_case("tree", "constant:0.75", 7, extreme=True), 0.25, 200_000),
     "walk-slowmix:7": (lambda: _kernel_case("walk", "slowmix:7", extreme=True), 0.25, 200_000),
     "slowmix-comparison-8": (lambda: _walk_case(WalkChain.constant(8, Fraction(3, 4))), 0.25, 200_000),
-    # CHUNK + 1 states: the last chunk is a single column, stepped as a vector
+    # CHUNK + 1 states: two chunks, of 65 and 64 columns
     "chunk-plus-one": (lambda: _kernel_case("oned", f"oned:0.6,{CHUNK}"), 0.25, 200_000),
     "horizon-runs-out": (lambda: _kernel_case("oned", f"oned:0.6,{CHUNK}"), 0.25, 10),
     "eps-met-at-0": (lambda: _kernel_case("tree", "constant:0.75", 6), 1.0, 200_000),
@@ -254,7 +265,11 @@ def test_mixing_distances_equal_the_former_loop(case, monkeypatch):
         monkeypatch.setattr(analysis, "WORKERS", workers)
         res = mixing_time_exact(matrix, pi, eps, starts=starts, horizon=horizon)
         assert res.distances == expected
-        assert (res.tau, res.converged) == (tau, tau is not None)
+        assert res.tau == tau
+    if starts is not None and len(starts) > 1:
+        # the former loop summed the starts' block in one order for all of them
+        former = _distances_by_transposed_block(matrix, pi, eps, starts, horizon, whole=True)
+        assert len(former) == len(expected) and np.allclose(former, expected, rtol=0, atol=1e-12)
     if case == "horizon-runs-out":
         assert res.tau is None and len(res.distances) == horizon + 1
     elif case == "eps-met-at-0":
@@ -275,6 +290,18 @@ def test_mixing_distances_hold_across_many_passes(case, monkeypatch):
     monkeypatch.setattr(analysis, "LOG", 5)
     res = mixing_time_exact(matrix, pi, eps, starts=starts, horizon=horizon)
     assert res.distances == _distances_by_transposed_block(matrix, pi, eps, starts, horizon)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_start_curve_does_not_depend_on_its_companions(workers, monkeypatch):
+    # each explicit start is a chunk of its own, so two starts together give
+    # the larger of their curves on the steps both take alone
+    monkeypatch.setattr(analysis, "WORKERS", workers)
+    matrix, pi, _ = _kernel_case("tree", "constant:0.75", 6)
+    low, high = (mixing_time_exact(matrix, pi, 0.25, starts=[s]).distances for s in (0, 719))
+    both = mixing_time_exact(matrix, pi, 0.25, starts=[0, 719]).distances
+    common = min(len(low), len(high))
+    assert both[:common] == list(map(max, low[:common], high[:common]))
 
 
 @pytest.mark.parametrize("curves, tau", [
@@ -312,7 +339,7 @@ def _steps_per_chunk(monkeypatch):
 
     def recording(transposed, pi, x, spare, log, curve, reached_, eps, horizon, floor):
         if len(curve) == 1:  # t = 0: the chunk's first nonzero is its first start
-            keys[id(curve)] = int(np.flatnonzero(x)[0]) // (x.shape[1] if x.ndim > 1 else 1)
+            keys[id(curve)] = int(np.flatnonzero(x)[0]) // x.shape[1]
         taken = real(transposed, pi, x, spare, log, curve, reached_, eps, horizon, floor)
         reached.setdefault(keys[id(curve)], []).append((len(curve) - 1 + taken, floor))
         return taken
@@ -426,7 +453,7 @@ def test_all_starts_pool_leaves_no_thread(horizon, monkeypatch):
     for starts in (None, [0, CHUNK]):
         before = threading.active_count()
         res = mixing_time_exact(matrix, pi, 0.25, starts=starts, horizon=horizon)
-        assert res.converged == (horizon > 10)
+        assert (res.tau is not None) == (horizon > 10)
         assert threading.active_count() == before
 
 
@@ -478,7 +505,7 @@ def test_a_worker_exception_neither_hangs_nor_leaks(monkeypatch):
     real = analysis._run_chunk
 
     def failing(transposed, pi, x, *rest):
-        return real(transposed, pi.view(_FailingPi) if x[-1] == 1 else pi, x, *rest)
+        return real(transposed, pi.view(_FailingPi) if x[-1, 0] == 1 else pi, x, *rest)
 
     monkeypatch.setattr(analysis, "_run_chunk", failing)
     monkeypatch.setattr(analysis, "WORKERS", 2)

@@ -9,7 +9,8 @@ CLI behavior:
   tree's, negative step counts,
   an --n that contradicts a sized model, --n given with --n-range and a
   scan over one size included), 3 cap exceeded (checked before the state space is enumerated,
-  and for more than 1,000 labels before a bias table is filled), 4 soundness failure
+  and for more than 1,000 labels before a bias table is filled, and a tau that
+  scan's fit or paths' bound needs but the step horizon does not reach), 4 soundness failure
   (an inv or tree route with one swap dropped is an illegal canonical path)
 - a league file as deep as the label cap allows (a 990-leaf caterpillar) samples
   with exit 0, and a 1,001-leaf caterpillar file exits 3
@@ -572,6 +573,26 @@ def test_scan_over_one_size_is_usage_error_before_any_work(capsys, monkeypatch, 
     assert code == 2
     assert out == ""
     assert "scan needs at least two sizes" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("args, n", [
+    (["scan", "--chain", "nn", "--model", "constant:0.75", "--n-range", "3:4"], 3),
+    (["paths", "--kind", "inv", "--model", "cyw:0.6,0.7"], 3),
+])
+def test_a_tau_past_the_horizon_exits_3_where_it_is_needed(capsys, monkeypatch, args, n):
+    # scan's fit and paths' bound need tau; exact prints None in its tau cell
+    import functools
+
+    from permchains import analysis
+
+    monkeypatch.setattr(analysis, "mixing_time_exact", functools.partial(analysis.mixing_time_exact, horizon=2))
+    code, out, err = run_cli(args, capsys)
+    assert code == 3
+    assert out == ""
+    assert err == f"error: tau not reached at n={n} within the horizon of 2 steps\n"
+    code, out, err = run_cli(["exact", "--chain", "nn", "--model", "constant:0.75", "--n", "3"], capsys)
+    assert code == 0, err
+    assert out.splitlines()[-1].split(",")[4] == "None"
 
 
 def test_conductance_check_uses_the_given_eps(capsys):
