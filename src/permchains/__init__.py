@@ -10,7 +10,7 @@ The package provides
   exponentially poor cut, in :mod:`permchains.bias`;
 * single-step kernels and seeded trajectories in :mod:`permchains.chains`;
 * exact transition matrices, mixing times, spectral gaps, conductance, and
-  the product-chain bound in :mod:`permchains.analysis`;
+  the slow-mixing bottleneck report in :mod:`permchains.analysis`;
 * canonical nearest-neighbor paths and their congestion constant in
   :mod:`permchains.paths`;
 * an invariant suite (:mod:`permchains.verify`) and the ``permchains`` CLI.

@@ -4,9 +4,8 @@ Exhaustive small-instance analysis of the chains.
 Everything here materializes a kernel's exact transition law on an enumerated
 state space: stationary distributions from weights and from matrix fixed
 points, worst-start total-variation mixing times, spectral gaps of the
-symmetrized kernel, conductance of explicit cuts, the bottleneck report for
-the slow-mixing family, the product-of-chains mixing bound, and coupling /
-hitting-time estimates for the one-dimensional walk.
+symmetrized kernel, conductance of explicit cuts, and the bottleneck report
+for the slow-mixing family.
 
 State orderings are frozen (lexicographic) so ids are comparable across runs.
 Dense linear algebra is used up to 10^4 states, sparse iteration above; the
@@ -56,7 +55,7 @@ import os
 import queue
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 from typing import TYPE_CHECKING
@@ -66,7 +65,7 @@ import numpy as np
 from . import walks
 from ._common import CapExceeded
 from .bias import BiasTable, SlowMixSpec, solve_delta
-from .chains import PermutationKernel, WalkChain, WalkTranspositionChain, make_rng
+from .chains import PermutationKernel, WalkChain, WalkTranspositionChain
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -180,12 +179,6 @@ def detailed_balance_violations(kernel, states=None) -> list:
     return bad
 
 
-def tv_distance(mu, nu) -> float:
-    mu = np.asarray(mu, dtype=float)
-    nu = np.asarray(nu, dtype=float)
-    return 0.5 * float(np.abs(mu - nu).sum())
-
-
 @dataclass
 class MixingResult:
     tau: int | None         # None when the horizon ran out
@@ -221,10 +214,18 @@ def mixing_time_exact(
     floor steps on to tau.  Columns step alone, so chunks run in any order:
     with two or more live chunks, on up to ``WORKERS`` threads bound to a CPU
     each (``_pool``), into buffers the calling thread made, at most ``LOG``
-    steps per pass.
+    steps per pass.  An eps below the resolution of a measured TV
+    (``_tv_resolution``) raises ValueError before any step, as no distance
+    could be told to lie within it.
     """
-    pi = np.asarray(pi)
     m = matrix.shape[0]
+    resolution = _tv_resolution(m)
+    if eps < resolution:
+        raise ValueError(
+            f"eps {eps} lies below {resolution:.3g}, the resolution of a total variation "
+            f"measured over {m} states (their count times the machine epsilon)"
+        )
+    pi = np.asarray(pi)
     if starts is None:
         groups = np.array_split(np.arange(m), -(-m // CHUNK))
         caveat = "all-starts"
@@ -298,15 +299,21 @@ def _retirement_floor(transposed, pi: np.ndarray, eps: float, horizon: int) -> f
     ||(x - pi) P||_1 <= ||x - pi||_1 for P >= 0 with rows summing to 1.  A
     float step may add the rows' largest defect from 1, ||pi P - pi||_1 and
     the rounding of an entry of xP, a sum over a column of P, and a measured
-    TV is off by the state count times the machine epsilon: over the
-    horizon, at least 1e-9, that is the floor.
+    TV is off by ``_tv_resolution``: over the horizon, at least 1e-9, that
+    is the floor.
     """
     unit = np.finfo(float).eps
     rows = np.abs(np.asarray(transposed.sum(axis=0)).ravel() - 1).max()
     drift = np.abs(transposed @ pi - pi).sum()
     terms = np.bincount(transposed.indices, minlength=len(pi)).max()  # a column of P's nonzeros
-    floor = max(1e-9, float(horizon * (rows + drift + terms * unit) + len(pi) * unit))
+    floor = max(1e-9, float(horizon * (rows + drift + terms * unit) + _tv_resolution(len(pi))))
     return floor if floor < eps and not (transposed.data < 0).any() else None
+
+
+def _tv_resolution(m: int) -> float:
+    """The resolution of a total variation measured over m states: their
+    count times the machine epsilon."""
+    return m * np.finfo(float).eps
 
 
 def _retired(prev: float, last: float, eps: float, floor: float) -> bool:
@@ -773,199 +780,6 @@ def _tree_swaps(kernel, perms: np.ndarray):
 
 # kinds with array rows -> their swap finder; nn keeps the Fraction rows
 ARRAY_ROWS = {"inv": _inv_swaps, "tree": _tree_swaps}
-
-
-# -- product chains ------------------------------------------------------------
-
-
-def product_mixing_bound(p_select, taus, m_factors: int, eps: float) -> float:
-    """max_i (2/p_i) tau_i(eps / (2M)) for a product of M independent chains."""
-    p_select = list(p_select)
-    if not p_select:
-        raise ValueError("empty factor list")
-    if len(p_select) != m_factors or len(taus) != m_factors:
-        raise ValueError("factor count mismatch")
-    if sum(p_select) > 1 + 1e-12:
-        raise ValueError("selection probabilities must sum to at most 1")
-    inner = eps / (2 * m_factors)
-    return max((2 / p) * tau(inner) for p, tau in zip(p_select, taus))
-
-
-def kron_product_matrix(mats, p_select) -> np.ndarray:
-    """Transition matrix of the product chain that updates factor i w.p. p_i."""
-    mats = [np.asarray(m, dtype=float) for m in mats]
-    dims = [m.shape[0] for m in mats]
-    total = int(np.prod(dims))
-    out = np.zeros((total, total))
-    for i, (m, p) in enumerate(zip(mats, p_select)):
-        factors = [np.eye(d) for d in dims]
-        factors[i] = m
-        term = factors[0]
-        for f in factors[1:]:
-            term = np.kron(term, f)
-        out += p * term
-    return out
-
-
-# -- one-dimensional walk estimates ---------------------------------------------
-
-
-def hitting_time_mean_exact(r: float, k: int) -> float:
-    """Mean steps for the 0..k walk to first reach k from 0, holding at 0."""
-    r = float(r)
-    mean = 0.0
-    t_prev = 0.0
-    for h in range(k):
-        if h == 0:
-            t_prev = 1.0 / r
-        else:
-            t_prev = (1.0 + (1.0 - r) * t_prev) / r
-        mean += t_prev
-    return mean
-
-
-def hitting_time_samples(r: float, k: int, trials: int, seed: int) -> np.ndarray:
-    """Vectorized first-passage times to k from 0 over independent walkers."""
-    rng = make_rng(seed)
-    state = np.zeros(trials, dtype=np.int64)
-    hit = np.full(trials, -1, dtype=np.int64)
-    active = np.arange(trials)
-    t = 0
-    while active.size:
-        t += 1
-        up = rng.random(active.size) < r
-        s = state[active]
-        s = np.where(up, np.minimum(s + 1, k), np.maximum(s - 1, 0))
-        state[active] = s
-        done = s == k
-        hit[active[done]] = t
-        active = active[~done]
-    return hit
-
-
-@dataclass
-class CouplingEstimate:
-    mean_coupling_time: float
-    pairs: int
-    tau_bound: object  # callable eps -> float
-
-
-def coupling_time_estimate(kernel, pairs: int, seed: int) -> CouplingEstimate:
-    """Coalescence time of the same-direction coupling from the extreme pair.
-
-    Defined for the bounded one-dimensional walk only: both copies follow
-    identical up/down draws, the order is preserved, the gap closes only at
-    the clamped boundaries, and once the copies meet they stay together.
-    The implied mixing bound is T * e * ceil(ln(1/eps)).
-    """
-    from .chains import OnedChain
-
-    if not isinstance(kernel, OnedChain):
-        raise TypeError("the monotone coupling is defined for the oned kernel only")
-    r, k = float(kernel.r), kernel.k
-    rng = make_rng(seed)
-    lo = np.zeros(pairs, dtype=np.int64)
-    hi = np.full(pairs, k, dtype=np.int64)
-    times = np.zeros(pairs, dtype=np.int64)
-    active = np.arange(pairs)
-    t = 0
-    while active.size:
-        t += 1
-        up = rng.random(active.size) < r
-        step = np.where(up, 1, -1)
-        lo_a = np.clip(lo[active] + step, 0, k)
-        hi_a = np.clip(hi[active] + step, 0, k)
-        lo[active] = lo_a
-        hi[active] = hi_a
-        met = lo_a == hi_a
-        times[active[met]] = t
-        active = active[~met]
-    mean_t = float(times.mean())
-
-    def tau_bound(eps: float) -> float:
-        return mean_t * math.e * math.ceil(math.log(1.0 / eps))
-
-    return CouplingEstimate(mean_coupling_time=mean_t, pairs=pairs, tau_bound=tau_bound)
-
-
-# -- spectral-gap grid scan -------------------------------------------------------
-
-
-@dataclass
-class GapScan:
-    n: int
-    values: tuple
-    tables_checked: int
-    min_gap: float
-    uniform_gap: float
-    violations: list = field(default_factory=list)
-
-
-def monotone_grid_tables(n: int, values) -> list[dict]:
-    """All fully monotone assignments of grid values to the upper triangle.
-
-    Monotone means rows never decrease to the right and never increase
-    downward: p[i][j] <= p[i][j+1] and p[i-1][j] >= p[i][j].
-    """
-    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    values = sorted(values)
-    tables: list[dict] = []
-
-    def extend(k: int, current: dict):
-        if k == len(pairs):
-            tables.append(dict(current))
-            return
-        i, j = pairs[k]
-        lo = max(
-            current.get((i, j - 1), values[0]) if j - 1 > i else values[0],
-            current.get((i + 1, j), values[0]) if i + 1 < j else values[0],
-        )
-        hi = current.get((i - 1, j), values[-1]) if i >= 2 else values[-1]
-        for v in values:
-            if lo <= v <= hi:
-                current[(i, j)] = v
-                extend(k + 1, current)
-                del current[(i, j)]
-
-    extend(0, {})
-    return tables
-
-
-def gap_problem_scan(n: int = 4, values=(Fraction(1, 2), Fraction(3, 5), Fraction(7, 10), Fraction(4, 5), Fraction(9, 10))) -> GapScan:
-    """Check gap(P) >= gap(uniform) over all monotone grid tables."""
-    from .bias import BiasTable
-    from .chains import NearestNeighborChain
-
-    values = tuple(Fraction(v) for v in values)
-    states = None
-    uniform_gap = None
-    gaps = []
-    tables = monotone_grid_tables(n, values)
-    for flat in tables:
-        table = BiasTable(n, lambda i, j: flat[(i, j)])
-        kernel = NearestNeighborChain(table)
-        if states is None:
-            states = kernel.space()
-        matrix = transition_matrix(kernel, states)
-        pi = stationary_exact(kernel, states)
-        gap = spectral_gap(matrix, pi)
-        if all(v == Fraction(1, 2) for v in flat.values()):
-            uniform_gap = gap
-        gaps.append((flat, gap))
-    if uniform_gap is None:
-        raise ValueError("grid must include the uniform table")
-    min_gap = min(g for _, g in gaps)
-    violations = [
-        (dict(flat), g) for flat, g in gaps if g < uniform_gap - 1e-12
-    ]
-    return GapScan(
-        n=n,
-        values=values,
-        tables_checked=len(tables),
-        min_gap=min_gap,
-        uniform_gap=uniform_gap,
-        violations=violations,
-    )
 
 
 def loglog_slope(ns, values) -> float:

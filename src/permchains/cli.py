@@ -13,7 +13,9 @@ the kernel's own ``n``.  ``exact`` and ``scan`` check the counted size of the
 state space against the cap before enumerating it.
 
 Exit codes: 0 success, 1 invariant failure, 2 usage error (``--eps`` outside
-(0, 1), or (0, 1/2) for ``paths``), 3 resource cap exceeded (also a bias
+(0, 1), or (0, 1/2) for ``paths``, or below the resolution of a total
+variation measured over the state space, which ``mixing_time_exact`` refuses
+before its first step), 3 resource cap exceeded (also a bias
 table or league tree of more than ``LABEL_CAP`` labels, and a tau that
 ``scan``'s fit or ``paths``' bound needs but that does not come within the
 step horizon of ``mixing_time_exact``), 4 internal soundness failure.  A

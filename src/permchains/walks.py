@@ -95,13 +95,6 @@ def all_walks(n: int) -> list[tuple[int, ...]]:
 # all_walks, so a walk's index is a binary search over the sorted codes.
 
 
-def walk_to_code(w: Sequence[int]) -> int:
-    code = 0
-    for s in check_walk(w):
-        code = 2 * code + (s == 1)
-    return code
-
-
 def code_to_walk(code: int, n: int) -> tuple[int, ...]:
     return tuple(1 if code >> k & 1 else -1 for k in range(2 * n - 1, -1, -1))
 

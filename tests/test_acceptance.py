@@ -12,15 +12,9 @@ import pytest
 
 from permchains import walks
 from permchains.analysis import (
-    coupling_time_estimate,
-    gap_problem_scan,
-    hitting_time_mean_exact,
-    hitting_time_samples,
     is_fixed_point_exact,
-    kron_product_matrix,
     loglog_slope,
     mixing_time_exact,
-    product_mixing_bound,
     slowmix_cut_report,
     state_index,
     stationary_exact,
@@ -54,7 +48,15 @@ from permchains.perms import (
 from permchains.trees import tree_decode, tree_encode, truncate_tree
 from permchains.verify import check_inv_product_projection, check_tree_product_projection
 
-from support import cyw_spec
+from support import (
+    coupling_time_estimate,
+    cyw_spec,
+    gap_problem_scan,
+    hitting_time_mean_exact,
+    hitting_time_samples,
+    kron_product_matrix,
+    product_mixing_bound,
+)
 
 
 def report(criterion: int, detail: str):

@@ -56,27 +56,18 @@ from permchains.analysis import (
     ARRAY_ROWS,
     CHUNK,
     CapExceeded,
-    GapScan,
     class_rows_matrix,
     conductance_of_cut,
-    coupling_time_estimate,
     distribution,
-    gap_problem_scan,
-    hitting_time_mean_exact,
-    hitting_time_samples,
     is_fixed_point_exact,
-    kron_product_matrix,
     level_cuts_by_weight,
     loglog_slope,
     long_swap_conductance,
     mixing_time_exact,
-    monotone_grid_tables,
-    product_mixing_bound,
     spectral_gap,
     state_index,
     stationary_exact,
     transition_matrix,
-    tv_distance,
     walk_stationary,
 )
 from permchains import analysis, walks
@@ -93,7 +84,20 @@ from permchains.chains import (
 from permchains.perms import identity, reversal
 from permchains.trees import complete_tree, truncate_tree
 
-from support import cyw_kernels, cyw_spec, league_kernels
+from support import (
+    GapScan,
+    coupling_time_estimate,
+    cyw_kernels,
+    cyw_spec,
+    gap_problem_scan,
+    hitting_time_mean_exact,
+    hitting_time_samples,
+    kron_product_matrix,
+    league_kernels,
+    monotone_grid_tables,
+    product_mixing_bound,
+    tv_distance,
+)
 
 
 def test_two_state_matrix():

@@ -32,7 +32,6 @@ from permchains.analysis import (
     detailed_balance_violations,
     stationary_exact,
     transition_matrix,
-    tv_distance,
 )
 from permchains.bias import (
     BiasTable,
@@ -67,7 +66,7 @@ from permchains.chains import (
 from permchains.perms import all_permutations, identity, inversion_count, reversal
 from permchains.trees import LeagueTree, complete_tree, truncate_tree
 
-from support import cyw_kernels, cyw_spec, mirrored_spec, truncate_tree_demo
+from support import cyw_kernels, cyw_spec, mirrored_spec, truncate_tree_demo, tv_distance
 
 
 def test_nn_deterministic_swap():

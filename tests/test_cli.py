@@ -7,8 +7,9 @@ CLI behavior:
   sizes, one-state spaces, zero-mass stationary laws refused before the
   matrix is built, inv's constant:1 by the same degenerate-bias wording as
   tree's, negative step counts,
-  an --n that contradicts a sized model, --n given with --n-range and a
-  scan over one size included), 3 cap exceeded (checked before the state space is enumerated,
+  an --n that contradicts a sized model, --n given with --n-range, a scan
+  over one size and, before any step, an eps below the resolution of a
+  measured total variation included), 3 cap exceeded (checked before the state space is enumerated,
   and for more than 1,000 labels before a bias table is filled, and a tau that
   scan's fit or paths' bound needs but the step horizon does not reach), 4 soundness failure
   (an inv or tree route with one swap dropped is an illegal canonical path)
@@ -29,6 +30,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -593,6 +595,29 @@ def test_a_tau_past_the_horizon_exits_3_where_it_is_needed(capsys, monkeypatch, 
     code, out, err = run_cli(["exact", "--chain", "nn", "--model", "constant:0.75", "--n", "3"], capsys)
     assert code == 0, err
     assert out.splitlines()[-1].split(",")[4] == "None"
+
+
+@pytest.mark.parametrize("args", [
+    ["scan", "--chain", "nn", "--model", "constant:0.75", "--n-range", "3:4", "--eps", "1e-300"],
+    ["paths", "--kind", "inv", "--model", "cyw:0.6,0.7", "--eps", "1e-300"],
+    ["exact", "--chain", "nn", "--model", "constant:0.75", "--n", "3", "--eps", "1e-300"],
+])
+def test_an_eps_below_the_tv_resolution_is_usage_error_before_any_step(capsys, args):
+    # a TV measured over 6 states is off by up to 6 machine epsilons, so no
+    # step could meet 1e-300; spending the 200,000-step horizon took 8 to 15 s
+    start = time.perf_counter()
+    code, out, err = run_cli(args, capsys)
+    assert time.perf_counter() - start < 2
+    assert code == 2
+    assert out == ""
+    assert f"lies below {6 * sys.float_info.epsilon:.3g}, the resolution" in err and "over 6 states" in err
+
+
+def test_a_small_eps_above_the_tv_resolution_still_mixes(capsys):
+    code, out, err = run_cli(["scan", "--chain", "nn", "--model", "constant:0.75", "--n-range", "3:4", "--eps", "1e-12"], capsys)
+    assert code == 0, err
+    rows = [l.split(",") for l in out.splitlines() if l and not l.startswith("#")]
+    assert [row[4] for row in rows[1:]] == ["84", "206"]
 
 
 def test_conductance_check_uses_the_given_eps(capsys):

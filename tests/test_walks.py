@@ -33,9 +33,10 @@ from permchains.walks import (
     tile_counts,
     to_staircase_walk,
     walk_arrays,
-    walk_to_code,
     walk_to_permutation,
 )
+
+from support import walk_to_code
 
 EXAMPLE_PERM = (5, 1, 7, 8, 4, 3, 6, 2)
 EXAMPLE_WALK = (-1, 1, -1, -1, 1, 1, -1, 1)
