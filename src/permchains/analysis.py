@@ -214,18 +214,10 @@ def mixing_time_exact(
     floor steps on to tau.  Columns step alone, so chunks run in any order:
     with two or more live chunks, on up to ``WORKERS`` threads bound to a CPU
     each (``_pool``), into buffers the calling thread made, at most ``LOG``
-    steps per pass.  An eps below the resolution of a measured TV
-    (``_tv_resolution``) raises ValueError before any step, as no distance
-    could be told to lie within it.
+    steps per pass.
     """
-    m = matrix.shape[0]
-    resolution = _tv_resolution(m)
-    if eps < resolution:
-        raise ValueError(
-            f"eps {eps} lies below {resolution:.3g}, the resolution of a total variation "
-            f"measured over {m} states (their count times the machine epsilon)"
-        )
     pi = np.asarray(pi)
+    m = matrix.shape[0]
     if starts is None:
         groups = np.array_split(np.arange(m), -(-m // CHUNK))
         caveat = "all-starts"
@@ -299,21 +291,15 @@ def _retirement_floor(transposed, pi: np.ndarray, eps: float, horizon: int) -> f
     ||(x - pi) P||_1 <= ||x - pi||_1 for P >= 0 with rows summing to 1.  A
     float step may add the rows' largest defect from 1, ||pi P - pi||_1 and
     the rounding of an entry of xP, a sum over a column of P, and a measured
-    TV is off by ``_tv_resolution``: over the horizon, at least 1e-9, that
-    is the floor.
+    TV is off by the state count times the machine epsilon: over the
+    horizon, at least 1e-9, that is the floor.
     """
     unit = np.finfo(float).eps
     rows = np.abs(np.asarray(transposed.sum(axis=0)).ravel() - 1).max()
     drift = np.abs(transposed @ pi - pi).sum()
     terms = np.bincount(transposed.indices, minlength=len(pi)).max()  # a column of P's nonzeros
-    floor = max(1e-9, float(horizon * (rows + drift + terms * unit) + _tv_resolution(len(pi))))
+    floor = max(1e-9, float(horizon * (rows + drift + terms * unit) + len(pi) * unit))
     return floor if floor < eps and not (transposed.data < 0).any() else None
-
-
-def _tv_resolution(m: int) -> float:
-    """The resolution of a total variation measured over m states: their
-    count times the machine epsilon."""
-    return m * np.finfo(float).eps
 
 
 def _retired(prev: float, last: float, eps: float, floor: float) -> bool:

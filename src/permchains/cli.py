@@ -13,9 +13,8 @@ the kernel's own ``n``.  ``exact`` and ``scan`` check the counted size of the
 state space against the cap before enumerating it.
 
 Exit codes: 0 success, 1 invariant failure, 2 usage error (``--eps`` outside
-(0, 1), or (0, 1/2) for ``paths``, or below the resolution of a total
-variation measured over the state space, which ``mixing_time_exact`` refuses
-before its first step), 3 resource cap exceeded (also a bias
+(0, 1), or (0, 1/2) for ``paths``, or below the machine epsilon, both
+checked before any work), 3 resource cap exceeded (also a bias
 table or league tree of more than ``LABEL_CAP`` labels, and a tau that
 ``scan``'s fit or ``paths``' bound needs but that does not come within the
 step horizon of ``mixing_time_exact``), 4 internal soundness failure.  A
@@ -146,6 +145,10 @@ def cmd_sample(args) -> int:
 def _check_eps(eps: float, top: float):
     if not 0 < eps < top:
         raise UsageError(f"--eps must lie strictly between 0 and {top}, got {eps}")
+    # a TV summed in floats meets a smaller eps only by cancelling to exactly 0;
+    # otherwise the whole step horizon runs out first
+    if eps < sys.float_info.epsilon:
+        raise UsageError(f"--eps {eps} lies below the machine epsilon {sys.float_info.epsilon:.3g}, finer than a float TV resolves")
 
 
 def _degenerate(model: str, states_with: str, n: int) -> UsageError:

@@ -8,8 +8,8 @@ CLI behavior:
   matrix is built, inv's constant:1 by the same degenerate-bias wording as
   tree's, negative step counts,
   an --n that contradicts a sized model, --n given with --n-range, a scan
-  over one size and, before any step, an eps below the resolution of a
-  measured total variation included), 3 cap exceeded (checked before the state space is enumerated,
+  over one size and, before any work, an eps below the machine epsilon
+  included), 3 cap exceeded (checked before the state space is enumerated,
   and for more than 1,000 labels before a bias table is filled, and a tau that
   scan's fit or paths' bound needs but the step horizon does not reach), 4 soundness failure
   (an inv or tree route with one swap dropped is an illegal canonical path)
@@ -26,7 +26,9 @@ CLI behavior:
   no scipy module; exact loads it and prints the in-process bytes
 - n-range scans emit one row per size with monotone mixing times
 """
+import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -47,8 +49,6 @@ def run_cli(args, capsys):
 
 
 def _paths_record(out: str) -> dict:
-    import csv
-
     rows = list(csv.reader(l for l in out.splitlines() if l and not l.startswith("#")))
     return dict(zip(rows[0], rows[1]))
 
@@ -597,27 +597,36 @@ def test_a_tau_past_the_horizon_exits_3_where_it_is_needed(capsys, monkeypatch, 
     assert out.splitlines()[-1].split(",")[4] == "None"
 
 
+EPSILON = sys.float_info.epsilon
+
+
 @pytest.mark.parametrize("args", [
     ["scan", "--chain", "nn", "--model", "constant:0.75", "--n-range", "3:4", "--eps", "1e-300"],
     ["paths", "--kind", "inv", "--model", "cyw:0.6,0.7", "--eps", "1e-300"],
     ["exact", "--chain", "nn", "--model", "constant:0.75", "--n", "3", "--eps", "1e-300"],
+    ["exact", "--chain", "oned", "--model", "oned:0.5,3", "--eps", repr(math.nextafter(EPSILON, 0))],
 ])
-def test_an_eps_below_the_tv_resolution_is_usage_error_before_any_step(capsys, args):
-    # a TV measured over 6 states is off by up to 6 machine epsilons, so no
-    # step could meet 1e-300; spending the 200,000-step horizon took 8 to 15 s
+def test_an_eps_below_the_machine_epsilon_is_usage_error_before_any_work(capsys, args):
+    # the worst TV of nn and inv on 6 states stays above 1e-300 at every step,
+    # so the scan and paths runs spent the 200,000-step horizon: 8 to 15 s
     start = time.perf_counter()
     code, out, err = run_cli(args, capsys)
     assert time.perf_counter() - start < 2
     assert code == 2
     assert out == ""
-    assert f"lies below {6 * sys.float_info.epsilon:.3g}, the resolution" in err and "over 6 states" in err
+    assert f"lies below the machine epsilon {EPSILON:.3g}" in err
 
 
-def test_a_small_eps_above_the_tv_resolution_still_mixes(capsys):
-    code, out, err = run_cli(["scan", "--chain", "nn", "--model", "constant:0.75", "--n-range", "3:4", "--eps", "1e-12"], capsys)
+@pytest.mark.parametrize("args, taus", [
+    (["scan", "--chain", "nn", "--model", "constant:0.75", "--n-range", "3:4", "--eps", "1e-12"], ["84", "206"]),
+    # 4 states: the worst TV first comes within EPSILON at step 102, and is 0 at step 109
+    (["exact", "--chain", "oned", "--model", "oned:0.5,3", "--eps", repr(EPSILON)], ["102"]),
+])
+def test_an_eps_down_to_the_machine_epsilon_still_mixes(capsys, args, taus):
+    code, out, err = run_cli(args, capsys)
     assert code == 0, err
-    rows = [l.split(",") for l in out.splitlines() if l and not l.startswith("#")]
-    assert [row[4] for row in rows[1:]] == ["84", "206"]
+    rows = list(csv.reader(l for l in out.splitlines() if l and not l.startswith("#")))
+    assert [row[4] for row in rows[1:]] == taus
 
 
 def test_conductance_check_uses_the_given_eps(capsys):
