@@ -12,9 +12,10 @@ otherwise to ``no``.  The base class derives both views from it:
   A blocked slot has the law ``(1, state, state)``, so it still spends its
   acceptance draw, and trajectories are reproducible from (kernel, start,
   steps, seed) alone.  Every uniform u is k / 2**53 for an integer k, and
-  the rules read k: the acceptance test ``_accepts`` compares u < p on
-  integers, never through a float rounding of p, and a uniform slot pick
-  (``_pick``) is floor(k * count / 2**53), also on integers.
+  the rules read k: the acceptance test compares u < p on integers, never
+  through a float rounding of p, and a uniform slot pick (``_pick``) is
+  floor(k * count / 2**53), also on integers.  ``_advance`` is the one loop
+  that applies laws and acceptance tests; ``step`` runs it for one step.
 * ``transition_distribution(state)`` returns the exact one-step distribution
   as a dict of successor -> Fraction, which the analysis code turns into
   matrices.  Self-loops are folded into one hold entry, inserted last.
@@ -37,7 +38,9 @@ Kernels:
 * ``WalkChain``              adjacent (+1, -1) swaps on staircase walks, by
                              two swap probabilities (flat and steep tiles).
 * ``WalkTranspositionChain`` arbitrary (+1, -1) swaps with Metropolis
-                             acceptance under the same walk weights.
+                             acceptance under the same walk weights; the
+                             change in tile counts is read from the tiles
+                             between the two paths, not by recounting both.
 
 Blocked proposals count as holds, never as errors.
 
@@ -48,9 +51,9 @@ coercion notice and usage errors) and declares its size ``n``, its
 
 ``run`` draws the k of ``make_rng(seed)``'s uniforms ``BLOCK`` steps at a time;
 Philox gives an array draw the same values as repeated scalar draws.  It makes
-a block's picks with one array expression of ``_select`` and loops only over
-``_law`` and ``_accepts``, so a trajectory is the one repeated ``step`` calls
-draw.  Uniforms per step: 2 for the uniform picks of nn, tree, asep, walk and
+a block's picks with one array expression of ``_select`` and hands the block
+to ``_advance``, so a trajectory is the one repeated ``step`` calls draw.
+Uniforms per step: 2 for the uniform picks of nn, tree, asep, walk and
 walk-transposition (pick, acceptance); 3 for inv (its float cumulative pick
 of a slot pair, a fair direction bit k >= 2**52, the acceptance); 1 for oned.
 """
@@ -61,7 +64,7 @@ import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, count
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -98,9 +101,21 @@ def _notice(text: str):
     print(f"notice: {text}", file=sys.stderr)
 
 
-def _accepts(k: int, p) -> bool:
-    """u < p exactly, for a Fraction or int p, with u = k / 2**53."""
-    return k * p.denominator < p.numerator << UNIT_BITS
+def _advance(law, state, slots, ks, first: int = 0, stride: int = 0, records=None, obs=None) -> tuple:
+    """Steps first + 1, first + 2, ... from ``state``, one per slot and acceptance k: the law
+    ``(p, yes, no)`` goes to ``yes`` when u = k / 2**53 < p, compared exactly on integers for a
+    Fraction or int p.  With ``stride``, (t, obs(state)) is appended to ``records`` at every t
+    divisible by it.  Returns the last state and the number of steps that moved."""
+    moves = 0
+    for t, slot, k in zip(count(first + 1), slots, ks):
+        p, yes, no = law(state, slot)
+        num, den = p.as_integer_ratio()
+        new = yes if k * den < num << UNIT_BITS else no
+        moves += new != state
+        state = new
+        if stride and t % stride == 0:
+            records.append((t, obs(state)))
+    return state, moves
 
 
 def _pick(k, count: int):
@@ -139,9 +154,9 @@ class Kernel:
         return self._slots[self._select(*(int(rng.random() * UNIT) for _ in range(self.uniforms - 1)))][0]
 
     def step(self, state, rng) -> StepOutcome:
-        p, yes, no = self._law(state, self._draw(rng))
-        new = yes if _accepts(int(rng.random() * UNIT), p) else no
-        return StepOutcome(new, new != state)
+        slot = self._draw(rng)
+        new, moves = _advance(self._law, state, (slot,), (int(rng.random() * UNIT),))
+        return StepOutcome(new, bool(moves))
 
     @cached_property
     def _terms(self) -> SlotTerms:
@@ -230,6 +245,8 @@ class NearestNeighborChain(PermutationKernel):
         self.table = table
         self.n = table.n
         self._slots = self._uniform(range(self.n - 1))
+        # p[i][j] read unchecked: a state holds each of the labels 1..n once
+        self._p = table._p
 
     @classmethod
     def from_model(cls, model: Model, n: int | None) -> "NearestNeighborChain":
@@ -241,7 +258,10 @@ class NearestNeighborChain(PermutationKernel):
         return cls(model.bias_table(size))
 
     def _law(self, sigma, pos):
-        return self.table.p(sigma[pos + 1], sigma[pos]), perms.adjacent_swap(sigma, pos), sigma
+        left, right = sigma[pos], sigma[pos + 1]
+        new = list(sigma)
+        new[pos], new[pos + 1] = right, left
+        return self._p[right][left], tuple(new), sigma
 
     def min_hold_probability(self) -> Fraction:
         """Every state holds at least this often."""
@@ -310,12 +330,14 @@ class InversionChain(PermutationKernel):
 
     def _law(self, sigma, slot):
         label, side, accept, larger = slot
-        pos = sigma.index(label)
-        scan = sigma[pos + 1 :] if side == 1 else reversed(sigma[:pos])
-        j = next((v for v in scan if (v > label) == larger), None)
-        if j is None:
-            return 1, sigma, sigma
-        return accept, perms.swap_values(sigma, label, j), sigma
+        pos = q = sigma.index(label)
+        end = len(sigma) if side == 1 else -1
+        while (q := q + side) != end:
+            if (sigma[q] > label) == larger:
+                new = list(sigma)
+                new[pos], new[q] = sigma[q], label
+                return accept, tuple(new), sigma
+        return 1, sigma, sigma
 
     def min_hold_probability(self) -> Fraction:
         return HALF
@@ -355,25 +377,16 @@ class TreeChain(PermutationKernel):
             raise ValueError("chain tree requires a league (or constant) model")
         return cls(model.tree)
 
-    @staticmethod
-    def _span(sigma, a: int, b: int, under) -> tuple[int, int] | None:
-        """Ordered positions of a and b, or None if a label of ``under`` lies between."""
+    def _law(self, sigma, slot):
+        a, b, q, under = slot
         i, j = sigma.index(a), sigma.index(b)
         lo, hi = (i, j) if i < j else (j, i)
         if not under.isdisjoint(sigma[lo + 1 : hi]):
-            return None
-        return lo, hi
-
-    def _law(self, sigma, slot):
-        a, b, q, under = slot
-        span = self._span(sigma, a, b, under)
-        if span is None:
             return 1, sigma, sigma
-        lo, hi = span
-        in_order, out_of_order = list(sigma), list(sigma)
-        in_order[lo], in_order[hi] = a, b
-        out_of_order[lo], out_of_order[hi] = b, a
-        return q, tuple(in_order), tuple(out_of_order)
+        swapped = list(sigma)
+        swapped[i], swapped[j] = b, a
+        # sigma is the pair in order when a comes first, and out of order otherwise
+        return (q, sigma, tuple(swapped)) if i < j else (q, tuple(swapped), sigma)
 
     def min_hold_probability(self) -> Fraction:
         qs = [self.tree.q_of(v) for v in self.tree.internal_ids()]
@@ -415,9 +428,10 @@ class OnedChain(Kernel):
         return (self.r / (1 - self.r)) ** h
 
     def _law(self, h: int, slot):
-        if not 0 <= h <= self.k:
-            raise ValueError(f"state out of range 0..{self.k}: {h}")
-        return self.r, min(h + 1, self.k), max(h - 1, 0)
+        k = self.k
+        if not 0 <= h <= k:
+            raise ValueError(f"state out of range 0..{k}: {h}")
+        return self.r, h + 1 if h < k else k, h - 1 if h else 0
 
 
 class AsepChain(Kernel):
@@ -501,6 +515,7 @@ class WalkKernel(Kernel):
         self.flat, self.steep = flat, steep
         self.gamma = flat / (1 - flat)
         self.xi = steep / (1 - steep)
+        self.level = walks.cut_level(n)
 
     def space(self):
         return walks.all_walks(self.n)
@@ -519,9 +534,10 @@ class WalkChain(WalkKernel):
     """Adjacent (+1, -1) swaps on staircase walks.
 
     The pair of the l-th up-step and the m-th down-step has a steep tile when
-    ``walks.exceeds_diag(l - m + 1, n)``.  Use :meth:`fluctuating` for the
-    slow-mixing family and :meth:`constant` for a uniform-bias reference
-    chain of the same size, whose two probabilities are equal.
+    ``walks.exceeds_diag(l - m + 1, n)``, that is l - m + 1 >= ``level``.
+    Use :meth:`fluctuating` for the slow-mixing family and :meth:`constant`
+    for a uniform-bias reference chain of the same size, whose two
+    probabilities are equal.
     """
 
     kind = "walk"
@@ -552,13 +568,14 @@ class WalkChain(WalkKernel):
         raise ValueError("chain walk requires a slowmix or constant model")
 
     def _law(self, w, pos: int):
-        if w[pos] == w[pos + 1]:
+        left, right = w[pos], w[pos + 1]
+        if left == right:
             return 1, w, w
-        ups = w[: pos + 2].count(1)
-        downs = pos + 2 - ups
-        p = self.steep if walks.exceeds_diag(ups - downs + 1, self.n) else self.flat
-        head, tail = w[:pos], w[pos + 2 :]
-        return p, head + (1, -1) + tail, head + (-1, 1) + tail
+        ups = w[: pos + 2].count(1)  # l, and m = pos + 2 - l
+        p = self.steep if 2 * ups - pos - 1 >= self.level else self.flat
+        flipped = w[:pos] + (right, left) + w[pos + 2 :]
+        # w itself is the pair set to (+1, -1) when it starts with an up-step
+        return (p, w, flipped) if left == 1 else (p, flipped, w)
 
 
 class WalkTranspositionChain(WalkKernel):
@@ -569,6 +586,15 @@ class WalkTranspositionChain(WalkKernel):
     weights.  A single swap changes the maximum height by at most 2.  The ratio
     depends only on the change (flat, steep) of the tile counts, so each
     class's acceptance is built once per kernel.
+
+    The change is read from the tiles between the two paths.  Swapping the
+    up-step at a with the down-step at b moves the path between them by one
+    diagonal unit, so with lo, hi = sorted((a, b)) there is one tile per
+    position k in [lo, hi), and it is steep iff the higher path's height after
+    step k is at least ``level``.  The higher path is the old one when a < b
+    (its tiles are removed) and the new one otherwise (they are added); its
+    height after step lo is one above the common height before it, and then
+    follows the old steps lo + 1 .. hi - 1.
     """
 
     kind = "walk-transposition"
@@ -587,16 +613,31 @@ class WalkTranspositionChain(WalkKernel):
         return cls(model.slowmix)
 
     def _law(self, w, slot):
-        which_up, which_down = slot
-        a = [k for k, s in enumerate(w) if s == 1][which_up]
-        b = [k for k, s in enumerate(w) if s == -1][which_down]
+        ups, downs = slot  # up-steps and down-steps left to pass before a and b
+        a = b = -1
+        for k, s in enumerate(w):
+            if s == 1:
+                if not ups:
+                    a = k
+                    if b >= 0:
+                        break
+                ups -= 1
+            else:
+                if not downs:
+                    b = k
+                    if a >= 0:
+                        break
+                downs -= 1
         new = list(w)
-        new[a], new[b] = new[b], new[a]
+        new[a], new[b] = -1, 1
         new = tuple(new)
-        # unchecked: w comes from default_start, space() or swaps of them
-        f0, s0 = walks.count_tiles(w)
-        f1, s1 = walks.count_tiles(new)
-        change = (f1 - f0, s1 - s0)
+        lo, hi = (a, b) if a < b else (b, a)
+        level, steep = self.level, 0
+        for h in accumulate(w[lo + 1 : hi], initial=sum(w[:lo]) + 1):
+            if h >= level:
+                steep += 1
+        flat = hi - lo - steep
+        change = (-flat, -steep) if a < b else (flat, steep)
         accept = self._accept.get(change)
         if accept is None:
             accept = self._accept[change] = min(1, self.gamma ** change[0] * self.xi ** change[1])
@@ -660,16 +701,11 @@ def run(kernel, start, steps: int, seed: int, stride: int = 0) -> Trajectory:
         traj.records.append((0, obs(state)))
     moves = 0
     for first in range(0, steps, BLOCK):
-        count = min(BLOCK, steps - first)
-        *picks, accepts = _integers(rng, count * uniforms).reshape(count, uniforms).T
-        picked = map(slots.__getitem__, np.broadcast_to(kernel._select(*picks), count).tolist())
-        for t, slot, k in zip(range(first + 1, first + count + 1), picked, accepts.tolist()):
-            p, yes, no = law(state, slot)
-            new = yes if _accepts(k, p) else no
-            moves += new != state
-            state = new
-            if stride and t % stride == 0:
-                traj.records.append((t, obs(state)))
+        size = min(BLOCK, steps - first)
+        *picks, accepts = _integers(rng, size * uniforms).reshape(size, uniforms).T
+        picked = map(slots.__getitem__, np.broadcast_to(kernel._select(*picks), size).tolist())
+        state, moved = _advance(law, state, picked, accepts.tolist(), first, stride, traj.records, obs)
+        moves += moved
     traj.final_state = state
     traj.moves = moves
     return traj

@@ -41,21 +41,6 @@ def all_permutations(n: int) -> Iterator[tuple[int, ...]]:
     return itertools.permutations(range(1, n + 1))
 
 
-def adjacent_swap(sigma: Sequence[int], pos: int) -> tuple[int, ...]:
-    """Swap positions pos and pos+1 (0-based)."""
-    out = list(sigma)
-    out[pos], out[pos + 1] = out[pos + 1], out[pos]
-    return tuple(out)
-
-
-def swap_values(sigma: Sequence[int], a: int, b: int) -> tuple[int, ...]:
-    """Exchange the positions of the labels a and b."""
-    out = list(sigma)
-    ia, ib = out.index(a), out.index(b)
-    out[ia], out[ib] = b, a
-    return tuple(out)
-
-
 def inversion_count(sigma: Sequence[int]) -> int:
     n = len(sigma)
     return sum(

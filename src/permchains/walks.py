@@ -25,6 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._common import check_walk_count
 from .perms import check_permutation
 
 
@@ -252,7 +253,9 @@ class HeightProfile:
 
 @lru_cache(maxsize=None)
 def height_profile(n: int) -> HeightProfile:
-    """Bucket the tile counts of all walks by max height."""
+    """Bucket the tile counts of all walks by max height; more than ``WALK_CAP``
+    walks raise ``CapExceeded`` before any is enumerated."""
+    check_walk_count(n)
     a = walk_arrays(n)
     side = n * n + 1  # heights, flat and steep counts all lie in 0..n^2
     keys, sizes = np.unique((a.max_height * side + a.flat) * side + a.steep, return_counts=True)

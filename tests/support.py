@@ -5,8 +5,10 @@ lab helpers that only tests call, kept out of the package: the total
 variation distance, the product-of-chains mixing bound and the Kronecker
 product matrix it is checked on, the hitting-time and coupling estimates for
 the one-dimensional walk, the monotone-grid spectral-gap scan behind Fill's
-question (acceptance criteria 4, 6 and 9), and the walk-to-code loop that is
-the reference for ``walks.walk_arrays(...).codes``.
+question (acceptance criteria 4, 6 and 9), the walk-to-code loop that is
+the reference for ``walks.walk_arrays(...).codes``, the permutation swaps
+that no kernel calls any more, and the kernels' former transition laws,
+which the tests keep as the references of the rewritten ones.
 
 They live here, not in ``conftest.py``, because ``perfbench/tests`` has a
 ``conftest`` module of its own and only one module of that name can be
@@ -20,6 +22,7 @@ from typing import Sequence
 import numpy as np
 from hypothesis import strategies as st
 
+from permchains import walks
 from permchains.analysis import spectral_gap, stationary_exact, transition_matrix
 from permchains.bias import CywSpec
 from permchains.chains import InversionChain, TreeChain, make_rng
@@ -265,3 +268,106 @@ def walk_to_code(w: Sequence[int]) -> int:
     for s in check_walk(w):
         code = 2 * code + (s == 1)
     return code
+
+
+# -- permutation swaps -------------------------------------------------------------
+
+
+def adjacent_swap(sigma: Sequence[int], pos: int) -> tuple[int, ...]:
+    """Swap positions pos and pos+1 (0-based)."""
+    out = list(sigma)
+    out[pos], out[pos + 1] = out[pos + 1], out[pos]
+    return tuple(out)
+
+
+def swap_values(sigma: Sequence[int], a: int, b: int) -> tuple[int, ...]:
+    """Exchange the positions of the labels a and b."""
+    out = list(sigma)
+    ia, ib = out.index(a), out.index(b)
+    out[ia], out[ib] = b, a
+    return tuple(out)
+
+
+# -- the former transition laws: each kernel's ``_law`` as first written ----------
+#
+# Each takes the kernel as ``self``; ``REFERENCE_LAWS[kind](kernel, state, slot)``
+# must equal ``kernel._law(state, slot)``.
+
+
+def _nn_law(self, sigma, pos):
+    return self.table.p(sigma[pos + 1], sigma[pos]), adjacent_swap(sigma, pos), sigma
+
+
+def _inv_law(self, sigma, slot):
+    label, side, accept, larger = slot
+    pos = sigma.index(label)
+    scan = sigma[pos + 1 :] if side == 1 else reversed(sigma[:pos])
+    j = next((v for v in scan if (v > label) == larger), None)
+    if j is None:
+        return 1, sigma, sigma
+    return accept, swap_values(sigma, label, j), sigma
+
+
+def _tree_span(sigma, a: int, b: int, under) -> tuple[int, int] | None:
+    """Ordered positions of a and b, or None if a label of ``under`` lies between."""
+    i, j = sigma.index(a), sigma.index(b)
+    lo, hi = (i, j) if i < j else (j, i)
+    if not under.isdisjoint(sigma[lo + 1 : hi]):
+        return None
+    return lo, hi
+
+
+def _tree_law(self, sigma, slot):
+    a, b, q, under = slot
+    span = _tree_span(sigma, a, b, under)
+    if span is None:
+        return 1, sigma, sigma
+    lo, hi = span
+    in_order, out_of_order = list(sigma), list(sigma)
+    in_order[lo], in_order[hi] = a, b
+    out_of_order[lo], out_of_order[hi] = b, a
+    return q, tuple(in_order), tuple(out_of_order)
+
+
+def _oned_law(self, h: int, slot):
+    if not 0 <= h <= self.k:
+        raise ValueError(f"state out of range 0..{self.k}: {h}")
+    return self.r, min(h + 1, self.k), max(h - 1, 0)
+
+
+def _walk_law(self, w, pos: int):
+    if w[pos] == w[pos + 1]:
+        return 1, w, w
+    ups = w[: pos + 2].count(1)
+    downs = pos + 2 - ups
+    p = self.steep if walks.exceeds_diag(ups - downs + 1, self.n) else self.flat
+    head, tail = w[:pos], w[pos + 2 :]
+    return p, head + (1, -1) + tail, head + (-1, 1) + tail
+
+
+def walk_transposition_change(w, slot) -> tuple[tuple[int, int], tuple[int, ...]]:
+    """((change in flat tiles, change in steep tiles), new walk) of a swap, by recounting both walks."""
+    which_up, which_down = slot
+    a = [k for k, s in enumerate(w) if s == 1][which_up]
+    b = [k for k, s in enumerate(w) if s == -1][which_down]
+    new = list(w)
+    new[a], new[b] = new[b], new[a]
+    new = tuple(new)
+    f0, s0 = walks.count_tiles(w)
+    f1, s1 = walks.count_tiles(new)
+    return (f1 - f0, s1 - s0), new
+
+
+def _walk_transposition_law(self, w, slot):
+    change, new = walk_transposition_change(w, slot)
+    return min(1, self.gamma ** change[0] * self.xi ** change[1]), new, w
+
+
+REFERENCE_LAWS = {
+    "nn": _nn_law,
+    "inv": _inv_law,
+    "tree": _tree_law,
+    "oned": _oned_law,
+    "walk": _walk_law,
+    "walk-transposition": _walk_transposition_law,
+}

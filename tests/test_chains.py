@@ -16,6 +16,10 @@ Kernel behavior:
   with its scalar draw at the float edges, ``run``'s block draws equal scalar
   draws, and ``run`` reproduces the scalar-draw sampler
 - the walk kernels obey the ratio and height-jump claims
+- every rewritten law equals the former one (``support.REFERENCE_LAWS``) on
+  every state and slot at small sizes, and walk-transposition's change in
+  tile counts, read from the tiles between the two paths, equals the
+  difference of the two walks' counts at random n up to 12
 - every registered kernel starts inside its space, counts that space without
   enumerating it, and names an observable defined on its states
 """
@@ -64,9 +68,17 @@ from permchains.chains import (
     run,
 )
 from permchains.perms import all_permutations, identity, inversion_count, reversal
-from permchains.trees import LeagueTree, complete_tree, truncate_tree
+from permchains.trees import LeagueTree, caterpillar_tree, complete_tree, truncate_tree
 
-from support import cyw_kernels, cyw_spec, mirrored_spec, truncate_tree_demo, tv_distance
+from support import (
+    REFERENCE_LAWS,
+    cyw_kernels,
+    cyw_spec,
+    mirrored_spec,
+    truncate_tree_demo,
+    tv_distance,
+    walk_transposition_change,
+)
 
 
 def test_nn_deterministic_swap():
@@ -338,6 +350,53 @@ def test_walk_transposition_adjacent_matches_walk_ratio():
 
 def _slowmix(n):
     return SlowMixSpec(n=n, delta=solve_delta(n))
+
+
+# -- the rewritten laws against the former ones ---------------------------------
+
+FORMER_LAW_CASES = {
+    **{f"nn-{n}": (lambda n=n: NearestNeighborChain(constant_bias(n, "0.7"))) for n in range(2, 6)},
+    "nn-cyw-5": lambda: NearestNeighborChain(choose_your_weapon(cyw_spec(5))),
+    **{f"inv-{v}-{n}": (lambda n=n, v=v: InversionChain(CywSpec(r=cyw_spec(n).r, variant=v)))
+       for n in range(2, 6) for v in ("min", "max")},
+    **{f"tree-complete-{n}": (lambda n=n: TreeChain(complete_tree(n, "0.7"))) for n in range(2, 6)},
+    **{f"tree-caterpillar-{n}": (lambda n=n: TreeChain(caterpillar_tree(n, ["0.6", "0.7", "0.8", "0.9"][: n - 1])))
+       for n in range(2, 6)},
+    **{f"tree-demo-{n}": (lambda n=n: TreeChain(truncate_tree_demo(n))) for n in range(2, 6)},
+    "oned": lambda: OnedChain("0.6", 6),
+    **{f"walk-{n}": (lambda n=n: WalkChain.fluctuating(_slowmix(n))) for n in range(4, 8)},
+    "walk-constant-5": lambda: WalkChain.constant(5, "0.7"),
+    **{f"walk-transposition-{n}": (lambda n=n: WalkTranspositionChain(_slowmix(n))) for n in range(4, 8)},
+}
+
+
+@pytest.mark.parametrize("name", list(FORMER_LAW_CASES))
+def test_law_equals_the_former_law(name):
+    kernel = FORMER_LAW_CASES[name]()
+    former = REFERENCE_LAWS[kernel.kind]
+    for state in kernel.space():
+        for slot, _ in kernel._slots:
+            assert kernel._law(state, slot) == former(kernel, state, slot), (state, slot)
+
+
+@st.composite
+def _walk_swaps(draw):
+    """(n, walk, slot): a random walk of half size n <= 12 and one of its n * n swaps."""
+    n = draw(st.integers(1, 12))
+    ups = draw(st.sets(st.integers(0, 2 * n - 1), min_size=n, max_size=n))
+    w = tuple(1 if k in ups else -1 for k in range(2 * n))
+    return n, w, (draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1)))
+
+
+@settings(max_examples=400)
+@given(_walk_swaps())
+def test_walk_transposition_change_equals_the_tile_count_difference(case):
+    n, w, slot = case
+    # delta does not enter the change; the memo of a fresh kernel holds only this swap's key
+    kernel = WalkTranspositionChain(SlowMixSpec(n=n, delta=Fraction(1, 5)))
+    _, new, _ = kernel._law(w, slot)
+    change, expected_new = walk_transposition_change(w, slot)
+    assert new == expected_new and list(kernel._accept) == [change]
 
 
 LOW_WALK = (-1, -1, -1, -1, 1, 1, 1, 1)

@@ -10,7 +10,8 @@ CLI behavior:
   an --n that contradicts a sized model, --n given with --n-range, a scan
   over one size and, before any work, an eps below the machine epsilon
   included), 3 cap exceeded (checked before the state space is enumerated,
-  and for more than 1,000 labels before a bias table is filled, and a tau that
+  for more than 1,000 labels before a bias table is filled, for a slowmix
+  model of more than C(24, 12) walks before any walk is made, and a tau that
   scan's fit or paths' bound needs but the step horizon does not reach), 4 soundness failure
   (an inv or tree route with one swap dropped is an illegal canonical path)
 - a league file as deep as the label cap allows (a 990-leaf caterpillar) samples
@@ -302,6 +303,26 @@ def test_slowmix_cap_checked_without_enumerating(capsys, monkeypatch):
     # the first size that fails decides: n = 3 is a usage error before n = 10 breaks the cap
     code, out, err = run_cli(["slowmix", "--n-range", "3:12"], capsys)
     assert (code, out) == (2, "") and "n >= 4" in err
+
+
+@pytest.mark.parametrize("command", [
+    ["sample", "--chain", "walk", "--model", "slowmix:20", "--steps", "3"],
+    ["sample", "--chain", "walk-transposition", "--model", "slowmix:13", "--steps", "3"],
+    ["exact", "--chain", "walk", "--model", "slowmix:20"],
+])
+def test_slowmix_model_past_the_walk_cap_exits_3_without_enumerating(capsys, monkeypatch, command):
+    from permchains import walks
+    from permchains._common import WALK_CAP, check_walk_count
+
+    def enumerate_walks(n, codes=None):
+        raise AssertionError(f"the walks at n={n} were enumerated before the cap check")
+
+    monkeypatch.setattr(walks, "walk_arrays", enumerate_walks)
+    n = int(command[command.index("--model") + 1].partition(":")[2])
+    code, out, err = run_cli(command, capsys)
+    assert (code, out) == (3, "")
+    assert f"{math.comb(2 * n, n)} walks at n={n} exceed the walk cap {WALK_CAP}" in err
+    check_walk_count(12)  # the largest half size that still runs
 
 
 @pytest.mark.parametrize("command", [["slowmix"], ["exact", "--chain", "nn", "--model", "constant:0.7"]])

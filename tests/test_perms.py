@@ -14,7 +14,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from permchains.perms import (
-    adjacent_swap,
     all_permutations,
     check_permutation,
     identity,
@@ -23,8 +22,9 @@ from permchains.perms import (
     mirror,
     permutation_from_inversion_table,
     reversal,
-    swap_values,
 )
+
+from support import adjacent_swap, swap_values
 
 EXAMPLE = (8, 1, 5, 3, 7, 4, 6, 2)
 # label 2 sits after six of its seven larger labels; the sum over labels of
