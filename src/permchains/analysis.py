@@ -8,13 +8,14 @@ symmetrized kernel, conductance of explicit cuts, and the bottleneck report
 for the slow-mixing family.
 
 State orderings are frozen (lexicographic) so ids are comparable across runs.
-Dense linear algebra is used up to 10^4 states, sparse iteration above; the
+Spectral gaps are dense eigensolves, up to ``DENSE_CAP`` = 2,000 states; the
 hard cap on materialized spaces is 10^5 states.
 
 The staircase-walk spaces of the bottleneck report are array-backed: walks are
 integer codes (``walks.walk_arrays``), and the stationary law and the
 long-swap conductance call the kernel's own ``stationary_weight`` and ``_law``
-once per class of walks sharing the value.  The walk matrices and those of
+once per class of walks sharing the value (``_row_classes``, the one rule
+for classes of equal rows).  The walk matrices and those of
 the ``inv`` and ``tree`` kernels (``ARRAY_ROWS``) come from one assembly,
 ``class_rows_matrix``, fed by a finder: per slot, a vectorised rule yields
 the states that move and their successors, in classes that share the move's
@@ -71,7 +72,7 @@ if TYPE_CHECKING:
     import scipy.sparse as sp
 
 STATE_CAP = 100_000
-DENSE_CAP = 10_000
+DENSE_CAP = 2_000
 CHUNK = 128  # start columns stepped together by mixing_time_exact
 LOG = 512  # steps a chunk may take per pass of mixing_time_exact
 # threads for mixing_time_exact's chunks: the CPUs this process may use
@@ -652,7 +653,7 @@ def long_swap_conductance(chain: WalkTranspositionChain, arrays: walks.WalkArray
     distinct change.  Both sums run sequentially in (walk, slot) order, as
     the row-by-row scan adds them.
     """
-    n, level = chain.n, chain.spec.level
+    n, level = chain.n, chain.level
     low = arrays.max_height < level
     mass = _running_total(pi[low])
     thin = np.flatnonzero(low & (arrays.max_height >= level - 2))
@@ -667,13 +668,13 @@ def long_swap_conductance(chain: WalkTranspositionChain, arrays: walks.WalkArray
     target = targets[walk, slot]
     source = thin[walk]
     change = np.stack([arrays.flat[target] - arrays.flat[source], arrays.steep[target] - arrays.steep[source]], axis=1)
-    _, first, inverse = np.unique(change, axis=0, return_index=True, return_inverse=True)
+    first, inverse = _row_classes(change - change.min(axis=0))
     probs = []
     for k in first.tolist():
         slot_k, slot_mass = chain._slots[slot[k]]
         p, _, _ = chain._law(arrays.walk(source[k]), slot_k)
         probs.append(float(slot_mass * p))
-    terms = pi[source] * np.asarray(probs)[inverse.reshape(-1)]
+    terms = pi[source] * np.asarray(probs)[inverse]
     return _running_total(terms) / mass
 
 

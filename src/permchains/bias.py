@@ -53,11 +53,13 @@ class BiasTable:
         check_label_count(n)
         self.n = n
         self._p = [[None] * (n + 1) for _ in range(n + 1)]
+        pairs: dict = {}  # (type, value) of upper -> (p, 1 - p); the float 0.1 equals Fraction(0.1) but reads 1/10
         for i in range(1, n + 1):
             for j in range(i + 1, n + 1):
-                p = as_probability(upper(i, j))
-                self._p[i][j] = p
-                self._p[j][i] = 1 - p
+                value = upper(i, j)
+                if (key := (type(value), value)) not in pairs:
+                    pairs[key] = (p := as_probability(value), 1 - p)
+                self._p[i][j], self._p[j][i] = pairs[key]
 
     @cached_property
     def integer_pairs(self) -> tuple[list, int]:

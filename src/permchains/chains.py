@@ -70,7 +70,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import perms, walks
-from ._common import as_probability
+from ._common import as_probability, check_label_count
 from .bias import BiasTable, CywSpec, Model, SlowMixSpec, choose_your_weapon, league_hierarchy, positive_bias, weight_exact
 from .trees import LeagueTree, complete_tree
 
@@ -143,7 +143,8 @@ class Kernel:
             raise ValueError(f"{self.kind} kernel has no move at this size")
         if len(slots) > PICK_CAP:
             raise ValueError(f"{self.kind} kernel has {len(slots)} slots; an exact pick allows at most {PICK_CAP}")
-        return [(slot, Fraction(1, len(slots))) for slot in slots]
+        mass = Fraction(1, len(slots))
+        return [(slot, mass) for slot in slots]
 
     def _select(self, k=0):
         """The slot index of a step's pick k (an int, or an int64 array elementwise);
@@ -360,7 +361,7 @@ class TreeChain(PermutationKernel):
         self.table = league_hierarchy(tree)
         # slot (a, b, q, leaves under lca(a, b)) for a < b, in dense pair order
         self._slots = self._uniform([
-            (a, b, self.table.p(a, b), tree.leaves_under(tree.lca(a, b)))
+            (a, b, tree.q_of(v := tree.lca(a, b)), tree.leaves_under(v))
             for a in range(1, n + 1)
             for b in range(a + 1, n + 1)
         ])
@@ -452,6 +453,8 @@ class AsepChain(Kernel):
                 f"asep with {self.k1} ones and {self.k2} zeros has fewer than two states; use k1, k2 >= 1"
             )
         self.n = self.k = self.k1 + self.k2
+        # the label-threshold image of S_k, so a permutation kernel's label cap holds
+        check_label_count(self.k)
         self._slots = self._uniform(range(self.k - 1))
 
     @classmethod
@@ -511,6 +514,8 @@ class WalkKernel(Kernel):
     observable = "max-height"
 
     def __init__(self, n: int, flat: Fraction, steep: Fraction):
+        # a walk of half size n is the image of S_2n, so a permutation kernel's label cap holds
+        check_label_count(2 * n)
         self.n = n
         self.flat, self.steep = flat, steep
         self.gamma = flat / (1 - flat)
@@ -601,7 +606,6 @@ class WalkTranspositionChain(WalkKernel):
 
     def __init__(self, spec: SlowMixSpec):
         super().__init__(spec.n, spec.flat, spec.steep)
-        self.spec = spec
         n = spec.n
         self._slots = self._uniform([divmod(idx, n) for idx in range(n * n)])
         self._accept: dict[tuple[int, int], Fraction | int] = {}

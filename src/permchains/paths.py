@@ -43,7 +43,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import perms
-from .analysis import ARRAY_ROWS, CapExceeded, _shares, class_moves, lehmer_ranks, perm_weights
+from .analysis import ARRAY_ROWS, CapExceeded, _move_mass, _shares, class_moves, lehmer_ranks, perm_weights
 from .bias import BiasTable, MonotonicityReport, is_weakly_monotone, weight_exact
 from .chains import NearestNeighborChain
 from .trees import LeagueTree
@@ -98,7 +98,7 @@ def is_tree_edge(sigma, beta, tree: LeagueTree) -> bool:
     except NotAnEdge:
         return False
     a, b = sigma[lo], sigma[hi]
-    under = tree.leaves_under(tree.lca(min(a, b), max(a, b)))
+    under = tree.leaves_under(tree.lca(a, b))
     return all(v not in under for v in sigma[lo + 1 : hi])
 
 
@@ -467,8 +467,7 @@ def congestion_A(aux) -> CongestionResult:
         u, pos = divmod(edge, n)
         key = (pos, states[u][pos], states[u][pos + 1])
         if key not in laws:
-            slot, mass = nn._slots[pos]
-            laws[key] = mass * nn._law(states[u], slot)[0]
+            laws[key] = _move_mass(nn, pos, states[u])
         p = laws[key]
         flow = weights[u] * p.numerator
         if flow == 0:

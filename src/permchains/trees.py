@@ -58,8 +58,8 @@ class _Internal:
 
 class LeagueTree:
     """Validated league tree with precomputed lca and descendant sets; the lca
-    table has an entry per label pair, so more than ``LABEL_CAP`` leaves raise
-    ``CapExceeded`` before it is filled."""
+    table has an entry per label pair i < j, so more than ``LABEL_CAP`` leaves
+    raise ``CapExceeded`` before it is filled."""
 
     def __init__(self, root: TreeNode):
         self.root = root
@@ -77,12 +77,12 @@ class LeagueTree:
             for i in rec.left_leaves:
                 for j in right:
                     self._lca[(i, j)] = nid
-                    self._lca[(j, i)] = nid
 
     def _index(self, root: TreeNode) -> list[int]:
         """Record the internal nodes in preorder; return the leaf labels left
         to right.  The walk keeps its own stack, so depth is not bounded by
-        the recursion limit."""
+        the recursion limit.  It is not a ``_fold``: a node's preorder id is
+        reserved on the way down, before its children are visited."""
         done: list[tuple[tuple, list[int]]] = []  # (ref, leaf labels) of finished subtrees
         todo: list = [root]  # nodes to visit, or the id of a node whose children are done
         while todo:
@@ -125,11 +125,11 @@ class LeagueTree:
         return self._internal[node_id].left_leaves
 
     def lca(self, i: int, j: int) -> int:
-        """Id of the deepest node having both leaves below it."""
+        """Id of the deepest node having both leaves below it, in either order."""
         if i == j:
             raise ValueError("lca needs two distinct labels")
         try:
-            return self._lca[(i, j)]
+            return self._lca[(i, j) if i < j else (j, i)]
         except KeyError:
             raise ValueError(f"labels out of range 1..{self.n}: {i}, {j}")
 
@@ -164,21 +164,17 @@ def _json_call(call, *args, **kwargs):
 
 
 def _node_from_obj(obj) -> TreeNode:
-    """The TreeNode of a parsed JSON node, built bottom-up from an explicit stack."""
-    done: list[TreeNode] = []
-    todo: list = [(obj, False)]  # (JSON node, whether its children are done)
-    while todo:
-        item, children_done = todo.pop()
-        if children_done:
-            right = done.pop()
-            done.append(node(item["q"], done.pop(), right))
-        elif isinstance(item, int):
-            done.append(leaf(item))
-        elif isinstance(item, dict) and {"q", "left", "right"} <= set(item):
-            todo += [(item, True), (item["right"], False), (item["left"], False)]
-        else:
-            raise ValueError(f"bad tree node: {reprlib.repr(item)}")
-    return done[0]
+    """The TreeNode of a parsed JSON node."""
+    return _fold(obj, leaf, lambda item, lt, rt: node(item["q"], lt, rt), _json_children)
+
+
+def _json_children(item):
+    """A parsed JSON node's (left, right), or None at a leaf label."""
+    if isinstance(item, int):
+        return None
+    if isinstance(item, dict) and {"q", "left", "right"} <= set(item):
+        return item["left"], item["right"]
+    raise ValueError(f"bad tree node: {reprlib.repr(item)}")
 
 
 # -- encoding ---------------------------------------------------------------
@@ -305,10 +301,11 @@ def mirror_tree(tree: LeagueTree) -> LeagueTree:
     return LeagueTree(flipped)
 
 
-def _fold(root: TreeNode, at_leaf, at_node):
+def _fold(root, at_leaf, at_node, children=lambda nd: None if nd.is_leaf else (nd.left, nd.right)):
     """``at_leaf(leaf)`` at each leaf and ``at_node(node, left value, right
     value)`` at each internal node, bottom-up from an explicit stack, so depth
-    is not bounded by the recursion limit; returns the root's value."""
+    is not bounded by the recursion limit; returns the root's value.  A node's
+    ``children`` are its (left, right), or None at a leaf."""
     done: list = []
     todo: list = [(root, False)]  # (node, whether its children are done)
     while todo:
@@ -316,8 +313,8 @@ def _fold(root: TreeNode, at_leaf, at_node):
         if children_done:
             right = done.pop()
             done.append(at_node(nd, done.pop(), right))
-        elif nd.is_leaf:
+        elif (pair := children(nd)) is None:
             done.append(at_leaf(nd))
         else:
-            todo += [(nd, True), (nd.right, False), (nd.left, False)]
+            todo += [(nd, True), (pair[1], False), (pair[0], False)]
     return done[0]

@@ -29,7 +29,9 @@ Exact analysis machinery:
 - the array-backed walk matrices, stationary law, long-swap conductance and
   height profile equal their Fraction-oracle builds bit for bit at n = 4..7,
   and the matrices and law of slowmix's two chains at n = 8; the row classes
-  keyed by one integer hold where one mixed-radix key would overflow
+  keyed by one integer hold where one mixed-radix key would overflow, and on
+  signed rows shifted to 0 equal np.unique(axis=0)'s; the long-swap
+  conductance equals the former np.unique(axis=0) build at n = 4..9
 - the array-backed inv and tree matrices equal ``transition_matrix`` in
   indptr, indices and data at n = 2..7 and, by hypothesis, for random
   rational cyw tables (min and max) and random league trees with q = 1
@@ -89,6 +91,7 @@ from support import (
     coupling_time_estimate,
     cyw_kernels,
     cyw_spec,
+    former_long_swap_conductance,
     gap_problem_scan,
     hitting_time_mean_exact,
     hitting_time_samples,
@@ -892,6 +895,17 @@ def test_row_classes_hold_past_the_int64_range():
     assert np.array_equal(rows[first][inverse], rows)  # each row in its own class
 
 
+def test_shifted_row_classes_equal_the_2d_unique():
+    # long_swap_conductance's classes of signed (flat, steep) changes, shifted
+    # to start at 0: the same first rows and class ids as np.unique(axis=0)
+    rng = np.random.default_rng(29)
+    for size in (1, 7, 500):
+        change = rng.integers(-6, 7, size=(size, 2))
+        _, first, inverse = np.unique(change, axis=0, return_index=True, return_inverse=True)
+        got_first, got_inverse = analysis._row_classes(change - change.min(axis=0))
+        assert np.array_equal(got_first, first) and np.array_equal(got_inverse, inverse.reshape(-1))
+
+
 # -- array-backed walk spaces against the Fraction oracle -------------------------
 
 WALK_SIZES = [4, 5, 6, 7]
@@ -921,7 +935,7 @@ def test_walk_matrix_and_pi_match_oracle(n, name):
 
 def row_by_row_long_swap_conductance(chain, pi):
     """Flow out of the low class over its mass, one transition_distribution row at a time."""
-    level = chain.spec.level
+    level = chain.level
     mass = flow = 0.0
     for k, w in enumerate(walks.all_walks(chain.n)):
         h = walks.max_height(w)
@@ -943,6 +957,15 @@ def test_long_swap_conductance_matches_row_scan(n):
     pi = walk_stationary(WalkChain.fluctuating(spec), arrays)
     chain = WalkTranspositionChain(spec)
     assert long_swap_conductance(chain, arrays, pi) == row_by_row_long_swap_conductance(chain, pi)
+
+
+@pytest.mark.parametrize("n", range(4, 10))
+def test_long_swap_conductance_equals_the_former_unique(n):
+    spec = _slowmix_spec(n)
+    arrays = walks.walk_arrays(n)
+    pi = walk_stationary(WalkChain.fluctuating(spec), arrays)
+    chain = WalkTranspositionChain(spec)
+    assert long_swap_conductance(chain, arrays, pi) == former_long_swap_conductance(chain, arrays, pi)
 
 
 @pytest.mark.parametrize("n", WALK_SIZES)

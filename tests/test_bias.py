@@ -10,6 +10,10 @@ Bias tables and model constructors:
 - weak monotonicity clauses report correctly
 - a table of more than 1,000 labels raises CapExceeded (importable from
   analysis) before any entry is asked for; 1,000 labels pass the check
+- a table's entries, validated once per distinct value of its pair rule,
+  equal the per-pair build in value and type, for constant, cyw, league and
+  slowmix tables and for rules returning ints, floats, strings and fresh
+  equal Fractions
 - the slow-mixing family freezes within-half pairs and balances the cut; the
   integer signs of its bisection equal the Fraction gap's (the reference) at
   both bracket ends and every midpoint for n = 4..9, and the gap changes sign
@@ -25,6 +29,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from permchains import walks
+from permchains._common import as_probability
 from permchains.bias import (
     BiasTable,
     CywSpec,
@@ -423,3 +428,41 @@ def test_label_cap_checked_before_any_entry():
     assert asked == []
     assert analysis.CapExceeded is _common.CapExceeded
     _common.check_label_count(_common.LABEL_CAP)
+
+
+def _per_pair_entries(n, upper) -> list:
+    """A table's entries built as before the memo: one as_probability and one
+    complement per pair, the reference of ``BiasTable``'s build."""
+    p = [[None] * (n + 1) for _ in range(n + 1)]
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            p[i][j] = as_probability(upper(i, j))
+            p[j][i] = 1 - p[i][j]
+    return p
+
+
+def _cases(demo_tree):
+    spec = CywSpec(r=(Fraction(3, 5), Fraction(4, 5), Fraction(1, 2), Fraction(9, 10)))
+    slowmix = SlowMixSpec(n=5, delta=solve_delta(5))
+    q = Fraction(7, 10)
+    yield constant_bias(6, q), 6, lambda i, j: q
+    yield choose_your_weapon(spec), spec.n, spec.rank_prob
+    yield league_hierarchy(demo_tree), demo_tree.n, demo_tree.lca_q
+    yield slow_mixing_bias(5)[0], 10, slowmix.pair_prob
+    for upper in (
+        lambda i, j: 1 if j - i > 2 else 0,
+        lambda i, j: 0.5 + 0.1 * ((i + j) % 3),
+        lambda i, j: "3/4" if i % 2 else "0.75",
+        lambda i, j: Fraction(3 + (i * j) % 2, 5),  # a fresh Fraction per pair
+        # equal keys that read as different probabilities: the float 0.1 is 1/10
+        lambda i, j: 0.1 if i % 2 else Fraction(0.1),
+        lambda i, j: True if i % 2 else Fraction(1),
+    ):
+        yield BiasTable(7, upper), 7, upper
+
+
+def test_table_entries_equal_the_per_pair_build(demo_tree):
+    for table, n, upper in _cases(demo_tree):
+        want = _per_pair_entries(n, upper)
+        assert table._p == want
+        assert [list(map(type, row)) for row in table._p] == [list(map(type, row)) for row in want]

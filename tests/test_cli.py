@@ -15,7 +15,9 @@ CLI behavior:
   scan's fit or paths' bound needs but the step horizon does not reach), 4 soundness failure
   (an inv or tree route with one swap dropped is an illegal canonical path)
 - a league file as deep as the label cap allows (a 990-leaf caterpillar) samples
-  with exit 0, and a 1,001-leaf caterpillar file exits 3
+  with exit 0, and a 1,001-leaf caterpillar file exits 3; so do an asep of
+  more than 1,000 positions and a walk of more than 1,000 steps, before any
+  slot list is made
 - exact, scan and paths print the same bytes for inv and tree with the array
   rows and weights as with the Fraction oracle's
 - a constant model below 1/2 is refused with one wording (exit 2, no
@@ -529,6 +531,35 @@ def test_a_1001_leaf_caterpillar_league_exits_3(tmp_path, capsys):
     assert code == 3
     assert out == ""
     assert "1001 labels exceed the label cap 1000" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("model, labels", [
+    (["--chain", "asep", "--model", "asep:0.6,600,600"], 1200),
+    (["--chain", "walk", "--model", "constant:0.7", "--n", "501"], 1002),
+])
+def test_asep_and_walk_past_the_label_cap_exit_3(capsys, model, labels):
+    # ASEP(k1, k2) projects S_{k1+k2}, and a walk of half size n is an image of S_{2n}
+    code, out, err = run_cli(["sample", *model, "--steps", "10"], capsys)
+    assert code == 3
+    assert out == ""
+    assert f"{labels} labels exceed the label cap 1000" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("model", [
+    ["--chain", "asep", "--model", "asep:0.6,1,20000000000"],
+    ["--chain", "walk", "--model", "constant:0.7", "--n", "10000000000"],
+])
+def test_huge_asep_and_walk_exit_3_before_any_slot_list(capsys, monkeypatch, model):
+    from permchains import chains
+
+    def unbuilt(self, slots):
+        raise AssertionError("a slot list was built past the label cap")
+
+    monkeypatch.setattr(chains.Kernel, "_uniform", unbuilt)
+    code, out, err = run_cli(["sample", *model, "--steps", "10"], capsys)
+    assert code == 3
+    assert out == ""
+    assert "labels exceed the label cap 1000" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("args", [

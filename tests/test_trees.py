@@ -1,7 +1,9 @@
 """
 League trees and the per-node bit-string encoding:
 
-- lca lookups on the demo tree match its hand-read values
+- lca lookups on the demo tree match its hand-read values; on random,
+  complete and caterpillar trees up to 12 leaves, lca(i, j) == lca(j, i) is
+  the deepest node holding both (hypothesis)
 - encoding the demo permutation reproduces the known node strings and the
   root string 010100011; decode inverts it
 - the encode/decode pair is a bijection across tree shapes
@@ -11,13 +13,15 @@ League trees and the per-node bit-string encoding:
 - more than 1,000 leaves raise CapExceeded before the lca table is filled
 - trees as deep as the label cap allows build, index, print and parse
   without recursion; to_json prints json.dumps's bytes; JSON nested deeper
-  than any tree under the cap raises CapExceeded
+  than any tree under the cap raises CapExceeded; a bad JSON node raises
+  ValueError naming the first one met, left subtrees first
 - mirror_tree, truncate_tree and tree_decode keep their own stacks: they
   return on a 999-leaf caterpillar and equal the former recursive versions
   (kept here as the reference) on the demo tree, caterpillars, complete trees
   and 30 random trees
 """
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -101,6 +105,21 @@ def test_codec_roundtrip_at_random_n(case):
     assert tree_decode(tree_encode(sigma, tree), tree) == tuple(sigma)
 
 
+@given(st.sampled_from(["random", "complete", "caterpillar"]), st.integers(min_value=1, max_value=12),
+       st.integers(min_value=0, max_value=2**32))
+def test_lca_is_the_deepest_node_holding_both_leaves(shape, n, seed):
+    tree = {
+        "random": lambda: random_tree(n, make_rng(seed)),
+        "complete": lambda: complete_tree(n, "0.7"),
+        "caterpillar": lambda: caterpillar_tree(n, ["0.6"] * (n - 1)),
+    }[shape]()
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            holding = [v for v in tree.internal_ids() if {i, j} <= tree.leaves_under(v)]
+            deepest = min(holding, key=lambda v: len(tree.leaves_under(v)))
+            assert tree.lca(i, j) == tree.lca(j, i) == deepest
+
+
 def test_leaf_cap_checked_before_the_lca_table():
     with pytest.raises(CapExceeded, match="1001 labels exceed the label cap 1000"):
         complete_tree(1001, "0.7")
@@ -137,6 +156,17 @@ def test_json_nested_past_the_label_cap_raises_cap_exceeded():
     for _ in range(5 * 1000):
         text = f'{{"q": 0.6, "left": {text}, "right": 2}}'
     with pytest.raises(CapExceeded, match="nests deeper than a tree of 1000 labels"):
+        LeagueTree.from_json(text)
+
+
+@pytest.mark.parametrize("text, named", [
+    ('{"q": 0.6, "left": "x", "right": [2]}', "'x'"),  # the left subtree is read first
+    ('{"q": 0.6, "left": 1, "right": [2]}', "[2]"),
+    ('{"q": 0.6, "left": {"left": 1, "right": 2}, "right": "y"}', "{'left': 1, 'right': 2}"),
+    ("[1, 2]", "[1, 2]"),
+])
+def test_json_names_the_first_bad_node(text, named):
+    with pytest.raises(ValueError, match=f"^bad tree node: {re.escape(named)}$"):
         LeagueTree.from_json(text)
 
 
