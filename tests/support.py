@@ -7,9 +7,8 @@ product matrix it is checked on, the hitting-time and coupling estimates for
 the one-dimensional walk, the monotone-grid spectral-gap scan behind Fill's
 question (acceptance criteria 4, 6 and 9), the walk-to-code loop that is
 the reference for ``walks.walk_arrays(...).codes``, the permutation swaps
-that no kernel calls any more, and the kernels' former transition laws and
-long-swap conductance, which the tests keep as the references of the
-rewritten ones.
+that no kernel calls any more, and the kernels' former transition laws,
+which the tests keep as the references of the rewritten ones.
 
 They live here, not in ``conftest.py``, because ``perfbench/tests`` has a
 ``conftest`` module of its own and only one module of that name can be
@@ -24,7 +23,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from permchains import walks
-from permchains.analysis import _running_total, spectral_gap, stationary_exact, transition_matrix
+from permchains.analysis import spectral_gap, stationary_exact, transition_matrix
 from permchains.bias import CywSpec
 from permchains.chains import InversionChain, TreeChain, make_rng
 from permchains.trees import LeagueTree, random_tree, truncate_tree
@@ -372,35 +371,3 @@ REFERENCE_LAWS = {
     "walk": _walk_law,
     "walk-transposition": _walk_transposition_law,
 }
-
-
-# -- the former long-swap conductance: classes of the change by a 2-D unique ------
-
-
-def former_long_swap_conductance(chain, arrays: walks.WalkArrays, pi: np.ndarray) -> float:
-    """``analysis.long_swap_conductance`` as written with ``np.unique(axis=0)``
-    for its classes of (flat, steep) changes, the reference of ``_row_classes``
-    there; it reads the kernel's level as ``chain.level``."""
-    n, level = chain.n, chain.level
-    low = arrays.max_height < level
-    mass = _running_total(pi[low])
-    thin = np.flatnonzero(low & (arrays.max_height >= level - 2))
-    steps = arrays.steps[thin]
-    up_at = np.nonzero(steps)[1].reshape(-1, n)
-    down_at = np.nonzero(steps == 0)[1].reshape(-1, n)
-    top = 2 * n - 1
-    # slot (i, j) swaps the i-th up-step with the j-th down-step
-    flips = (np.int64(1) << (top - up_at))[:, :, None] | (np.int64(1) << (top - down_at))[:, None, :]
-    targets = np.searchsorted(arrays.codes, arrays.codes[thin, None] ^ flips.reshape(len(thin), n * n))
-    walk, slot = np.nonzero(arrays.max_height[targets] >= level)
-    target = targets[walk, slot]
-    source = thin[walk]
-    change = np.stack([arrays.flat[target] - arrays.flat[source], arrays.steep[target] - arrays.steep[source]], axis=1)
-    _, first, inverse = np.unique(change, axis=0, return_index=True, return_inverse=True)
-    probs = []
-    for k in first.tolist():
-        slot_k, slot_mass = chain._slots[slot[k]]
-        p, _, _ = chain._law(arrays.walk(source[k]), slot_k)
-        probs.append(float(slot_mass * p))
-    terms = pi[source] * np.asarray(probs)[inverse.reshape(-1)]
-    return _running_total(terms) / mass

@@ -27,11 +27,11 @@ Exact analysis machinery:
 - coupling and hitting-time estimates agree with birth-death formulas
 - the n=4 monotone grid has no gap below the uniform table
 - the array-backed walk matrices, stationary law, long-swap conductance and
-  height profile equal their Fraction-oracle builds bit for bit at n = 4..7,
-  and the matrices and law of slowmix's two chains at n = 8; the row classes
-  keyed by one integer hold where one mixed-radix key would overflow, and on
-  signed rows shifted to 0 equal np.unique(axis=0)'s; the long-swap
-  conductance equals the former np.unique(axis=0) build at n = 4..9
+  height profile equal their Fraction-oracle builds bit for bit at n = 4..7
+  (the conductance also at n = 8), and the matrices and law of slowmix's two
+  chains at n = 8; the row classes keyed by one integer hold where one
+  mixed-radix key would overflow, and on signed rows shifted to 0 equal
+  np.unique(axis=0)'s
 - the array-backed inv and tree matrices equal ``transition_matrix`` in
   indptr, indices and data at n = 2..7 and, by hypothesis, for random
   rational cyw tables (min and max) and random league trees with q = 1
@@ -91,7 +91,6 @@ from support import (
     coupling_time_estimate,
     cyw_kernels,
     cyw_spec,
-    former_long_swap_conductance,
     gap_problem_scan,
     hitting_time_mean_exact,
     hitting_time_samples,
@@ -950,22 +949,13 @@ def row_by_row_long_swap_conductance(chain, pi):
     return flow / mass
 
 
-@pytest.mark.parametrize("n", WALK_SIZES)
+@pytest.mark.parametrize("n", [*WALK_SIZES, 8])
 def test_long_swap_conductance_matches_row_scan(n):
     spec = _slowmix_spec(n)
     arrays = walks.walk_arrays(n)
     pi = walk_stationary(WalkChain.fluctuating(spec), arrays)
     chain = WalkTranspositionChain(spec)
     assert long_swap_conductance(chain, arrays, pi) == row_by_row_long_swap_conductance(chain, pi)
-
-
-@pytest.mark.parametrize("n", range(4, 10))
-def test_long_swap_conductance_equals_the_former_unique(n):
-    spec = _slowmix_spec(n)
-    arrays = walks.walk_arrays(n)
-    pi = walk_stationary(WalkChain.fluctuating(spec), arrays)
-    chain = WalkTranspositionChain(spec)
-    assert long_swap_conductance(chain, arrays, pi) == former_long_swap_conductance(chain, arrays, pi)
 
 
 @pytest.mark.parametrize("n", WALK_SIZES)

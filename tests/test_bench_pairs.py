@@ -1,11 +1,8 @@
 """``tools/bench_pairs.summarize`` on synthetic pairs: medians, wins, ratios,
 the bound flags read from BENCHMARK.json's end-to-end entries, and whether a
-gain lies beyond the parent's quartile spread; and ``--workload``, with git,
-the exports and the runs stubbed: only the named workloads run, and they
-replace their entries in a file of the same parent and change."""
+gain lies beyond the parent's quartile spread."""
 import importlib.util
 import json
-from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -71,67 +68,3 @@ def test_a_gain_must_lie_beyond_the_parent_spread(better, parent, change, beyond
     summary = bench_pairs.summarize(pairs, [metric])["m"]
     assert (summary["parent"]["q1"], summary["parent"]["q3"]) == pytest.approx((0.9, 1.1))
     assert summary["beyond_parent_spread"] is beyond
-
-
-def _fake_bench(monkeypatch, tmp_path, change="c0ffee"):
-    """bench_pairs with its git, exports and runs stubbed, rooted at ``tmp_path``;
-    returns the list of (workload, side) runs made."""
-    (tmp_path / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
-    revs = {"HEAD~1": "beef", "HEAD": change}
-    runs = []
-
-    @contextmanager
-    def exported(rev, side):
-        yield tmp_path / side
-
-    def run_once(checkout, workload, seed, seconds):
-        runs.append((workload, checkout.name))
-        return {"failed": 0, "attempted": 1, "metrics": {m["name"]: 1.0 for m in END_TO_END}}
-
-    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
-    monkeypatch.setattr(bench_pairs, "git", lambda *args: "" if args[0] == "status" else revs[args[1]])
-    monkeypatch.setattr(bench_pairs, "exported", exported)
-    monkeypatch.setattr(bench_pairs, "run_once", run_once)
-    return runs
-
-
-def _bench(*extra):
-    return bench_pairs.main(["--parent", "HEAD~1", "--pr", "0", "--first-seed", "1", *extra])
-
-
-def test_workload_runs_only_the_named_workloads(monkeypatch, tmp_path, capsys):
-    runs = _fake_bench(monkeypatch, tmp_path)
-    assert _bench("--workload", "paths", "--workload", "sample") == 0
-    assert sorted(set(runs)) == [(w, side) for w in ("paths", "sample") for side in ("change", "parent")]
-    assert len(runs) == 2 * 2 * bench_pairs.PAIRS
-    doc = json.loads((tmp_path / "BENCH_0.json").read_text())
-    assert list(doc["workloads"]) == ["sample", "paths"]  # BENCHMARK.json's order
-
-
-def test_workload_replaces_its_entry_and_keeps_the_others(monkeypatch, tmp_path, capsys):
-    _fake_bench(monkeypatch, tmp_path)
-    earlier = {"parent": "beef", "change": "c0ffee",
-               "workloads": {"sample": "kept", "paths": "replaced", "slowmix": "kept too"}}
-    (tmp_path / "BENCH_0.json").write_text(json.dumps(earlier))
-    assert _bench("--workload", "paths") == 0
-    workloads = json.loads((tmp_path / "BENCH_0.json").read_text())["workloads"]
-    assert list(workloads) == ["sample", "paths", "slowmix"]
-    assert (workloads["sample"], workloads["slowmix"]) == ("kept", "kept too")
-    assert len(workloads["paths"]["pairs"]) == bench_pairs.PAIRS
-
-
-def test_a_file_of_another_change_is_written_afresh(monkeypatch, tmp_path, capsys):
-    _fake_bench(monkeypatch, tmp_path, change="f00d")
-    earlier = {"parent": "beef", "change": "c0ffee", "workloads": {"sample": "stale"}}
-    (tmp_path / "BENCH_0.json").write_text(json.dumps(earlier))
-    assert _bench("--workload", "paths") == 0
-    doc = json.loads((tmp_path / "BENCH_0.json").read_text())
-    assert (doc["change"], list(doc["workloads"])) == ("f00d", ["paths"])
-
-
-def test_an_unknown_workload_is_a_usage_error(monkeypatch, tmp_path, capsys):
-    runs = _fake_bench(monkeypatch, tmp_path)
-    with pytest.raises(SystemExit) as exit_:
-        _bench("--workload", "nope")
-    assert exit_.value.code == 2 and runs == []
-    assert "invalid choice: 'nope'" in capsys.readouterr().err

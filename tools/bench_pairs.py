@@ -28,12 +28,6 @@ records the machine's CPU count and the CPUs of this process's affinity
 mask (the two differ under a cpuset), and whether ``PYTHONDONTWRITEBYTECODE``
 is set for the runs it starts: without cached bytecode every run compiles the
 package, which shows in ``setup_s``.
-
-``--workload W`` (repeatable) runs the named workloads only, for example to
-run again the pairs of one workload whose metric read past its bound.  When
-``BENCH_<pr>.json`` already holds the same parent and change, the named
-workloads' entries are replaced and the others kept; otherwise the file is
-written afresh.
 """
 from __future__ import annotations
 
@@ -112,19 +106,16 @@ def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
 
 
 def main(argv=None) -> int:
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    workloads = [w["name"] for w in spec["workloads"]]
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="git revision of the parent commit")
     parser.add_argument("--pr", required=True, help="names the output file BENCH_<pr>.json")
     parser.add_argument("--first-seed", type=int, required=True)
-    parser.add_argument("--workload", action="append", choices=workloads, help="run only this workload (repeatable)")
     args = parser.parse_args(argv)
     if git("status", "--porcelain", "--untracked-files=no"):
         parser.error("tracked files differ from HEAD; commit the change first")
 
-    if args.workload:
-        workloads = [w for w in workloads if w in args.workload]
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = [w["name"] for w in spec["workloads"]]
     seconds = spec["run_seconds"]
     doc = {
         "parent": git("rev-parse", args.parent),
@@ -143,10 +134,6 @@ def main(argv=None) -> int:
         "workloads": {},
     }
     out = ROOT / f"BENCH_{args.pr}.json"
-    if out.exists():
-        earlier = json.loads(out.read_text())
-        if (earlier["parent"], earlier["change"]) == (doc["parent"], doc["change"]):
-            doc["workloads"] = earlier["workloads"]  # the workloads run now replace their entries
     with exported(args.parent, "parent") as parent, exported("HEAD", "change") as change:
         checkouts = {"parent": parent, "change": change}
         for workload in workloads:
